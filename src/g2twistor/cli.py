@@ -22,7 +22,7 @@ import argparse
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,25 +81,26 @@ class RunConfig:
             raise ConfigError(f"unknown generator key {self.generator!r}")
         if len(self.frequency) != 7:
             raise ConfigError("frequency must have 7 entries")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        for key in ("epsilon", "mix", "tol_involutive", "tol_instanton", "tol_cr"):
+            if not np.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
+        if self.connection not in inst.CONNECTION_FAMILIES:
+            raise ConfigError(f"unknown connection family {self.connection!r}")
+        if not 0 <= self.connection_index < 14:
+            raise ConfigError("connection_index must be in 0..13")
+        if not 0 <= self.connection_vector < 7:
+            raise ConfigError("connection_vector must be in 0..6")
         return self
 
 
+# field annotations are strings under `from __future__ import annotations`
+_SCALAR_TYPES = {"str": str, "int": int, "float": float}
 _SCALAR_KEYS = {
-    "campaign": str,
-    "generator": str,
-    "epsilon": float,
-    "resolution": int,
-    "samples": int,
-    "seed": int,
-    "workers": int,
-    "out": str,
-    "connection": str,
-    "connection_index": int,
-    "connection_vector": int,
-    "mix": float,
-    "tol_involutive": float,
-    "tol_instanton": float,
-    "tol_cr": float,
+    f.name: _SCALAR_TYPES[f.type] for f in dc_fields(RunConfig) if f.type in _SCALAR_TYPES
 }
 
 
@@ -108,8 +109,8 @@ def parse_config(path):
     raw = {}
     expect = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -120,12 +121,16 @@ def parse_config(path):
         key, value = (s.strip() for s in line.split("=", 1))
         if key.startswith("expect_"):
             expect[key[len("expect_") :]] = value
-        elif key == "frequency":
-            raw["frequency"] = tuple(int(t) for t in value.replace(",", " ").split())
-        elif key in _SCALAR_KEYS:
-            raw[key] = _SCALAR_KEYS[key](value)
-        else:
+            continue
+        if key != "frequency" and key not in _SCALAR_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key == "frequency":
+                raw[key] = tuple(int(t) for t in value.replace(",", " ").split())
+            else:
+                raw[key] = _SCALAR_KEYS[key](value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
     raw["expect"] = expect
     return RunConfig(**raw)
 

@@ -210,6 +210,26 @@ class StructureField:
 # finite-difference calculus
 
 
+def central_difference(f, at, direction, h):
+    """(f(*(a + h d)) - f(*(a - h d))) / 2h over the base arrays ``at``.
+
+    ``at`` is a tuple of base arrays such as (p,) or (m, x), and
+    ``direction`` holds one array per base array.  A complex direction
+    u + i v gives D_u f + i D_v f.
+    """
+    direction = np.asarray(direction)
+
+    def diff(d):
+        plus = f(*(a + h * di for a, di in zip(at, d)))
+        minus = f(*(a - h * di for a, di in zip(at, d)))
+        return (plus - minus) / (2.0 * h)
+
+    out = diff(direction.real)
+    if np.iscomplexobj(direction) and np.abs(direction.imag).max() > 0.0:
+        out = out + 1j * diff(direction.imag)
+    return out
+
+
 def exterior_derivative(form_at, p, h):
     """Central-difference exterior derivative of a KForm-valued map."""
     if h <= 0:
@@ -217,9 +237,7 @@ def exterior_derivative(form_at, p, h):
     p = np.asarray(p, dtype=float)
     out = None
     for i in range(7):
-        plus = form_at(p + h * AXES[i])
-        minus = form_at(p - h * AXES[i])
-        partial = (1.0 / (2.0 * h)) * (plus - minus)
+        partial = central_difference(form_at, (p,), (AXES[i],), h)
         term = wedge(KForm.basis(7, (i,)), partial)
         out = term if out is None else out + term
     return out
@@ -291,10 +309,6 @@ class ConnectionSample:
         return self.metric.inverse @ low
 
 
-def _metric_entries(field, p):
-    return field.point_data(p).g
-
-
 def christoffel(field, p, h=None):
     """Central-difference Christoffel symbols of the induced metric.
 
@@ -306,10 +320,10 @@ def christoffel(field, p, h=None):
     hit = field._gamma_cache.get(key)
     if hit is not None:
         return hit
-    g = _metric_entries(field, p)
+    g = field.point_data(p).g
     dg = np.empty((7, 7, 7))  # dg[k] = d_k g
     for k in range(7):
-        dg[k] = (_metric_entries(field, p + h * AXES[k]) - _metric_entries(field, p - h * AXES[k])) / (2.0 * h)
+        dg[k] = central_difference(lambda q: field.point_data(q).g, (p,), (AXES[k],), h)
     ginv = np.linalg.inv(g)
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     term = np.empty((7, 7, 7))
@@ -333,7 +347,7 @@ def levi_civita(field, p, h=None, include_curvature=True):
         return ConnectionSample(point=p, metric=metric, gamma=gamma)
     dgamma = np.empty((7, 7, 7, 7))  # dgamma[i] = d_i Gamma
     for i in range(7):
-        dgamma[i] = (christoffel(field, p + h * AXES[i], h) - christoffel(field, p - h * AXES[i], h)) / (2.0 * h)
+        dgamma[i] = central_difference(lambda q: christoffel(field, q, h), (p,), (AXES[i],), h)
     # R^k_{l i j} = d_i G^k_jl - d_j G^k_il + G^k_im G^m_jl - G^k_jm G^m_il
     mixed = (
         np.einsum("ikjl->klij", dgamma)

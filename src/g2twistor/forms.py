@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -162,6 +162,9 @@ class KForm:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, scalar):
+        return KForm(self.dim, self.degree, self.coeffs / float(scalar))
+
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, vectors):
@@ -245,21 +248,13 @@ class MetricTensor:
     def dim(self):
         return self.entries.shape[0]
 
-    @property
+    @cached_property
     def inverse(self):
-        inv = getattr(self, "_inverse", None)
-        if inv is None:
-            inv = np.linalg.inv(self.entries)
-            self._inverse = inv
-        return inv
+        return np.linalg.inv(self.entries)
 
-    @property
+    @cached_property
     def sqrt_det(self):
-        sd = getattr(self, "_sqrt_det", None)
-        if sd is None:
-            sd = float(np.sqrt(np.linalg.det(self.entries)))
-            self._sqrt_det = sd
-        return sd
+        return float(np.sqrt(np.linalg.det(self.entries)))
 
     def inner(self, x, y):
         """Real bilinear pairing; use `norm` for complex vectors."""

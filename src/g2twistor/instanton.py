@@ -12,12 +12,14 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 import numpy as np
 
-from .forms import KForm, increasing_indices
+from .fields import central_difference
+from .forms import KForm, contract, increasing_indices
 from .pointwise import hodge_type_on_complement
-from .twistor import cr_splitting, frobenius_bracket
+from .twistor import _extension_value, cr_splitting, frobenius_bracket
 
 AXES = np.eye(7)
 PAIRS2 = tuple(increasing_indices(7, 2))
+CONNECTION_FAMILIES = ("flat", "const-14", "const-7", "mixed")
 
 
 class ConnectionError_(ValueError):
@@ -55,10 +57,9 @@ class ConnectionData:
         A = np.asarray(self.potential(p))
         dA = np.empty((7, 7, self.rank, self.rank), dtype=complex)
         for i in range(7):
-            dA[i] = (
-                np.asarray(self.potential(p + h * AXES[i]))
-                - np.asarray(self.potential(p - h * AXES[i]))
-            ) / (2.0 * h)
+            dA[i] = central_difference(
+                lambda q: np.asarray(self.potential(q)), (p,), (AXES[i],), h
+            )
         F = np.empty((len(PAIRS2), self.rank, self.rank), dtype=complex)
         for a, (i, j) in enumerate(PAIRS2):
             F[a] = dA[i][j] - dA[j][i] + A[i] @ A[j] - A[j] @ A[i]
@@ -106,6 +107,8 @@ def make_connection(family, point, index=0, vector=0, mix=0.0):
     14-part basis (by index); const-7: curvature rho . e_vector; mixed:
     const-14 plus mix * const-7.
     """
+    if family not in CONNECTION_FAMILIES:
+        raise ConnectionError_(f"unknown connection family {family!r}")
     if family == "flat":
         return ConnectionData(
             rank=1,
@@ -118,20 +121,10 @@ def make_connection(family, point, index=0, vector=0, mix=0.0):
         coeffs = point.lambda2_basis_14[:, index].copy()
         return _abelian_from_2form(coeffs, "const-14", {"index": index})
     if family == "const-7":
-        from .forms import contract
-
         coeffs = contract(point.rho, AXES[vector]).coeffs
         return _abelian_from_2form(coeffs, "const-7", {"vector": vector})
-    if family == "mixed":
-        from .forms import contract
-
-        coeffs = point.lambda2_basis_14[:, index] + mix * contract(
-            point.rho, AXES[vector]
-        ).coeffs
-        return _abelian_from_2form(
-            coeffs, "mixed", {"index": index, "vector": vector, "mix": mix}
-        )
-    raise ConnectionError_(f"unknown connection family {family!r}")
+    coeffs = point.lambda2_basis_14[:, index] + mix * contract(point.rho, AXES[vector]).coeffs
+    return _abelian_from_2form(coeffs, "mixed", {"index": index, "vector": vector, "mix": mix})
 
 
 # ---------------------------------------------------------------------------
@@ -176,25 +169,12 @@ class CrDolbeaultContext:
         return cls(tp=tp, splitting=cr_splitting(tp), h=field.h if h is None else h)
 
 
-def _directional_scalar(f, m, x, vec, h):
-    """Central difference of a scalar function of (m, x) along a complex
-    tangent vector of the sphere bundle."""
-
-    def diff(part):
-        return (f(m + h * part[0], x + h * part[1]) - f(m - h * part[0], x - h * part[1])) / (2.0 * h)
-
-    val = diff(np.real(vec))
-    if np.iscomplexobj(vec) and np.abs(np.imag(vec)).max() > 0.0:
-        val = val + 1j * diff(np.imag(vec))
-    return val
-
-
 def cr_dolbeault_on_functions(ctx, f):
     """(d-bar f)(b) = derivative of f along each (0,1) basis vector."""
     tp = ctx.tp
     tangents = ctx.splitting.tangents_01(tp)
     return np.array(
-        [_directional_scalar(f, tp.m, tp.x, t, ctx.h) for t in tangents]
+        [central_difference(f, (tp.m, tp.x), t, ctx.h) for t in tangents]
     )
 
 
@@ -211,27 +191,24 @@ def dolbeault_square_function_residual(field, ctx, f):
         # b_j f as a function of the twistor point, extended like b_j itself
         def val(m, x):
             ext = _ext_tangent(field, tp, tangents[j], m, x)
-            return _directional_scalar(f, m, x, ext, ctx.h)
+            return central_difference(f, (m, x), ext, ctx.h)
 
         return val
 
+    at = (tp.m, tp.x)
     worst = 0.0
     for i, j in itertools.combinations(range(len(tangents)), 2):
-        term1 = -_directional_scalar(df_along(j), tp.m, tp.x, tangents[i], ctx.h)
-        term2 = _directional_scalar(df_along(i), tp.m, tp.x, tangents[j], ctx.h)
+        term1 = -central_difference(df_along(j), at, tangents[i], ctx.h)
+        term2 = central_difference(df_along(i), at, tangents[j], ctx.h)
         br = frobenius_bracket(field, tp, tangents[i], tangents[j], h=ctx.h, projection="cr01")
-        term3 = _directional_scalar(f, tp.m, tp.x, br, ctx.h)
+        term3 = central_difference(f, at, br, ctx.h)
         worst = max(worst, abs(term1 + term2 + term3))
     return worst
 
 
 def _ext_tangent(field, tp, vec, m, x):
     """The cr01 section extension of vec, evaluated at ambient (m, x)."""
-    from .twistor import _extension_value, _hor_fiber
-
-    base0 = vec[0]
-    vert0 = vec[1] - _hor_fiber(tp.gamma, tp.x, base0)
-    return _extension_value(field, tp, base0, vert0, m, x, "transport", "cr01")
+    return _extension_value(field, tp, vec[0], tp.vertical_part(vec), m, x, "transport", "cr01")
 
 
 def cr_holomorphicity_residual(field, conn, tp, h=None):
@@ -287,20 +264,12 @@ def dolbeault_square_section_residual(field, conn, tp, h=None):
 
         def val(m, x):
             ext = _ext_tangent(field, tp, tangents[j], m, x)
-            der = _directional_vec(section_fn, m, x, ext, h)
+            der = central_difference(section_fn, (m, x), ext, h)
             return der + np.einsum("iab,i,b->a", A_at(m), ext[0], section_fn(m, x))
 
         return val
 
-    def _directional_vec(fn, m, x, vec, hh):
-        def diff(part):
-            return (fn(m + hh * part[0], x + hh * part[1]) - fn(m - hh * part[0], x - hh * part[1])) / (2.0 * hh)
-
-        out = diff(np.real(vec))
-        if np.iscomplexobj(vec) and np.abs(np.imag(vec)).max() > 0.0:
-            out = out + 1j * diff(np.imag(vec))
-        return out
-
+    at = (tp.m, tp.x)
     worst = 0.0
     for s in range(conn.rank):
         xi0 = np.zeros(conn.rank, dtype=complex)
@@ -311,14 +280,14 @@ def dolbeault_square_section_residual(field, conn, tp, h=None):
 
         eta = [nabla(j, xi) for j in range(3)]
         for i, j in itertools.combinations(range(3), 2):
-            t1 = -_directional_vec(eta[j], tp.m, tp.x, tangents[i], h) - np.einsum(
+            t1 = -central_difference(eta[j], at, tangents[i], h) - np.einsum(
                 "iab,i,b->a", A_at(tp.m), tangents[i][0], eta[j](tp.m, tp.x)
             )
-            t2 = _directional_vec(eta[i], tp.m, tp.x, tangents[j], h) + np.einsum(
+            t2 = central_difference(eta[i], at, tangents[j], h) + np.einsum(
                 "iab,i,b->a", A_at(tp.m), tangents[j][0], eta[i](tp.m, tp.x)
             )
             br = frobenius_bracket(field, tp, tangents[i], tangents[j], h=h, projection="cr01")
-            t3 = _directional_vec(xi, tp.m, tp.x, br, h) + np.einsum(
+            t3 = central_difference(xi, at, br, h) + np.einsum(
                 "iab,i,b->a", A_at(tp.m), br[0], xi0
             )
             dbar2 = t1 + t2 + t3

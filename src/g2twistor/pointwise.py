@@ -13,7 +13,7 @@ depends on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -22,12 +22,12 @@ from .forms import (
     KForm,
     LinearMap,
     MetricTensor,
+    _contract_table,
     annihilator_basis,
     annihilator_dimension,
     contract,
     hodge_star,
     increasing_indices,
-    index_position,
     merge_sign,
     sort_with_sign,
     transform,
@@ -80,12 +80,9 @@ class DependentBasisError(G2StructureError):
 @lru_cache(maxsize=None)
 def _contraction_tensor():
     """K with (iota_{e_i} a)[J] = sum_I K[i, J, I] a[I], degree 3 -> 2."""
+    comp, src, dst, sg = _contract_table(7, 3)
     K = np.zeros((7, comb(7, 2), comb(7, 3)))
-    pos2 = index_position(7, 2)
-    for p, I in enumerate(increasing_indices(7, 3)):
-        for r, c in enumerate(I):
-            J = tuple(x for x in I if x != c)
-            K[c, pos2[J], p] += (-1.0) ** r
+    np.add.at(K, (comp, dst, src), sg)
     return K
 
 
@@ -213,48 +210,28 @@ class G2Point:
     def ginv(self):
         return self.metric.inverse
 
-    @property
+    @cached_property
     def rho_dense(self):
-        rd = getattr(self, "_rho_dense", None)
-        if rd is None:
-            rd = self.rho.dense()
-            self._rho_dense = rd
-        return rd
+        return self.rho.dense()
 
-    @property
+    @cached_property
     def rho_star_dense(self):
-        rd = getattr(self, "_rho_star_dense", None)
-        if rd is None:
-            rd = self.rho_star.dense()
-            self._rho_star_dense = rd
-        return rd
+        return self.rho_star.dense()
 
-    @property
+    @cached_property
     def cross_tensor(self):
         """T[i, j, k] = k-th component of e_i x e_j."""
-        T = getattr(self, "_cross_tensor", None)
-        if T is None:
-            T = np.einsum("ijm,km->ijk", self.rho_dense, self.ginv)
-            self._cross_tensor = T
-        return T
+        return np.einsum("ijm,km->ijk", self.rho_dense, self.ginv)
 
-    @property
+    @cached_property
     def stabilizer_algebra(self):
         """Basis of the annihilator algebra of rho, shape (14, 7, 7)."""
-        A = getattr(self, "_stab", None)
-        if A is None:
-            A = annihilator_basis(self.rho)
-            self._stab = A
-        return A
+        return annihilator_basis(self.rho)
 
-    @property
+    @cached_property
     def _lambda2(self):
         """(Q7, Q14, P7, P14, gram2) for the 7 + 14 splitting of 2-forms."""
-        parts = getattr(self, "_lambda2_parts", None)
-        if parts is not None:
-            return parts
         gram2 = self.metric.gram(2)
-        pos2 = index_position(7, 2)
         # image of v -> rho . v
         S7 = np.column_stack(
             [contract(self.rho, np.eye(7)[i]).coeffs for i in range(7)]
@@ -271,9 +248,7 @@ class G2Point:
         P14 = Q14 @ Q14.T @ gram2
         if np.abs(P7 + P14 - np.eye(21)).max() > 1e-9:
             raise G2StructureError("2-form projectors do not sum to the identity")
-        parts = (Q7, Q14, P7, P14, gram2)
-        self._lambda2_parts = parts
-        return parts
+        return Q7, Q14, P7, P14, gram2
 
     @property
     def lambda2_basis_7(self):

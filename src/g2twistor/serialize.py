@@ -32,7 +32,7 @@ from math import comb
 
 import numpy as np
 
-from .forms import KForm, MetricTensor, index_position
+from .forms import KForm, MetricTensor, increasing_indices, index_position
 from .pointwise import G2Point
 
 
@@ -42,8 +42,6 @@ class FormatError(ValueError):
 
 def kform_to_text(form):
     lines = ["kform", f"dim {form.dim}", f"degree {form.degree}"]
-    from .forms import increasing_indices
-
     for pos, idx in enumerate(increasing_indices(form.dim, form.degree)):
         c = form.coeffs[pos]
         if c != 0.0:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import christoffel, levi_civita
+from .fields import central_difference, christoffel, levi_civita, make_field
 from .forms import KForm, LinearMap, contract, derivation_apply
 from .pointwise import su3_structure
+from .sampling import sphere_bundle_samples
 
 SQ2 = np.sqrt(2.0)
 
@@ -174,15 +175,6 @@ def _extension_value(field, tp, base0, vert0, p, y, carrier, projection):
     return np.stack([b, _hor_fiber(gamma, y, b) + vt])
 
 
-def _directional(field, tp, base0, vert0, at, direction, h, carrier, projection):
-    """Central difference of the extended field along a real tangent vector."""
-    p, y = at
-    dp, dy = direction[0].real, direction[1].real
-    plus = _extension_value(field, tp, base0, vert0, p + h * dp, y + h * dy, carrier, projection)
-    minus = _extension_value(field, tp, base0, vert0, p - h * dp, y - h * dy, carrier, projection)
-    return (plus - minus) / (2.0 * h)
-
-
 def frobenius_bracket(field, tp, X, Y, h=None, carrier="transport", projection="none"):
     """Numerical Lie bracket [X, Y] at tp of the locally extended fields.
 
@@ -194,24 +186,17 @@ def frobenius_bracket(field, tp, X, Y, h=None, carrier="transport", projection="
     h = field.h if h is None else h
     X = np.asarray(X)
     Y = np.asarray(Y)
-    at = (tp.m, tp.x)
 
-    def decompose(V):
-        return V[0], V[1] - _hor_fiber(tp.gamma, tp.x, V[0])
+    def d_along(vec, V):
+        """Derivative along vec of the extension of V."""
+        base0, vert0 = V[0], tp.vertical_part(V)
 
-    bX, vX = decompose(X)
-    bY, vY = decompose(Y)
+        def ext(p, y):
+            return _extension_value(field, tp, base0, vert0, p, y, carrier, projection)
 
-    def d_along(vec, base0, vert0):
-        """Derivative of the (base0, vert0) extension along complex vec."""
-        out = _directional(field, tp, base0, vert0, at, vec.real, h, carrier, projection)
-        if np.iscomplexobj(vec) and np.abs(vec.imag).max() > 0:
-            out = out + 1j * _directional(
-                field, tp, base0, vert0, at, vec.imag, h, carrier, projection
-            )
-        return out
+        return central_difference(ext, (tp.m, tp.x), vec, h)
 
-    return d_along(X, bY, vY) - d_along(Y, bX, vX)
+    return d_along(X, Y) - d_along(Y, X)
 
 
 def involutivity_residual(field, tp, h=None, which="01", carrier="transport"):
@@ -264,9 +249,6 @@ def vertical_curvature_obstruction(field, tp, curvature=None, h=None):
 
 def flat_noise_floor(resolution, n_samples=32, seed=0):
     """Measured involutivity residual on the flat structure (floored)."""
-    from .fields import make_field
-    from .sampling import sphere_bundle_samples
-
     field = make_field("flat", resolution)
     worst = 0.0
     for m, xr in zip(*sphere_bundle_samples(n_samples, seed)):
@@ -353,19 +335,12 @@ def _imag_part_eval(field, p, y, vectors):
 def _d_eval(field, evaluator, tp, frame4, h):
     """Exterior derivative of a 3-form evaluator on 4 tangent vectors at tp,
     using constant ambient extensions (whose mutual brackets vanish)."""
-
-    def diff(direction, others):
-        plus = evaluator(field, tp.m + h * direction[0], tp.x + h * direction[1], others)
-        minus = evaluator(field, tp.m - h * direction[0], tp.x - h * direction[1], others)
-        return (plus - minus) / (2.0 * h)
-
     total = 0.0 + 0.0j
     for j in range(4):
         others = [frame4[i] for i in range(4) if i != j]
-        d = frame4[j]
-        val = diff(np.real(d), others)
-        if np.iscomplexobj(d) and np.abs(np.imag(d)).max() > 0.0:
-            val = val + 1j * diff(np.imag(d), others)
+        val = central_difference(
+            lambda m, x: evaluator(field, m, x, others), (tp.m, tp.x), frame4[j], h
+        )
         total += (-1.0) ** j * val
     return total
 
@@ -391,10 +366,7 @@ def _pushforward_to_form_bundle(field, p, y, vec, h):
     """Tangent map of (p, y) -> (*rho(p) . y, p) into Tot(Lambda^3)."""
     b, w = np.asarray(vec[0], dtype=float), np.asarray(vec[1], dtype=float)
     pd = field.point_data(p)
-    dstar = (
-        field.point_data(p + h * b).rho_star.coeffs
-        - field.point_data(p - h * b).rho_star.coeffs
-    ) / (2.0 * h)
+    dstar = central_difference(lambda q: field.point_data(q).rho_star.coeffs, (p,), (b,), h)
     lam_dot = contract(pd.rho_star, w).coeffs + contract(KForm(7, 4, dstar), y).coeffs
     return b, lam_dot
 

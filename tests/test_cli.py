@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2twistor.cli import (
+    _SCALAR_KEYS,
     ConfigError,
     RunConfig,
     main,
@@ -65,6 +67,50 @@ def test_bad_resolution_rejected():
 
 def test_unreadable_config_is_usage_error(tmp_path):
     assert main(["--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize(
+    "lines, flags",
+    [
+        ("samples = abc", []),
+        ("frequency = 1 0 x", []),
+        ("resolution = 16.5", []),
+        ("", ["--seed", "-1"]),
+        ("epsilon = nan", []),
+        ("mix = inf", []),
+        ("connection = nope", []),
+        ("connection_vector = 7", []),
+        ("connection_index = 14", []),
+        ("connection_index = -1", []),
+        ("workers = 0", []),
+        ("", ["--workers", "0"]),
+    ],
+)
+def test_bad_input_is_one_line_usage_error(tmp_path, capsys, lines, flags):
+    path = write_cfg(tmp_path, f"campaign = instanton\nsamples = 2\n{lines}\n")
+    assert main(["--config", path, "--out", str(tmp_path / "out")] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+_CONFIG_LINE = st.tuples(
+    st.sampled_from(sorted(_SCALAR_KEYS) + ["frequency", "expect_x", "junk"]),
+    st.text(max_size=12),
+).map(lambda kv: f"{kv[0]} = {kv[1]}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), st.lists(_CONFIG_LINE, max_size=6).map("\n".join)))
+def test_parse_config_fuzz(tmp_path_factory, text):
+    """Any text either parses to a RunConfig or raises ConfigError."""
+    path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        assert isinstance(parse_config(str(path)), RunConfig)
+    except ConfigError:
+        pass
 
 
 # ---------------------------------------------------------------------------

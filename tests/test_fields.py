@@ -6,6 +6,7 @@ from g2twistor.fields import (
     StructureField,
     UnknownGeneratorError,
     calibrate_integrability,
+    central_difference,
     christoffel,
     curvature_g2_check,
     exterior_derivative,
@@ -83,6 +84,35 @@ def test_conformal_metric_closed_form(points):
 
 # ---------------------------------------------------------------------------
 # exterior derivative
+
+
+def test_central_difference_exact_on_quadratic():
+    """Exact to rounding on quadratics; a complex direction u + i v gives
+    D_u f + i D_v f, on a (p,) base and on an (m, x) base."""
+    A = RNG.standard_normal((7, 7))
+    b = RNG.standard_normal(7)
+    p, m, x = RNG.random(7), RNG.random(7), RNG.standard_normal(7)
+    u, v = RNG.standard_normal((2, 7)), RNG.standard_normal((2, 7))
+    h = 1.0 / 16
+
+    def f(q):
+        return q @ A @ q + b @ q
+
+    grad = (A + A.T) @ p + b
+    assert central_difference(f, (p,), (u[0],), h) == pytest.approx(grad @ u[0], abs=1e-12)
+    got = central_difference(f, (p,), (u[0] + 1j * v[0],), h)
+    assert got == pytest.approx(grad @ u[0] + 1j * (grad @ v[0]), abs=1e-12)
+
+    def g(m, x):
+        return np.array([m @ A @ x, x @ x + b @ m])
+
+    def dg(w):  # exact derivative of g at (m, x) along the tangent w = (dm, dx)
+        return np.array([w[0] @ A @ x + m @ A @ w[1], 2.0 * x @ w[1] + b @ w[0]])
+
+    got = central_difference(g, (m, x), u + 1j * v, h)
+    np.testing.assert_allclose(got, dg(u) + 1j * dg(v), rtol=0.0, atol=1e-12)
+    # a complex direction with zero imaginary part gives a real result
+    assert np.isrealobj(central_difference(g, (m, x), u.astype(complex), h))
 
 
 def test_exterior_derivative_constant_field_exact(flat, points):
