@@ -85,6 +85,41 @@ def merge_sign(left, right):
     return sign
 
 
+def minors(A, k):
+    """k-th compound matrix of an n x m array: entry [p, q] = det(A[I_p, J_q])
+    for I_p, J_q the increasing k-multi-indices of rows and columns."""
+    A = np.asarray(A, dtype=float)
+    if k == 0:
+        return np.ones((1, 1))
+    if k == 1:
+        return A
+    n, m = A.shape
+    I = np.array(increasing_indices(n, k), dtype=int)
+    J = np.array(increasing_indices(m, k), dtype=int)
+    sub = A[I[:, None, :, None], J[None, :, None, :]]
+    if k == 2:
+        return sub[..., 0, 0] * sub[..., 1, 1] - sub[..., 0, 1] * sub[..., 1, 0]
+    if k == 3:
+        return (
+            sub[..., 0, 0] * (sub[..., 1, 1] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 1])
+            - sub[..., 0, 1] * (sub[..., 1, 0] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 0])
+            + sub[..., 0, 2] * (sub[..., 1, 0] * sub[..., 2, 1] - sub[..., 1, 1] * sub[..., 2, 0])
+        )
+    return np.linalg.det(sub)
+
+
+@lru_cache(maxsize=None)
+def _dense_table(dim, degree):
+    """Entries (src, dst, sign) of the dense array: flat[dst] = sign * coeffs[src]."""
+    src, dst, sg = [], [], []
+    for p, I in enumerate(increasing_indices(dim, degree)):
+        for perm in itertools.permutations(I):
+            src.append(p)
+            dst.append(sum(i * dim ** (degree - 1 - r) for r, i in enumerate(perm)))
+            sg.append(sort_with_sign(perm)[1])
+    return np.array(src, dtype=int), np.array(dst, dtype=int), np.array(sg, dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # k-forms
 
@@ -176,24 +211,14 @@ class KForm:
         V = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
         if V.shape[0] != self.dim:
             raise DimensionMismatch("vector dimension mismatch")
-        total = 0.0
-        for p, I in enumerate(increasing_indices(self.dim, self.degree)):
-            c = self.coeffs[p]
-            if c != 0.0:
-                total += c * np.linalg.det(V[list(I), :])
-        return float(total)
+        return float(self.coeffs @ minors(V, self.degree)[:, 0])
 
     def dense(self):
         """Fully antisymmetric dense array of shape (dim,)*degree."""
-        out = np.zeros((self.dim,) * self.degree)
-        for p, I in enumerate(increasing_indices(self.dim, self.degree)):
-            c = self.coeffs[p]
-            if c == 0.0:
-                continue
-            for perm in itertools.permutations(range(self.degree)):
-                _, sign = sort_with_sign(perm)
-                out[tuple(I[q] for q in perm)] = sign * c
-        return out
+        src, dst, sg = _dense_table(self.dim, self.degree)
+        out = np.zeros(self.dim**self.degree)
+        out[dst] = sg * self.coeffs[src]
+        return out.reshape((self.dim,) * self.degree)
 
     def as_matrix(self):
         """Antisymmetric matrix representation of a 2-form."""
@@ -271,27 +296,8 @@ class MetricTensor:
         <e^I, e^J> = det( g^{-1}[I, J] ).
         """
         G = self._gram_cache.get(degree)
-        if G is not None:
-            return G
-        inv = self.inverse
-        idx = np.array(increasing_indices(self.dim, degree), dtype=int)
-        if degree == 0:
-            G = np.ones((1, 1))
-        elif degree == 1:
-            G = inv.copy()
-        else:
-            sub = inv[idx[:, None, :, None], idx[None, :, None, :]]
-            if degree == 2:
-                G = sub[..., 0, 0] * sub[..., 1, 1] - sub[..., 0, 1] * sub[..., 1, 0]
-            elif degree == 3:
-                G = (
-                    sub[..., 0, 0] * (sub[..., 1, 1] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 1])
-                    - sub[..., 0, 1] * (sub[..., 1, 0] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 0])
-                    + sub[..., 0, 2] * (sub[..., 1, 0] * sub[..., 2, 1] - sub[..., 1, 1] * sub[..., 2, 0])
-                )
-            else:
-                G = np.linalg.det(sub)
-        self._gram_cache[degree] = G
+        if G is None:
+            G = self._gram_cache[degree] = minors(self.inverse, degree)
         return G
 
 
@@ -304,19 +310,8 @@ class LinearMap:
     def __post_init__(self):
         object.__setattr__(self, "entries", np.asarray(self.entries))
 
-    @property
-    def dim_in(self):
-        return self.entries.shape[1]
-
-    @property
-    def dim_out(self):
-        return self.entries.shape[0]
-
     def __call__(self, v):
         return self.entries @ np.asarray(v)
-
-    def compose(self, other):
-        return LinearMap(self.entries @ other.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +455,7 @@ def transform(a, A):
         raise DimensionMismatch(f"target dimension {m} out of range")
     if a.degree > m:
         raise DegreeError("degree exceeds target dimension")
-    out = np.zeros(comb(m, a.degree))
-    if a.degree == 0:
-        out[0] = a.coeffs[0]
-        return KForm(m, 0, out)
-    cols = increasing_indices(m, a.degree)
-    for p, I in enumerate(increasing_indices(a.dim, a.degree)):
-        c = a.coeffs[p]
-        if c == 0.0:
-            continue
-        rows = A[list(I), :]
-        for q, J in enumerate(cols):
-            out[q] += c * np.linalg.det(rows[:, list(J)])
-    return KForm(m, a.degree, out)
+    return KForm(m, a.degree, minors(A, a.degree).T @ a.coeffs)
 
 
 # ---------------------------------------------------------------------------

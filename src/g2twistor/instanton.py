@@ -109,6 +109,10 @@ def make_connection(family, point, index=0, vector=0, mix=0.0):
     """
     if family not in CONNECTION_FAMILIES:
         raise ConnectionError_(f"unknown connection family {family!r}")
+    if not 0 <= index < 14:
+        raise ConnectionError_(f"index must be in 0..13, got {index}")
+    if not 0 <= vector < 7:
+        raise ConnectionError_(f"vector must be in 0..6, got {vector}")
     if family == "flat":
         return ConnectionData(
             rank=1,

@@ -23,13 +23,12 @@ from .forms import (
     LinearMap,
     MetricTensor,
     _contract_table,
+    _wedge_table,
     annihilator_basis,
     annihilator_dimension,
     contract,
     hodge_star,
     increasing_indices,
-    merge_sign,
-    sort_with_sign,
     transform,
     wedge,
 )
@@ -89,19 +88,12 @@ def _contraction_tensor():
 @lru_cache(maxsize=None)
 def _triple_top_tensor():
     """T[a, b, c] = top coefficient of e2_a ^ e2_b ^ e3_c on R^7."""
+    ia, ib, i4, s22 = _wedge_table(7, 2, 2)
+    j4, j3, _, s43 = _wedge_table(7, 4, 3)
+    M = np.zeros((comb(7, 4), comb(7, 3)))
+    M[j4, j3] = s43
     T = np.zeros((comb(7, 2), comb(7, 2), comb(7, 3)))
-    for a, I in enumerate(increasing_indices(7, 2)):
-        si = set(I)
-        for b, J in enumerate(increasing_indices(7, 2)):
-            if si & set(J):
-                continue
-            IJ, s1 = sort_with_sign(I + J)
-            if s1 == 0:
-                continue
-            for c, L in enumerate(increasing_indices(7, 3)):
-                if set(L) & set(IJ):
-                    continue
-                T[a, b, c] = s1 * merge_sign(IJ, L)
+    T[ia, ib] = s22[:, None] * M[i4]
     return T
 
 

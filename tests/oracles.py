@@ -35,7 +35,7 @@ def det_perm(M):
 
 def eval_form(form, vectors):
     """Evaluate through minors computed by permutation sums."""
-    V = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
+    V = np.array(vectors, dtype=float).reshape(-1, form.dim).T
     total = 0.0
     for pos, I in enumerate(increasing_indices(form.dim, form.degree)):
         c = form.coeffs[pos]

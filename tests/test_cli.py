@@ -84,6 +84,9 @@ def test_unreadable_config_is_usage_error(tmp_path):
         ("connection_index = -1", []),
         ("workers = 0", []),
         ("", ["--workers", "0"]),
+        ("expect_instantn = yes", []),
+        ("expect_involutivity = involutive", []),
+        ("expect_instanton = maybe", []),
     ],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, lines, flags):
@@ -222,9 +225,10 @@ def test_determinism_and_worker_independence(tmp_path):
     assert body_a == body_c
 
 
-def test_all_campaign_writes_subreports(tmp_path):
+@pytest.mark.parametrize("expect", [{}, {"pointwise": "pass"}])
+def test_all_campaign_writes_subreports(tmp_path, expect):
     cfg = RunConfig(campaign="all", generator="flat", samples=3, seed=1,
-                    out=str(tmp_path / "all"))
+                    out=str(tmp_path / "all"), expect=expect)
     status = run_campaign(cfg)
     assert status == 0
     for name in ("pointwise", "integrability", "twistor", "instanton"):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +17,10 @@ from g2twistor.forms import (
     flat,
     form_norm,
     hodge_star,
+    increasing_indices,
     index_position,
     inner_product,
+    minors,
     sharp,
     sort_with_sign,
     transform,
@@ -396,3 +400,45 @@ def test_transform_matches_evaluation():
     for _ in range(3):
         u, v = RNG.standard_normal(4), RNG.standard_normal(4)
         assert out.evaluate([u, v]) == pytest.approx(a.evaluate([A @ u, A @ v]), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# compound matrices, checked against permutation-sum determinants
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 7)])
+def test_minors_match_permutation_oracle(shape):
+    A = np.random.default_rng(5).standard_normal(shape)
+    for k in range(5):
+        C = minors(A, k)
+        rows, cols = increasing_indices(shape[0], k), increasing_indices(shape[1], k)
+        assert C.shape == (len(rows), len(cols))
+        for p, I in enumerate(rows):
+            for q, J in enumerate(cols):
+                assert _close(C[p, q], oracles.det_perm(A[np.ix_(I, J)]))
+
+
+@pytest.mark.parametrize("m", [6, 4])
+def test_transform_coefficients_match_evaluation_oracle(m):
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((7, m))
+    for degree in range(1, 5):
+        a = random_form(7, degree, rng)
+        out = transform(a, A)
+        for q, J in enumerate(increasing_indices(m, degree)):
+            assert _close(out.coeffs[q], oracles.eval_form(a, [A[:, j] for j in J]))
+
+
+def test_dense_matches_evaluation_oracle():
+    rng = np.random.default_rng(7)
+    basis = np.eye(5)
+    for degree in range(5):
+        a = random_form(5, degree, rng)
+        D = a.dense()
+        assert D.shape == (5,) * degree
+        for idx in itertools.product(range(5), repeat=degree):
+            assert _close(D[idx], oracles.eval_form(a, [basis[i] for i in idx]))

@@ -5,6 +5,7 @@ from g2twistor.fields import make_field
 from g2twistor.forms import KForm
 from g2twistor.instanton import (
     ConnectionData,
+    ConnectionError_,
     CrDolbeaultContext,
     cr_dolbeault_on_functions,
     cr_holomorphicity_residual,
@@ -54,6 +55,12 @@ def test_constant_7_connection_is_not(flat, std):
     assert not ok
     # the curvature sits entirely in the 7-part, so the residual is its norm
     assert res == pytest.approx(np.sqrt(3.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("kw", [{"index": -1}, {"index": 14}, {"vector": -3}, {"vector": 7}])
+def test_make_connection_rejects_out_of_range(std, kw):
+    with pytest.raises(ConnectionError_):
+        make_connection("mixed", std, **kw)
 
 
 def test_differenced_curvature_matches_analytic(std):
