@@ -31,11 +31,12 @@ from . import fields as flds
 from . import instanton as inst
 from . import twistor as tw
 from .pointwise import (
+    G2StructureError,
     hodge_type_on_complement,
     octonion_multiply,
     standard_g2_point,
 )
-from .forms import KForm, annihilator_dimension, transform
+from .forms import KForm, NotPositiveDefinite, annihilator_dimension, transform
 from .sampling import sphere_bundle_samples, torus_points
 from .serialize import g2point_to_text
 
@@ -286,12 +287,7 @@ def run_integrability(cfg):
     points = torus_points(cfg.samples, cfg.seed)
     tau = flds.calibrate_integrability(cfg.resolution)
 
-    def one(p):
-        d_rho = flds.exterior_derivative(field.rho, p, field.h).coefficient_norm
-        d_star = flds.exterior_derivative(field.star_rho, p, field.h).coefficient_norm
-        return d_rho, d_star
-
-    results = _parallel_map(one, list(points), cfg.workers)
+    results = _parallel_map(lambda p: flds.torsion_residual(field, p), list(points), cfg.workers)
     rows = [tuple(p) + r for p, r in zip(points, results)]
     d_max = max(r[0] for r in results)
     s_max = max(r[1] for r in results)
@@ -437,10 +433,11 @@ def main(argv=None):
             if val is not None:
                 cfg = replace(cfg, **{key: val})
         cfg.validate()
-    except ConfigError as exc:
+        return run_campaign(cfg)
+    except (ConfigError, G2StructureError, NotPositiveDefinite) as exc:
+        # a generator that leaves the G2 stratum is a bad config, not a verdict
         sys.stderr.write(f"config error: {exc}\n")
         return USAGE_ERROR
-    return run_campaign(cfg)
 
 
 if __name__ == "__main__":

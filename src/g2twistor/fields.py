@@ -9,38 +9,77 @@ for a virtual N^7 grid; evaluation points need not lie on the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+from math import comb, inf
 
 import numpy as np
 
-from .forms import KForm, MetricTensor, wedge
-from .pointwise import G2Point, RHO_STD_TERMS
+from .forms import KForm, MetricTensor, _wedge_table, wedge
+from .pointwise import G2Point, RHO_STD_TERMS, induced_metrics, rho_star_coeffs
 
 AXES = np.eye(7)
 
 
 # ---------------------------------------------------------------------------
 # generator families
+#
+# Each family computes its coefficients for stacked points, (..., 7) ->
+# (..., 35); calling a generator at one point wraps the same formula in a
+# KForm.  The constant forms are built once, on first use.
 
 
-def _rho_std_coeffs():
-    return KForm.from_terms(7, RHO_STD_TERMS).coeffs.copy()
+def _frozen(form):
+    form.coeffs.setflags(write=False)
+    return form.coeffs
+
+
+@lru_cache(maxsize=None)
+def _rho_std():
+    return _frozen(KForm.from_terms(7, RHO_STD_TERMS))
+
+
+@lru_cache(maxsize=None)
+def _kappa3():
+    return _frozen(KForm.from_terms(7, {(1, 3, 5): 1.0, (2, 4, 6): 1.0}))
+
+
+@lru_cache(maxsize=None)
+def _closed_direction(frequency):
+    """sum_i f_i e^i ^ kappa for kappa = e^13 + e^25 (0-based)."""
+    kappa = KForm.from_terms(7, {(1, 3): 1.0, (2, 5): 1.0})
+    out = KForm.zero(7, 3)
+    for i, f in enumerate(frequency):
+        if f != 0:
+            out = out + float(f) * wedge(KForm.basis(7, (i,)), kappa)
+    return _frozen(out)
+
+
+def _phase(frequency, P):
+    """2 pi f.p per point, summed axis by axis so each row is independent of the batch."""
+    f = np.asarray(frequency, dtype=float)
+    return 2.0 * np.pi * (np.asarray(P, dtype=float) * f).sum(axis=-1)
+
+
+class _Generator:
+    def __call__(self, p):
+        return KForm(7, 3, self.coeffs(np.asarray(p, dtype=float)))
 
 
 @dataclass(frozen=True)
-class FlatGenerator:
+class FlatGenerator(_Generator):
     """Constant canonical structure."""
 
     name = "flat"
 
-    def __call__(self, p):
-        return KForm(7, 3, _rho_std_coeffs())
+    def coeffs(self, P):
+        return np.zeros(np.shape(P)[:-1] + (35,)) + _rho_std()
 
     def params(self):
         return {}
 
 
 @dataclass(frozen=True)
-class ClosedPerturbedGenerator:
+class ClosedPerturbedGenerator(_Generator):
     """rho_std + epsilon * d(beta) for beta = cos(2 pi f.p)/(2 pi |f|) * kappa.
 
     The perturbation is exact, so d(rho) = 0 identically while d(*rho)
@@ -51,41 +90,33 @@ class ClosedPerturbedGenerator:
     frequency: tuple = (1, 0, 0, 0, 0, 0, 0)
     name = "closed-perturbed"
 
-    def __call__(self, p):
+    def coeffs(self, P):
         f = np.asarray(self.frequency, dtype=float)
-        phase = 2.0 * np.pi * float(f @ p)
-        scale = -self.epsilon * np.sin(phase) / max(np.linalg.norm(f), 1e-12)
-        kappa = KForm.from_terms(7, {(1, 3): 1.0, (2, 5): 1.0})
-        out = KForm(7, 3, _rho_std_coeffs())
-        for i in range(7):
-            if f[i] != 0.0:
-                out = out + (scale * f[i]) * wedge(KForm.basis(7, (i,)), kappa)
-        return out
+        scale = -self.epsilon * np.sin(_phase(f, P)) / max(np.linalg.norm(f), 1e-12)
+        return _rho_std() + scale[..., None] * _closed_direction(tuple(self.frequency))
 
     def params(self):
         return {"epsilon": self.epsilon, "frequency": list(self.frequency)}
 
 
 @dataclass(frozen=True)
-class GenericPerturbedGenerator:
+class GenericPerturbedGenerator(_Generator):
     """rho_std + epsilon * sin(2 pi f.p) * kappa3 with non-closed kappa3 term."""
 
     epsilon: float
     frequency: tuple = (1, 0, 0, 0, 0, 0, 0)
     name = "generic-perturbed"
 
-    def __call__(self, p):
-        f = np.asarray(self.frequency, dtype=float)
-        c = self.epsilon * np.sin(2.0 * np.pi * float(f @ p))
-        out = KForm(7, 3, _rho_std_coeffs())
-        return out + c * KForm.from_terms(7, {(1, 3, 5): 1.0, (2, 4, 6): 1.0})
+    def coeffs(self, P):
+        c = self.epsilon * np.sin(_phase(self.frequency, P))
+        return _rho_std() + c[..., None] * _kappa3()
 
     def params(self):
         return {"epsilon": self.epsilon, "frequency": list(self.frequency)}
 
 
 @dataclass(frozen=True)
-class ConformalGenerator:
+class ConformalGenerator(_Generator):
     """rho(p) = exp(3 a sin(2 pi f.p)) rho_std, inducing g = exp(2 a sin) id.
 
     The metric, Christoffel symbols and d(rho) are known in closed form,
@@ -98,21 +129,14 @@ class ConformalGenerator:
     name = "conformal"
 
     def _f(self, p):
-        fr = np.asarray(self.frequency, dtype=float)
-        return self.amplitude * np.sin(2.0 * np.pi * float(fr @ p))
+        return self.amplitude * np.sin(_phase(self.frequency, p))
 
     def _df(self, p):
         fr = np.asarray(self.frequency, dtype=float)
-        return (
-            2.0
-            * np.pi
-            * self.amplitude
-            * np.cos(2.0 * np.pi * float(fr @ p))
-            * fr
-        )
+        return 2.0 * np.pi * self.amplitude * np.cos(_phase(fr, p)) * fr
 
-    def __call__(self, p):
-        return float(np.exp(3.0 * self._f(p))) * KForm(7, 3, _rho_std_coeffs())
+    def coeffs(self, P):
+        return np.exp(3.0 * self._f(P))[..., None] * _rho_std()
 
     def exact_metric(self, p):
         return np.exp(2.0 * self._f(p)) * np.eye(7)
@@ -130,7 +154,7 @@ class ConformalGenerator:
     def exact_drho(self, p):
         scale = float(np.exp(3.0 * self._f(p)))
         df = self._df(p)
-        rho = KForm(7, 3, _rho_std_coeffs())
+        rho = KForm(7, 3, _rho_std())
         out = KForm.zero(7, 4)
         for i in range(7):
             if df[i] != 0.0:
@@ -183,6 +207,26 @@ class StructureField:
     def rho(self, p):
         return self.generator(np.asarray(p, dtype=float))
 
+    def rho_coeffs(self, P):
+        """3-form coefficients (N, 35) at stacked points P (N, 7).
+
+        Uses the generator's own stacked formula when it has one; any other
+        callable p -> KForm is evaluated point by point.
+        """
+        P = np.asarray(P, dtype=float)
+        coeffs = getattr(self.generator, "coeffs", None)
+        if coeffs is not None:
+            return coeffs(P)
+        return np.array([self.generator(q).coeffs for q in P])
+
+    def metrics(self, P):
+        """Induced metrics (N, 7, 7) and orientations (N,) at stacked points."""
+        return induced_metrics(self.rho_coeffs(P))
+
+    def star_rho_coeffs(self, P):
+        """Hodge duals (N, 35) of rho at stacked points."""
+        return rho_star_coeffs(self.rho_coeffs(P))
+
     def point_data(self, p):
         """Unvalidated G2 point at p (cached); use validate_at for the checks."""
         p = np.asarray(p, dtype=float)
@@ -215,8 +259,12 @@ def central_difference(f, at, direction, h):
 
     ``at`` is a tuple of base arrays such as (p,) or (m, x), and
     ``direction`` holds one array per base array.  A complex direction
-    u + i v gives D_u f + i D_v f.
+    u + i v gives D_u f + i D_v f.  A stacked direction such as (AXES,)
+    differences along all of its rows in one call of f on stacked points.
+    The step must be positive and finite.
     """
+    if not 0.0 < h < inf:
+        raise ValueError(f"step must be positive and finite, got {h!r}")
     direction = np.asarray(direction)
 
     def diff(d):
@@ -230,29 +278,52 @@ def central_difference(f, at, direction, h):
     return out
 
 
+def _d_from_partials(partials, degree):
+    """Coefficients of d(a) = sum_i e^i ^ d_i a from the partials (7, C(7, k))."""
+    ia, ib, io, sg = _wedge_table(7, 1, degree)
+    out = np.zeros(comb(7, degree + 1))
+    np.add.at(out, io, sg * partials[ia, ib])
+    return out
+
+
 def exterior_derivative(form_at, p, h):
     """Central-difference exterior derivative of a KForm-valued map."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    p = np.asarray(p, dtype=float)
-    out = None
-    for i in range(7):
-        partial = central_difference(form_at, (p,), (AXES[i],), h)
-        term = wedge(KForm.basis(7, (i,)), partial)
-        out = term if out is None else out + term
-    return out
+    forms = []
+
+    def coeffs(P):
+        forms[:] = [form_at(q) for q in P]
+        return np.array([a.coeffs for a in forms])
+
+    partials = central_difference(coeffs, (np.asarray(p, dtype=float),), (AXES,), h)
+    degree = forms[0].degree
+    return KForm(7, degree + 1, _d_from_partials(partials, degree))
+
+
+def _torsion_forms(field, p, h):
+    """(d rho, d *rho) coefficients at p from one batched stencil per sign."""
+
+    def rho_and_star(P):
+        R = field.rho_coeffs(P)
+        return np.concatenate([R, rho_star_coeffs(R)], axis=1)
+
+    partials = central_difference(rho_and_star, (np.asarray(p, dtype=float),), (AXES,), h)
+    return _d_from_partials(partials[:, :35], 3), _d_from_partials(partials[:, 35:], 4)
+
+
+def torsion_residual(field, p, h=None):
+    """(|d rho|, |d *rho|) at p, coefficient norms (the Fernandez-Gray test)."""
+    d_rho, d_star = _torsion_forms(field, p, field.h if h is None else h)
+    return float(np.linalg.norm(d_rho)), float(np.linalg.norm(d_star))
 
 
 def fernandez_gray_residual(field, sample_points, h=None):
     """(max |d rho|, max |d *rho|) over the sample set, coefficient norms."""
-    h = field.h if h is None else h
     max_d = 0.0
     max_ds = 0.0
     for p in sample_points:
-        d_rho = exterior_derivative(field.rho, p, h)
-        d_star = exterior_derivative(field.star_rho, p, h)
-        max_d = max(max_d, d_rho.coefficient_norm)
-        max_ds = max(max_ds, d_star.coefficient_norm)
+        d_rho, d_star = torsion_residual(field, p, h)
+        max_d = max(max_d, d_rho)
+        max_ds = max(max_ds, d_star)
     return max_d, max_ds
 
 
@@ -270,9 +341,8 @@ def calibrate_integrability(resolution, n_points=20, seed=0, amplitude=0.01):
     worst = 0.0
     for _ in range(n_points):
         p = rng.random(7)
-        approx = exterior_derivative(field.rho, p, field.h)
-        exact = gen.exact_drho(p)
-        worst = max(worst, (approx - exact).coefficient_norm)
+        approx = _torsion_forms(field, p, field.h)[0]
+        worst = max(worst, float(np.linalg.norm(approx - gen.exact_drho(p).coeffs)))
     return 5.0 * max(worst, 1e-14)
 
 
@@ -321,9 +391,7 @@ def christoffel(field, p, h=None):
     if hit is not None:
         return hit
     g = field.point_data(p).g
-    dg = np.empty((7, 7, 7))  # dg[k] = d_k g
-    for k in range(7):
-        dg[k] = central_difference(lambda q: field.point_data(q).g, (p,), (AXES[k],), h)
+    dg = central_difference(lambda P: field.metrics(P)[0], (p,), (AXES,), h)  # dg[k] = d_k g
     ginv = np.linalg.inv(g)
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     term = np.empty((7, 7, 7))

@@ -261,7 +261,7 @@ class MetricTensor:
             raise ExteriorAlgebraError("metric entries must be exactly symmetric")
         w = np.linalg.eigvalsh(M)
         if w.min() <= self.tol * max(1.0, abs(w.max())):
-            raise NotPositiveDefinite(f"metric eigenvalues {w} not positive")
+            raise NotPositiveDefinite(f"metric eigenvalue {w.min():.3g} not positive")
         self.entries = M
         self._gram_cache = {}
 
@@ -404,17 +404,49 @@ def volume_form(g, orientation=1):
     return top
 
 
+@lru_cache(maxsize=None)
+def _extend_table(dim, r):
+    """For each increasing (r+1)-index I: (position of I[:-1] among r-indices, I[-1])."""
+    pos = index_position(dim, r)
+    longer = increasing_indices(dim, r + 1)
+    prev = np.array([pos[I[:-1]] for I in longer], dtype=int)
+    return prev, np.array([I[-1] for I in longer], dtype=int)
+
+
+def hodge_star_coeffs(a, ginv, vol, degree):
+    """Hodge star of stacked k-forms: a (N, C(n,k)), ginv (N, n, n) the inverse
+    metrics, vol (N,) the factors orientation * sqrt(det g).
+
+    The raised coefficients gram(k) @ a come from raising one index at a time
+    with g^-1; X[:, J, I] holds the form with the increasing index group I
+    raised and J still lowered.  Each row goes through its own matrix
+    products, so row i equals the N = 1 call on row i bit for bit.
+    """
+    N, n = a.shape[0], ginv.shape[-1]
+    X = a[:, :, None]
+    for r in range(degree):
+        comp, src, dst, sg = _contract_table(n, degree - r)
+        L = np.zeros((N, n, comb(n, degree - r - 1), comb(n, r)))
+        L[:, comp, dst] = sg[:, None] * X[:, src]  # lowered slot r+1 split off
+        U = (ginv @ L.reshape(N, n, -1)).reshape(L.shape).transpose(0, 2, 1, 3)
+        prev, last = _extend_table(n, r)
+        X = U[:, :, last, prev]
+    weights = X[:, 0, :] * vol[:, None]
+    dst, sg = _complement_table(n, degree)
+    out = np.zeros((N, comb(n, n - degree)))
+    out[:, dst] = sg * weights
+    return out
+
+
 def hodge_star(a, g, orientation=1):
     """Hodge star fixed by  a ^ *b = <a, b> vol_g."""
     if g.dim != a.dim:
         raise DimensionMismatch(f"form dim {a.dim} vs metric dim {g.dim}")
     if orientation not in (1, -1):
         raise ExteriorAlgebraError("orientation must be +1 or -1")
-    weights = (g.gram(a.degree) @ a.coeffs) * (g.sqrt_det * orientation)
-    dst, sg = _complement_table(a.dim, a.degree)
-    out = np.zeros(comb(a.dim, a.dim - a.degree))
-    out[dst] = sg * weights
-    return KForm(a.dim, a.dim - a.degree, out)
+    vol = np.array([g.sqrt_det * orientation])
+    out = hodge_star_coeffs(a.coeffs[None], g.inverse[None], vol, a.degree)
+    return KForm(a.dim, a.dim - a.degree, out[0])
 
 
 def sharp(g, covector):

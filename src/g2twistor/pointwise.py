@@ -21,13 +21,16 @@ import numpy as np
 from .forms import (
     KForm,
     LinearMap,
+    PD_TOL,
     MetricTensor,
+    NotPositiveDefinite,
     _contract_table,
     _wedge_table,
     annihilator_basis,
     annihilator_dimension,
     contract,
     hodge_star,
+    hodge_star_coeffs,
     increasing_indices,
     transform,
     wedge,
@@ -77,67 +80,85 @@ class DependentBasisError(G2StructureError):
 
 
 @lru_cache(maxsize=None)
-def _contraction_tensor():
-    """K with (iota_{e_i} a)[J] = sum_I K[i, J, I] a[I], degree 3 -> 2."""
+def _pairing_gathers():
+    """Gathers (index, sign) from 3-form coefficients a of the two factors of
+    the pairing: W[i, J] = (a . e_i)[J] on 2-indices J, and M[P, Q] = top
+    coefficient of e^P ^ e^Q ^ a on 2-indices P, Q.  Each entry has at most
+    one source coefficient; entries without one have sign 0."""
     comp, src, dst, sg = _contract_table(7, 3)
-    K = np.zeros((7, comb(7, 2), comb(7, 3)))
-    np.add.at(K, (comp, dst, src), sg)
-    return K
-
-
-@lru_cache(maxsize=None)
-def _triple_top_tensor():
-    """T[a, b, c] = top coefficient of e2_a ^ e2_b ^ e3_c on R^7."""
+    wi, ws = np.zeros((7, comb(7, 2)), dtype=int), np.zeros((7, comb(7, 2)))
+    wi[comp, dst], ws[comp, dst] = src, sg
+    j4, j3, _, s43 = _wedge_table(7, 4, 3)  # the 3-index completing each 4-index
+    c3, s3 = np.zeros(comb(7, 4), dtype=int), np.zeros(comb(7, 4))
+    c3[j4], s3[j4] = j3, s43
     ia, ib, i4, s22 = _wedge_table(7, 2, 2)
-    j4, j3, _, s43 = _wedge_table(7, 4, 3)
-    M = np.zeros((comb(7, 4), comb(7, 3)))
-    M[j4, j3] = s43
-    T = np.zeros((comb(7, 2), comb(7, 2), comb(7, 3)))
-    T[ia, ib] = s22[:, None] * M[i4]
-    return T
+    mi, ms = np.zeros((comb(7, 2),) * 2, dtype=int), np.zeros((comb(7, 2),) * 2)
+    mi[ia, ib], ms[ia, ib] = c3[i4], s22 * s3[i4]
+    return wi, ws, mi, ms
 
 
-def _pairing_matrix(rho_coeffs):
-    """B[i, j]: top coefficient of (rho . e_i) ^ (rho . e_j) ^ rho."""
-    K = _contraction_tensor()
-    W = np.einsum("iJI,I->iJ", K, rho_coeffs)
-    M = np.einsum("abc,c->ab", _triple_top_tensor(), rho_coeffs)
-    B = W @ M @ W.T
-    return (B + B.T) / 2.0
+def _pairing_matrices(R):
+    """B[n, i, j]: top coefficient of (rho_n . e_i) ^ (rho_n . e_j) ^ rho_n."""
+    wi, ws, mi, ms = _pairing_gathers()
+    W = R[:, wi] * ws
+    B = W @ (R[:, mi] * ms) @ W.transpose(0, 2, 1)
+    return (B + B.transpose(0, 2, 1)) / 2.0
 
 
-def induced_metric(rho, check_nondegenerate=True):
-    """Metric and orientation induced by a 3-form on R^7.
+def induced_metrics(R):
+    """Metrics (N, 7, 7) and orientations (N,) induced by stacked 3-forms R (N, 35).
 
     Solves the volume-valued pairing for (g, orientation) so that the
     pairing equals METRIC_FACTOR * g(x, y) * vol_g; the one free positive
     scalar comes out of the determinant consistency condition.  The
     normalization is homogeneous of degree 2/3: scaling the form by t > 0
-    scales the metric by t^(2/3).
+    scales the metric by t^(2/3).  Every row goes through its own
+    eigenvalue and determinant calls, so row i equals the N = 1 call on
+    row i bit for bit.
 
-    Raises DegenerateFormError / SplitFormError when the form is not a
-    (compact) G2 structure.
+    Raises DegenerateFormError / SplitFormError when some row is not a
+    (compact) G2 structure, and NotPositiveDefinite when a metric fails
+    the MetricTensor positivity test.
     """
+    R = np.asarray(R, dtype=float)
+    # overflow shows up as a non-finite pairing or scale, checked below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        B = _pairing_matrices(R)
+        if not np.isfinite(B).all():
+            raise DegenerateFormError("3-form coefficients or their pairing are not finite")
+        w = np.linalg.eigvalsh(B)
+        low, scale = abs(w).min(axis=1), abs(w).max(axis=1)
+        if (low <= 1e-10 * scale).any():
+            raise DegenerateFormError("volume-valued pairing is singular")
+        if ((w[:, 0] < 0) & (w[:, -1] > 0)).any():
+            raise SplitFormError("volume-valued pairing is indefinite (split form)")
+        orientation = np.where(w[:, 0] > 0, 1, -1)
+        Bp = orientation[:, None, None] * B
+        s = (METRIC_FACTOR**2 * np.linalg.det(Bp)) ** (-1.0 / 9.0)
+        # the eigenvalues of g = s Bp are s |w|: the MetricTensor positivity test
+        if (s * low <= PD_TOL * np.maximum(1.0, s * scale)).any():
+            raise NotPositiveDefinite(f"metric eigenvalue {(s * low).min():.3g} not positive")
+    return s[:, None, None] * Bp, orientation
+
+
+def induced_metric(rho, check_nondegenerate=True):
+    """Metric and orientation induced by a 3-form on R^7: the N = 1 view of
+    `induced_metrics`, plus the stabilizer-dimension check."""
     if rho.dim != 7 or rho.degree != 3:
         raise DegenerateFormError("need a 3-form on R^7")
+    g, orientation = induced_metrics(rho.coeffs[None])
     if check_nondegenerate and annihilator_dimension(rho) != 14:
         raise DegenerateFormError(
             f"stabilizer dimension {annihilator_dimension(rho)} != 14"
         )
-    B = _pairing_matrix(rho.coeffs)
-    w = np.linalg.eigvalsh(B)
-    scale = max(abs(w[0]), abs(w[-1]))
-    if scale == 0.0 or abs(w).min() <= 1e-10 * scale:
-        raise DegenerateFormError("volume-valued pairing is singular")
-    if w[0] > 0:
-        orientation = 1
-    elif w[-1] < 0:
-        orientation = -1
-    else:
-        raise SplitFormError("volume-valued pairing is indefinite (split form)")
-    Bp = orientation * B
-    s = float((METRIC_FACTOR**2 * np.linalg.det(Bp)) ** (-1.0 / 9.0))
-    return MetricTensor(s * Bp), orientation
+    return MetricTensor(g[0]), int(orientation[0])
+
+
+def rho_star_coeffs(R):
+    """Hodge duals (N, 35) of stacked 3-forms R (N, 35) under their induced metrics."""
+    g, orientation = induced_metrics(R)
+    vol = np.sqrt(np.linalg.det(g)) * orientation
+    return hodge_star_coeffs(R, np.linalg.inv(g), vol, 3)
 
 
 def _gram_orthonormal_columns(S, gram):
@@ -178,7 +199,7 @@ class G2Point:
     def _validate(self):
         if annihilator_dimension(self.rho) != 14:
             raise DegenerateFormError("stabilizer dimension != 14")
-        B = _pairing_matrix(self.rho.coeffs)
+        B = _pairing_matrices(self.rho.coeffs[None])[0]
         want = (
             METRIC_FACTOR
             * self.metric.sqrt_det

@@ -5,6 +5,7 @@ coefficient pipelines in the package are checked against a genuinely
 different algorithm rather than against themselves.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -26,10 +27,13 @@ def det_perm(M):
     n = M.shape[0]
     total = 0.0
     for perm in itertools.permutations(range(n)):
-        term = inversion_sign(perm)
+        term = 1.0
         for i, p in enumerate(perm):
             term = term * M[i, p]
-        total += term
+            if term == 0.0:
+                break
+        else:  # the sign is only needed for a nonzero product
+            total += inversion_sign(perm) * term
     return total
 
 
@@ -82,18 +86,23 @@ def hodge_by_solving(a, g_entries, orientation=1):
     n, k = a.dim, a.degree
     ginv = np.linalg.inv(g_entries)
     sdet = np.sqrt(det_perm(np.asarray(g_entries, dtype=float)))
-    rows_in = list(increasing_indices(n, k))
-    rows_out = list(increasing_indices(n, n - k))
+    rhs = np.array([form_inner(KForm.basis(n, I), a, ginv) for I in increasing_indices(n, k)])
+    coeffs = np.linalg.solve(_basis_wedge_pairing(n, k), rhs * sdet * orientation)
+    return KForm(n, n - k, coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_wedge_pairing(n, k):
+    """P[I, K] = (e^I ^ e^K)(e_1, ..., e_n) over basis k- and (n-k)-forms."""
+    rows_in = increasing_indices(n, k)
+    rows_out = increasing_indices(n, n - k)
     P = np.zeros((len(rows_in), len(rows_out)))
-    basis_vecs = np.eye(n)
+    basis_vecs = list(np.eye(n))
     for i, I in enumerate(rows_in):
         eI = KForm.basis(n, I)
         for j, K in enumerate(rows_out):
-            eK = KForm.basis(n, K)
-            P[i, j] = wedge_eval(eI, eK, [basis_vecs[t] for t in range(n)])
-    rhs = np.array([form_inner(KForm.basis(n, I), a, ginv) for I in rows_in])
-    coeffs = np.linalg.solve(P, rhs * sdet * orientation)
-    return KForm(n, n - k, coeffs)
+            P[i, j] = wedge_eval(eI, KForm.basis(n, K), basis_vecs)
+    return P
 
 
 def derivation_eval(a, A, vectors):

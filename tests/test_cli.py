@@ -87,6 +87,11 @@ def test_unreadable_config_is_usage_error(tmp_path):
         ("expect_instantn = yes", []),
         ("expect_involutivity = involutive", []),
         ("expect_instanton = maybe", []),
+        # fields that leave the G2 stratum at some sample point
+        ("campaign = integrability\ngenerator = generic-perturbed\nepsilon = 2", []),
+        ("campaign = integrability\ngenerator = closed-perturbed\nepsilon = 2", []),
+        ("campaign = integrability\ngenerator = conformal\nepsilon = 50", []),
+        ("campaign = integrability\ngenerator = generic-perturbed\nepsilon = 1e300", []),
     ],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, lines, flags):

@@ -15,9 +15,12 @@ from g2twistor.fields import (
     integrability_verdict,
     levi_civita,
     make_field,
+    torsion_residual,
 )
-from g2twistor.forms import KForm
-from g2twistor.sampling import torus_points
+from g2twistor.forms import KForm, wedge
+from g2twistor.pointwise import RHO_STD_TERMS
+from g2twistor.sampling import sphere_bundle_samples, torus_points
+from g2twistor.twistor import involutivity_residual, twistor_point
 
 RNG = np.random.default_rng(11)
 AXES = np.eye(7)
@@ -73,6 +76,75 @@ def test_generators_pass_point_invariants(points):
         field = make_field(fam, 16, epsilon=eps)
         for p in points[:3]:
             field.validate_at(p)  # raises on any failed invariant
+
+
+def _pointwise_rho(family, eps, freq, p):
+    """Each family's formula at one point, written with KForm algebra."""
+    f = np.asarray(freq, dtype=float)
+    phase = 2.0 * np.pi * float(f @ p)
+    rho = KForm.from_terms(7, RHO_STD_TERMS)
+    if family == "closed-perturbed":
+        kappa = KForm.from_terms(7, {(1, 3): 1.0, (2, 5): 1.0})
+        scale = -eps * np.sin(phase) / np.linalg.norm(f)
+        for i in np.flatnonzero(f):
+            rho = rho + (scale * f[i]) * wedge(KForm.basis(7, (i,)), kappa)
+    elif family == "generic-perturbed":
+        rho = rho + eps * np.sin(phase) * KForm.from_terms(7, {(1, 3, 5): 1.0, (2, 4, 6): 1.0})
+    elif family == "conformal":
+        rho = float(np.exp(3.0 * eps * np.sin(phase))) * rho
+    return rho
+
+
+@pytest.mark.parametrize(
+    "family, freq",
+    [
+        ("flat", (1, 0, 0, 0, 0, 0, 0)),
+        ("closed-perturbed", (1, 0, 0, 1, 0, 0, 1)),
+        ("generic-perturbed", (1, 0, 0, 0, 0, 0, 0)),
+        ("generic-perturbed", (0, 1, 0, 0, 1, 0, 0)),
+        ("conformal", (1, 0, 0, 0, 0, 0, 0)),
+        ("conformal", (0, 0, 1, 0, 0, 1, 0)),
+    ],
+)
+def test_generator_coeffs_match_pointwise_formula(family, freq):
+    """Stacked coefficients equal the one-point formula; row i of a batch is
+    the one-point call on row i bit for bit."""
+    gen = make_field(family, 16, epsilon=0.05, frequency=freq).generator
+    P = torus_points(50, 3)
+    C = gen.coeffs(P)
+    assert C.shape == (50, 35)
+    for p, row in zip(P, C):
+        assert np.abs(row - _pointwise_rho(family, 0.05, freq, p).coeffs).max() < 1e-15
+        assert np.array_equal(row, gen(p).coeffs)
+        assert np.array_equal(row, gen.coeffs(p[None])[0])
+
+
+def test_closed_multi_frequency_keeps_d_rho_zero(points):
+    """Nonzero frequency entries of equal size: every axis stencil damps the
+    sine by the same factor, so the discrete d(rho) cancels to rounding."""
+    field = make_field("closed-perturbed", 16, epsilon=0.05, frequency=(1, 0, 0, 1, 0, 0, 1))
+    d, ds = fernandez_gray_residual(field, points)
+    assert d < 1e-13
+    assert ds > 0.05
+
+
+@pytest.mark.parametrize("n", [1, 14, 50])
+def test_batched_field_rows_match_point_data(n):
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    P = torus_points(n, 8)
+    g, orientation = field.metrics(P)
+    star = field.star_rho_coeffs(P)
+    for i, p in enumerate(P):
+        pd = field.point_data(p)
+        assert np.array_equal(g[i], pd.g)
+        assert orientation[i] == pd.orientation
+        assert np.array_equal(star[i], pd.rho_star.coeffs)
+
+
+def test_generic_callable_generator_stacks_points(points):
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    plain = StructureField(generator=lambda p: field.rho(p), resolution=16)
+    assert np.array_equal(plain.rho_coeffs(points), field.rho_coeffs(points))
 
 
 def test_conformal_metric_closed_form(points):
@@ -159,6 +231,27 @@ def test_exterior_derivative_rejects_bad_step(flat):
         exterior_derivative(flat.rho, np.zeros(7), 0.0)
 
 
+@pytest.mark.parametrize("h", [0.0, float("nan")])
+@pytest.mark.parametrize(
+    "op", ["christoffel", "levi_civita", "involutivity_residual", "exterior_derivative"]
+)
+def test_stencil_consumers_reject_bad_step(op, h):
+    """A zero or NaN step raises instead of caching NaN or reading as zero."""
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    ms, xs = sphere_bundle_samples(1, 4)
+    calls = {
+        "christoffel": lambda: christoffel(field, ms[0], h=h),
+        "levi_civita": lambda: levi_civita(field, ms[0], h=h),
+        "involutivity_residual": lambda: involutivity_residual(
+            field, twistor_point(field, ms[0], xs[0]), h=h
+        ),
+        "exterior_derivative": lambda: exterior_derivative(field.rho, ms[0], h),
+    }
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        calls[op]()
+    assert all(key[1] == field.h for key in field._gamma_cache)
+
+
 # ---------------------------------------------------------------------------
 # torsion residuals
 
@@ -166,6 +259,19 @@ def test_exterior_derivative_rejects_bad_step(flat):
 def test_flat_field_torsion_free_exactly(flat, points):
     d, ds = fernandez_gray_residual(flat, points)
     assert d < 1e-13 and ds < 1e-13
+
+
+@pytest.mark.parametrize("family", ["closed-perturbed", "generic-perturbed", "conformal"])
+def test_torsion_residual_matches_per_point_route(family, points):
+    """The batched stencil gives the same bits as differencing rho and *rho
+    point by point through point_data."""
+    field = make_field(family, 16, epsilon=0.05)
+    for p in points:
+        want = (
+            exterior_derivative(field.rho, p, field.h).coefficient_norm,
+            exterior_derivative(field.star_rho, p, field.h).coefficient_norm,
+        )
+        assert torsion_residual(field, p) == want
 
 
 def test_closed_perturbation_keeps_d_rho_zero(points):

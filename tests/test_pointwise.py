@@ -12,6 +12,7 @@ from g2twistor.pointwise import (
     SplitFormError,
     hodge_type_on_complement,
     induced_metric,
+    induced_metrics,
     is_associative_subspace,
     octonion_multiply,
     project_lambda2,
@@ -110,6 +111,46 @@ def test_induced_metric_rejects_split_form():
     assert annihilator_dimension(rho) == 14  # stabilizer test alone passes
     with pytest.raises(SplitFormError):
         induced_metric(rho)
+
+
+def _gl7_images(std, n, rng):
+    """Coefficients (n, 35) of rho_std pulled back by random well-conditioned A."""
+    rows = []
+    while len(rows) < n:
+        A = rng.standard_normal((7, 7))
+        if np.linalg.cond(A) < 50:
+            rows.append(transform(std.rho, A).coeffs)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [1, 14, 50])
+def test_induced_metrics_rows_match_single_point(std, n):
+    R = _gl7_images(std, n, np.random.default_rng(n))
+    g, orientation = induced_metrics(R)
+    assert g.shape == (n, 7, 7) and orientation.shape == (n,)
+    for i in range(n):
+        gi, oi = induced_metric(KForm(7, 3, R[i]))
+        assert np.array_equal(g[i], gi.entries)
+        assert orientation[i] == oi
+
+
+def test_induced_metrics_reject_one_bad_row(std):
+    R = _gl7_images(std, 14, np.random.default_rng(5))
+    split = dict(RHO_STD_TERMS)
+    split[(2, 4, 5)] = 1.0
+    bad = [
+        (KForm.from_terms(7, split).coeffs, SplitFormError),
+        (KForm.from_terms(7, {(0, 1, 2): 1.0, (3, 4, 5): 1.0}).coeffs, DegenerateFormError),
+        (np.full(35, np.nan), DegenerateFormError),
+        (1e300 * std.rho.coeffs, DegenerateFormError),
+    ]
+    for row, error in bad:
+        stacked = R.copy()
+        stacked[9] = row
+        with pytest.raises(error):
+            induced_metrics(stacked)
+        with pytest.raises(error):
+            induced_metric(KForm(7, 3, row))
 
 
 def test_pairing_self_consistency_enforced(std):
