@@ -2,7 +2,6 @@
 
 from .forms import (
     KForm,
-    LinearMap,
     MetricTensor,
     annihilator_basis,
     annihilator_dimension,

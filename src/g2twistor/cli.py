@@ -12,8 +12,9 @@ all            every campaign into one output directory
 
 Reports: summary.txt ('key: value' lines, config echoed verbatim) and
 samples.csv (per-sample rows; first line is a timestamp comment, the rest
-is byte-reproducible for a fixed config and seed, whatever the worker
-count).
+is byte-reproducible for a fixed config and seed).  Samples run in order
+on one thread: ``workers`` is validated and echoed in summary.txt but
+changes neither the output nor the code path.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
 from pathlib import Path
 
@@ -185,13 +185,6 @@ def write_reports(outdir, cfg, summary, header, rows):
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
-def _parallel_map(fn, items, workers):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 def _percentile(values, q):
     return float(np.percentile(np.asarray(values), q)) if len(values) else 0.0
 
@@ -215,8 +208,8 @@ def run_pointwise(cfg):
 
     metric_residual = float(np.abs(point.g - np.eye(7)).max())
     P7, P14 = point.lambda2_projectors
-    proj_residual = float(np.abs(P7.entries + P14.entries - np.eye(21)).max())
-    ranks = (round(np.trace(P7.entries)), round(np.trace(P14.entries)))
+    proj_residual = float(np.abs(P7 + P14 - np.eye(21)).max())
+    ranks = (round(np.trace(P7)), round(np.trace(P14)))
 
     quat = 0.0
     crossnorm = 0.0
@@ -287,7 +280,7 @@ def run_integrability(cfg):
     points = torus_points(cfg.samples, cfg.seed)
     tau = flds.calibrate_integrability(cfg.resolution)
 
-    results = _parallel_map(lambda p: flds.torsion_residual(field, p), list(points), cfg.workers)
+    results = [flds.torsion_residual(field, p) for p in points]
     rows = [tuple(p) + r for p, r in zip(points, results)]
     d_max = max(r[0] for r in results)
     s_max = max(r[1] for r in results)
@@ -314,7 +307,7 @@ def run_twistor(cfg):
         omega = tw.omega_closure_residual(field, [tp], max_combos=5, seed=cfg.seed + i)
         return tuple(tp.m) + tuple(tp.x) + (invol, vert, omega)
 
-    results = _parallel_map(one, list(range(cfg.samples)), cfg.workers)
+    results = [one(i) for i in range(cfg.samples)]
     invols = [r[14] for r in results]
     threshold = max(10.0 * floor, cfg.tol_involutive)
     verdict = "involutive" if max(invols) <= threshold else "non-involutive"
@@ -353,7 +346,7 @@ def run_instanton(cfg):
         _, f7 = inst.is_g2_instanton(field, conn, [ms[i]], tol=cfg.tol_instanton)
         return tuple(ms[i]) + tuple(tp.x) + (cr, f7)
 
-    results = _parallel_map(one, list(range(cfg.samples)), cfg.workers)
+    results = [one(i) for i in range(cfg.samples)]
     cr_max = max(r[14] for r in results)
     f7_max = max(r[15] for r in results)
     verdicts = {

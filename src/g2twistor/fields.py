@@ -136,7 +136,10 @@ class ConformalGenerator(_Generator):
         return 2.0 * np.pi * self.amplitude * np.cos(_phase(fr, p)) * fr
 
     def coeffs(self, P):
-        return np.exp(3.0 * self._f(P))[..., None] * _rho_std()
+        # a huge amplitude overflows exp; induced_metrics reports the
+        # non-finite coefficients as a degenerate form
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(3.0 * self._f(P))[..., None] * _rho_std()
 
     def exact_metric(self, p):
         return np.exp(2.0 * self._f(p)) * np.eye(7)
@@ -394,10 +397,7 @@ def christoffel(field, p, h=None):
     dg = central_difference(lambda P: field.metrics(P)[0], (p,), (AXES,), h)  # dg[k] = d_k g
     ginv = np.linalg.inv(g)
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    term = np.empty((7, 7, 7))
-    for i in range(7):
-        for j in range(7):
-            term[i, j] = dg[i][j] + dg[j][i] - dg[:, i, j]
+    term = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
     gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, term)
     if len(field._gamma_cache) > 4096:
         field._gamma_cache.clear()
@@ -437,13 +437,10 @@ def curvature_g2_check(field, p, h=None):
     """
     conn = levi_civita(field, p, h=h, include_curvature=True)
     point = field.point_data(conn.point)
-    pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
-    M = np.empty((21, 21))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            M[a, b] = conn.riemann[i, j, k, l]
+    i, j = np.triu_indices(7, 1)  # the increasing pairs, lexicographic
+    M = conn.riemann[i[:, None], j[:, None], i, j]
     _, P14 = point.lambda2_projectors
-    D = M - P14.entries @ M @ P14.entries.T
+    D = M - P14 @ M @ P14.T
     G2 = point.metric.gram(2)
     val = np.einsum("IJ,IK,JL,KL->", D, G2, G2, D)
     return float(np.sqrt(max(val, 0.0)))

@@ -243,7 +243,7 @@ class KForm:
 
 
 # ---------------------------------------------------------------------------
-# metric and linear maps
+# metric
 
 
 @dataclass(eq=False)
@@ -251,7 +251,6 @@ class MetricTensor:
     """Symmetric positive definite bilinear form.  Immutable by convention."""
 
     entries: np.ndarray
-    tol: float = PD_TOL
 
     def __post_init__(self):
         M = np.asarray(self.entries, dtype=float)
@@ -260,7 +259,7 @@ class MetricTensor:
         if not np.array_equal(M, M.T):
             raise ExteriorAlgebraError("metric entries must be exactly symmetric")
         w = np.linalg.eigvalsh(M)
-        if w.min() <= self.tol * max(1.0, abs(w.max())):
+        if w.min() <= PD_TOL * max(1.0, abs(w.max())):
             raise NotPositiveDefinite(f"metric eigenvalue {w.min():.3g} not positive")
         self.entries = M
         self._gram_cache = {}
@@ -299,19 +298,6 @@ class MetricTensor:
         if G is None:
             G = self._gram_cache[degree] = minors(self.inverse, degree)
         return G
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """Plain matrix wrapper for endomorphisms and projectors."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries))
-
-    def __call__(self, v):
-        return self.entries @ np.asarray(v)
 
 
 # ---------------------------------------------------------------------------

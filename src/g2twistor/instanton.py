@@ -22,7 +22,7 @@ PAIRS2 = tuple(increasing_indices(7, 2))
 CONNECTION_FAMILIES = ("flat", "const-14", "const-7", "mixed")
 
 
-class ConnectionError_(ValueError):
+class ConnectionDataError(ValueError):
     pass
 
 
@@ -47,12 +47,12 @@ class ConnectionData:
         if self.curvature_analytic is not None:
             return np.asarray(self.curvature_analytic(p))
         if self.potential is None:
-            raise ConnectionError_("connection has neither potential nor curvature")
+            raise ConnectionDataError("connection has neither potential nor curvature")
         return self.curvature_differenced(p, h)
 
     def curvature_differenced(self, p, h=1e-4):
         if self.potential is None:
-            raise ConnectionError_("no potential to difference")
+            raise ConnectionDataError("no potential to difference")
         p = np.asarray(p, dtype=float)
         A = np.asarray(self.potential(p))
         dA = np.empty((7, 7, self.rank, self.rank), dtype=complex)
@@ -68,10 +68,9 @@ class ConnectionData:
     def curvature_dense(self, p, h=1e-4):
         """Dense antisymmetric (7, 7, rank, rank) curvature array."""
         F = self.curvature(p, h)
+        i, j = np.triu_indices(7, 1)  # PAIRS2, in the same order
         out = np.zeros((7, 7, self.rank, self.rank), dtype=complex)
-        for a, (i, j) in enumerate(PAIRS2):
-            out[i, j] = F[a]
-            out[j, i] = -F[a]
+        out[i, j], out[j, i] = F, -F
         return out
 
 
@@ -108,11 +107,11 @@ def make_connection(family, point, index=0, vector=0, mix=0.0):
     const-14 plus mix * const-7.
     """
     if family not in CONNECTION_FAMILIES:
-        raise ConnectionError_(f"unknown connection family {family!r}")
+        raise ConnectionDataError(f"unknown connection family {family!r}")
     if not 0 <= index < 14:
-        raise ConnectionError_(f"index must be in 0..13, got {index}")
+        raise ConnectionDataError(f"index must be in 0..13, got {index}")
     if not 0 <= vector < 7:
-        raise ConnectionError_(f"vector must be in 0..6, got {vector}")
+        raise ConnectionDataError(f"vector must be in 0..6, got {vector}")
     if family == "flat":
         return ConnectionData(
             rank=1,
@@ -151,7 +150,7 @@ def is_g2_instanton(field, conn, sample_points, tol=1e-8, h=None):
         point = field.point_data(np.asarray(p, dtype=float))
         F = conn.curvature(p, h)
         P7, _ = point.lambda2_projectors
-        F7 = np.einsum("IJ,Jab->Iab", P7.entries, F)
+        F7 = np.einsum("IJ,Jab->Iab", P7, F)
         worst = max(worst, _gram_norm(F7, point.metric.gram(2)))
     return worst <= tol, worst
 
@@ -160,52 +159,37 @@ def is_g2_instanton(field, conn, sample_points, tol=1e-8, h=None):
 # CR Dolbeault operators
 
 
-@dataclass(eq=False)
-class CrDolbeaultContext:
-    """A twistor point with its CR splitting and a differencing step."""
-
-    tp: object
-    splitting: object
-    h: float
-
-    @classmethod
-    def at(cls, field, tp, h=None):
-        return cls(tp=tp, splitting=cr_splitting(tp), h=field.h if h is None else h)
-
-
-def cr_dolbeault_on_functions(ctx, f):
+def cr_dolbeault_on_functions(field, tp, f, h=None):
     """(d-bar f)(b) = derivative of f along each (0,1) basis vector."""
-    tp = ctx.tp
-    tangents = ctx.splitting.tangents_01(tp)
-    return np.array(
-        [central_difference(f, (tp.m, tp.x), t, ctx.h) for t in tangents]
-    )
+    h = field.h if h is None else h
+    tangents = cr_splitting(tp).tangents_01(tp)
+    return np.array([central_difference(f, (tp.m, tp.x), t, h) for t in tangents])
 
 
-def dolbeault_square_function_residual(field, ctx, f):
+def dolbeault_square_function_residual(field, tp, f, h=None):
     """Max over (0,1) pairs of the degree-2 operator applied twice to f.
 
     Uses the Cartan pattern on 1-covectors: (d-bar a)(b1, b2) =
     -b1 a(b2) + b2 a(b1) + a([b1, b2]); identically zero in the continuum.
     """
-    tp = ctx.tp
-    tangents = ctx.splitting.tangents_01(tp)
+    h = field.h if h is None else h
+    tangents = cr_splitting(tp).tangents_01(tp)
 
     def df_along(j):
         # b_j f as a function of the twistor point, extended like b_j itself
         def val(m, x):
             ext = _ext_tangent(field, tp, tangents[j], m, x)
-            return central_difference(f, (m, x), ext, ctx.h)
+            return central_difference(f, (m, x), ext, h)
 
         return val
 
     at = (tp.m, tp.x)
     worst = 0.0
     for i, j in itertools.combinations(range(len(tangents)), 2):
-        term1 = -central_difference(df_along(j), at, tangents[i], ctx.h)
-        term2 = central_difference(df_along(i), at, tangents[j], ctx.h)
-        br = frobenius_bracket(field, tp, tangents[i], tangents[j], h=ctx.h, projection="cr01")
-        term3 = central_difference(f, at, br, ctx.h)
+        term1 = -central_difference(df_along(j), at, tangents[i], h)
+        term2 = central_difference(df_along(i), at, tangents[j], h)
+        br = frobenius_bracket(field, tp, tangents[i], tangents[j], h=h, projection="cr01")
+        term3 = central_difference(f, at, br, h)
         worst = max(worst, abs(term1 + term2 + term3))
     return worst
 
@@ -240,11 +224,11 @@ def hodge_type_cr_residual(field, conn, tp, h=None):
     pointwise type decomposition."""
     h = field.h if h is None else h
     if conn.rank != 1:
-        raise ConnectionError_("hodge-type path applies to rank-1 connections")
+        raise ConnectionDataError("hodge-type path applies to rank-1 connections")
     F = conn.curvature(tp.m, h)[:, 0, 0]
     beta = KForm(7, 2, F.imag) if np.abs(F.real).max() < 1e-12 else None
     if beta is None:
-        raise ConnectionError_("rank-1 curvature must be purely imaginary")
+        raise ConnectionDataError("rank-1 curvature must be purely imaginary")
     p2002, _, _ = hodge_type_on_complement(field.point_data(tp.m), beta, tp.x, frame=tp.su3)
     return p2002 / np.sqrt(2.0)
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .forms import (
     KForm,
-    LinearMap,
     PD_TOL,
     MetricTensor,
     NotPositiveDefinite,
@@ -180,16 +179,15 @@ class G2Point:
     def __init__(self, rho, metric, rho_star=None, orientation=1, validate=True):
         self.rho = rho
         self.metric = metric
-        self._rho_star = rho_star
+        if rho_star is not None:
+            self.rho_star = rho_star  # seeds the cached_property
         self.orientation = orientation
         if validate:
             self._validate()
 
-    @property
+    @cached_property
     def rho_star(self):
-        if self._rho_star is None:
-            self._rho_star = hodge_star(self.rho, self.metric, self.orientation)
-        return self._rho_star
+        return hodge_star(self.rho, self.metric, self.orientation)
 
     @classmethod
     def from_rho(cls, rho, validate=True):
@@ -274,7 +272,7 @@ class G2Point:
     @property
     def lambda2_projectors(self):
         _, _, P7, P14, _ = self._lambda2
-        return LinearMap(P7), LinearMap(P14)
+        return P7, P14
 
     # -- point operations -----------------------------------------------------
 
@@ -343,7 +341,7 @@ class Su3Frame:
     v: np.ndarray
     basis: np.ndarray
     omega: KForm
-    I: LinearMap
+    I: np.ndarray
     Omega_re: KForm
     Omega_im: KForm
 
@@ -386,15 +384,13 @@ def su3_structure(point, v, tol=UNIT_TOL):
         raise G2StructureError("complex structure does not square to -Id")
     Omega_re = transform(point.rho, W)
     Omega_im = -1.0 * transform(contract(point.rho_star, v), W)
-    frame = Su3Frame(
-        v=v, basis=W, omega=omega, I=LinearMap(I6), Omega_re=Omega_re, Omega_im=Omega_im
-    )
+    frame = Su3Frame(v=v, basis=W, omega=omega, I=I6, Omega_re=Omega_re, Omega_im=Omega_im)
     _check_su3_frame(frame)
     return frame
 
 
 def _check_su3_frame(frame):
-    I6 = frame.I.entries
+    I6 = frame.I
     om = frame.omega.as_matrix()
     # omega(x, y) = g(I x, y) in the orthonormal frame
     if np.abs(om - I6.T).max() > UNIT_TOL:
@@ -425,10 +421,7 @@ def _check_su3_frame(frame):
 def project_lambda2(point, a):
     """Split a 2-form into its 7- and 14-dimensional components."""
     P7, P14 = point.lambda2_projectors
-    return (
-        KForm(7, 2, P7(a.coeffs)),
-        KForm(7, 2, P14(a.coeffs)),
-    )
+    return KForm(7, 2, P7 @ a.coeffs), KForm(7, 2, P14 @ a.coeffs)
 
 
 def hodge_type_on_complement(point, a, v, frame=None):
@@ -443,7 +436,7 @@ def hodge_type_on_complement(point, a, v, frame=None):
         frame = su3_structure(point, v)
     W = frame.basis
     A = W.T @ a.as_matrix() @ W
-    I6 = frame.I.entries
+    I6 = frame.I
     A11 = (A + I6.T @ A @ I6) / 2.0
     A2002 = A - A11
     om = frame.omega.as_matrix()

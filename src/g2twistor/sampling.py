@@ -1,8 +1,8 @@
 """Deterministic low-discrepancy sampling of the torus and the sphere bundle.
 
 Every campaign draws its sample set once, up front, from a seeded scrambled
-Halton sequence; workers then map over the fixed array, so reported numbers
-are independent of worker count.
+Halton sequence and then evaluates the fixed array in order on one thread,
+so reported numbers depend only on the config and the seed.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import central_difference, christoffel, levi_civita, make_field
-from .forms import KForm, LinearMap, contract, derivation_apply
+from .forms import KForm, contract, derivation_apply
 from .pointwise import su3_structure
 from .sampling import sphere_bundle_samples
 
@@ -110,9 +110,8 @@ def twistor_point(field, m, x, gamma=None):
 
 @dataclass(eq=False)
 class CrSplitting:
-    """Complex structure on B and eigenbases, written in the B frame."""
+    """Eigenbases of the complex structure on B, written in the B frame."""
 
-    I_B: LinearMap
     b10: np.ndarray  # (3, 6) complex rows, orthonormal
     b01: np.ndarray  # conjugate rows
 
@@ -125,7 +124,7 @@ class CrSplitting:
 
 def cr_splitting(tp):
     """Eigenbasis of the fiberwise complex structure transported to B."""
-    I6 = tp.su3.I.entries
+    I6 = tp.su3.I
     # (1,0) candidates (v - i I v)/sqrt(2); a Hermitian Gram-Schmidt sweep
     # keeps exactly one of each conjugate-parallel pair.
     rows = []
@@ -139,7 +138,7 @@ def cr_splitting(tp):
     if len(rows) != 3:
         raise TwistorError("eigenbasis extraction failed")
     b10 = np.array(rows)
-    return CrSplitting(I_B=LinearMap(I6), b10=b10, b01=np.conj(b10))
+    return CrSplitting(b10=b10, b01=np.conj(b10))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,7 @@ def involutivity_residual(field, tp, h=None, which="01", carrier="transport"):
     cs = cr_splitting(tp)
     tangents = cs.tangents_01(tp) if which == "01" else cs.tangents_10(tp)
     projection = "cr01" if which == "01" else "cr10"
-    I6 = cs.I_B.entries
+    I6 = tp.su3.I
     worst = 0.0
     for i, j in itertools.combinations(range(3), 2):
         br = frobenius_bracket(

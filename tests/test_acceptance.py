@@ -81,16 +81,16 @@ def test_criterion_02_metric_normalization():
 
 def test_criterion_03_two_form_splitting():
     P7, P14 = STD.lambda2_projectors
-    id_err = np.abs(P7.entries + P14.entries - np.eye(21)).max()
-    cross_err = np.abs(P7.entries @ P14.entries).max()
-    ranks = (round(np.trace(P7.entries)), round(np.trace(P14.entries)))
+    id_err = np.abs(P7 + P14 - np.eye(21)).max()
+    cross_err = np.abs(P7 @ P14).max()
+    ranks = (round(np.trace(P7)), round(np.trace(P14)))
     worst = 0.0
     for _ in range(50):
         c = RNG.standard_normal(14)
         U = expm(np.einsum("a,aij->ij", c, STD.stabilizer_algebra))
         a = KForm(7, 2, RNG.standard_normal(21))
-        lhs = KForm(7, 2, P7(transform(a, U).coeffs))
-        rhs = transform(KForm(7, 2, P7(a.coeffs)), U)
+        lhs = KForm(7, 2, P7 @ transform(a, U).coeffs)
+        rhs = transform(KForm(7, 2, P7 @ a.coeffs), U)
         worst = max(worst, (lhs - rhs).coefficient_norm)
     ok = id_err < 1e-10 and cross_err < 1e-10 and ranks == (7, 14) and worst < 1e-8
     report(

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import g2twistor
 from g2twistor.cli import (
     _SCALAR_KEYS,
     ConfigError,
@@ -92,6 +98,7 @@ def test_unreadable_config_is_usage_error(tmp_path):
         ("campaign = integrability\ngenerator = closed-perturbed\nepsilon = 2", []),
         ("campaign = integrability\ngenerator = conformal\nepsilon = 50", []),
         ("campaign = integrability\ngenerator = generic-perturbed\nepsilon = 1e300", []),
+        ("campaign = integrability\ngenerator = conformal\nepsilon = 1e300", []),
     ],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, lines, flags):
@@ -101,6 +108,27 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, lines, flags):
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_generator_prints_one_line(tmp_path):
+    """The module entry point, numpy's warning printer included, writes
+    exactly the one config error line."""
+    path = write_cfg(
+        tmp_path, "campaign = integrability\ngenerator = conformal\nepsilon = 1e300\nsamples = 2\n"
+    )
+    src = str(Path(g2twistor.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "g2twistor.cli", "--config", path, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert proc.stderr.count("\n") == 1
 
 
 _CONFIG_LINE = st.tuples(

@@ -326,6 +326,19 @@ def test_christoffel_symmetric_exactly(conformal, points):
     assert np.array_equal(G, np.transpose(G, (0, 2, 1)))
 
 
+def test_christoffel_equals_loop_reference(points):
+    """The transposed sum in christoffel equals the loop over (i, j) bit for bit."""
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    for p in points[:3]:
+        dg = central_difference(lambda P: field.metrics(P)[0], (p,), (AXES,), field.h)
+        term = np.empty((7, 7, 7))
+        for i in range(7):
+            for j in range(7):
+                term[i, j] = dg[i][j] + dg[j][i] - dg[:, i, j]
+        want = 0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(field.point_data(p).g), term)
+        assert np.array_equal(christoffel(field, p), want)
+
+
 def test_curvature_antisymmetries_exact(conformal, points):
     R = levi_civita(conformal, points[0]).riemann
     assert np.array_equal(R, -np.transpose(R, (1, 0, 2, 3)))
@@ -433,6 +446,21 @@ def test_curvature_block_perturbed_positive(points):
     field = make_field("generic-perturbed", 16, epsilon=0.1)
     vals = [curvature_g2_check(field, p) for p in points[:4]]
     assert max(vals) > 1e-3
+
+
+def test_curvature_block_equals_loop_reference(points):
+    """The pair gather in curvature_g2_check equals the double loop bit for bit."""
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    p = points[2]
+    R = levi_civita(field, p).riemann
+    pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+    M = np.array([[R[i, j, k, l] for k, l in pairs] for i, j in pairs])
+    point = field.point_data(p)
+    _, P14 = point.lambda2_projectors
+    D = M - P14 @ M @ P14.T
+    G2 = point.metric.gram(2)
+    want = float(np.sqrt(max(np.einsum("IJ,IK,JL,KL->", D, G2, G2, D), 0.0)))
+    assert curvature_g2_check(field, p) == want
 
 
 def test_curvature_block_frame_invariant(points):

@@ -5,8 +5,7 @@ from g2twistor.fields import make_field
 from g2twistor.forms import KForm
 from g2twistor.instanton import (
     ConnectionData,
-    ConnectionError_,
-    CrDolbeaultContext,
+    ConnectionDataError,
     cr_dolbeault_on_functions,
     cr_holomorphicity_residual,
     dolbeault_square_function_residual,
@@ -17,7 +16,7 @@ from g2twistor.instanton import (
 )
 from g2twistor.pointwise import standard_g2_point
 from g2twistor.sampling import sphere_bundle_samples, torus_points
-from g2twistor.twistor import twistor_point
+from g2twistor.twistor import cr_splitting, twistor_point
 
 RNG = np.random.default_rng(31)
 MS, XS = sphere_bundle_samples(12, 41)
@@ -59,7 +58,7 @@ def test_constant_7_connection_is_not(flat, std):
 
 @pytest.mark.parametrize("kw", [{"index": -1}, {"index": 14}, {"vector": -3}, {"vector": 7}])
 def test_make_connection_rejects_out_of_range(std, kw):
-    with pytest.raises(ConnectionError_):
+    with pytest.raises(ConnectionDataError):
         make_connection("mixed", std, **kw)
 
 
@@ -229,24 +228,21 @@ def test_mixing_sweep_monotone(flat, std):
 
 def test_dbar_constant_vanishes(flat):
     tp = twistor_point(flat, MS[0], XS[0])
-    ctx = CrDolbeaultContext.at(flat, tp)
-    assert np.abs(cr_dolbeault_on_functions(ctx, lambda m, x: 4.2)).max() == 0.0
+    assert np.abs(cr_dolbeault_on_functions(flat, tp, lambda m, x: 4.2)).max() == 0.0
 
 
 def test_dbar_coordinate_pullback(flat):
     """For the pullback of a base coordinate the derivative picks the
     conjugate-linear component of the differential."""
     tp = twistor_point(flat, MS[1], XS[1])
-    ctx = CrDolbeaultContext.at(flat, tp)
-    wbar = np.einsum("ra,ia->ri", ctx.splitting.b01, tp.w_basis)
+    wbar = np.einsum("ra,ia->ri", cr_splitting(tp).b01, tp.w_basis)
     for j in range(7):
-        vals = cr_dolbeault_on_functions(ctx, lambda m, x, j=j: m[j])
+        vals = cr_dolbeault_on_functions(flat, tp, lambda m, x, j=j: m[j])
         assert np.abs(vals - wbar[:, j]).max() < 1e-10
 
 
 def test_dbar_leibniz(flat):
     tp = twistor_point(flat, MS[2], XS[2])
-    ctx = CrDolbeaultContext.at(flat, tp)
 
     def f1(m, x):
         return np.sin(2 * np.pi * m[1]) + x[0] ** 2
@@ -254,21 +250,20 @@ def test_dbar_leibniz(flat):
     def f2(m, x):
         return np.cos(2 * np.pi * m[3]) * x[1]
 
-    lhs = cr_dolbeault_on_functions(ctx, lambda m, x: f1(m, x) * f2(m, x))
-    rhs = f1(tp.m, tp.x) * cr_dolbeault_on_functions(ctx, f2) + f2(
+    lhs = cr_dolbeault_on_functions(flat, tp, lambda m, x: f1(m, x) * f2(m, x))
+    rhs = f1(tp.m, tp.x) * cr_dolbeault_on_functions(flat, tp, f2) + f2(
         tp.m, tp.x
-    ) * cr_dolbeault_on_functions(ctx, f1)
-    assert np.abs(lhs - rhs).max() < 40.0 * ctx.h**2
+    ) * cr_dolbeault_on_functions(flat, tp, f1)
+    assert np.abs(lhs - rhs).max() < 40.0 * flat.h**2
 
 
 def test_dbar_squares_to_zero_on_functions(flat):
     tp = twistor_point(flat, MS[3], XS[3])
-    ctx = CrDolbeaultContext.at(flat, tp)
 
     def f(m, x):
         return np.sin(2 * np.pi * m[0]) * x[2] + np.cos(2 * np.pi * m[4])
 
-    assert dolbeault_square_function_residual(flat, ctx, f) < 10.0 * ctx.h
+    assert dolbeault_square_function_residual(flat, tp, f) < 10.0 * flat.h
 
 
 def test_dbar_squared_sections_equal_curvature(flat, std):

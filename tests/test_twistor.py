@@ -112,7 +112,7 @@ def test_lift_beats_naive_transport(conformal):
 def test_splitting_eigen_equations(generic):
     tp = twistor_point(generic, MS[3], XS[3])
     cs = cr_splitting(tp)
-    I6 = cs.I_B.entries
+    I6 = tp.su3.I
     assert np.abs(I6 @ I6 + np.eye(6)).max() < 1e-10
     for r in cs.b10:
         assert np.abs(I6 @ r - 1j * r).max() < 1e-10
