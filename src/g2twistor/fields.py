@@ -232,15 +232,23 @@ class StructureField:
 
     def point_data(self, p):
         """Unvalidated G2 point at p (cached); use validate_at for the checks."""
-        p = np.asarray(p, dtype=float)
-        key = p.tobytes()
-        pd = self._cache.get(key)
-        if pd is None:
-            if len(self._cache) > 8192:
-                self._cache.clear()
-            pd = G2Point.from_rho(self.rho(p), validate=False)
-            self._cache[key] = pd
-        return pd
+        return self.points_data(np.asarray(p, dtype=float)[None])[0]
+
+    def points_data(self, P, star=False):
+        """`point_data` at the rows of P (N, 7): the missing ones from one induced-metric
+        pass, with ``star`` also one Hodge-star pass that seeds rho_star."""
+
+        def compute(C):
+            R = self.rho_coeffs(C)
+            g, o = induced_metrics(R)
+            S = [KForm(7, 4, s) for s in rho_star_coeffs(R, g, o)] if star else [None] * len(R)
+            return [
+                G2Point(KForm(7, 3, r), MetricTensor.trusted(gi), s, int(oi), validate=False)
+                for r, gi, oi, s in zip(R, g, o, S)
+            ]
+
+        P = np.asarray(P, dtype=float)
+        return _cached_rows(self._cache, 8192, [q.tobytes() for q in P], P, compute)
 
     def metric(self, p):
         return self.point_data(p).metric
@@ -253,8 +261,28 @@ class StructureField:
         return G2Point.from_rho(self.rho(np.asarray(p, dtype=float)), validate=True)
 
 
+def _cached_rows(cache, bound, keys, P, compute):
+    """The entries under ``keys`` (one per row of P), the missing rows computed
+    once each in one call; cleared wholesale before an insert past ``bound``."""
+    found = {key: cache.get(key) for key in keys}
+    new = [key for key, value in found.items() if value is None]
+    if new:
+        rows = dict(zip(keys, P))
+        for key, value in zip(new, compute(np.array([rows[key] for key in new]))):
+            if len(cache) > bound:
+                cache.clear()
+            found[key] = cache[key] = value
+    return [found[key] for key in keys]
+
+
 # ---------------------------------------------------------------------------
 # finite-difference calculus
+
+
+def check_step(h):
+    """Raise ValueError unless the difference step h is positive and finite."""
+    if not 0.0 < h < inf:
+        raise ValueError(f"step must be positive and finite, got {h!r}")
 
 
 def central_difference(f, at, direction, h):
@@ -266,8 +294,7 @@ def central_difference(f, at, direction, h):
     differences along all of its rows in one call of f on stacked points.
     The step must be positive and finite.
     """
-    if not 0.0 < h < inf:
-        raise ValueError(f"step must be positive and finite, got {h!r}")
+    check_step(h)
     direction = np.asarray(direction)
 
     def diff(d):
@@ -362,7 +389,7 @@ def integrability_verdict(field, sample_points, tau=None):
 
 @dataclass(eq=False)
 class ConnectionSample:
-    """Christoffel symbols and (optionally) lowered curvature at one point.
+    """Christoffel symbols and lowered curvature at one point.
 
     gamma[k, i, j] = Gamma^k_ij, symmetric in (i, j) by construction.
     riemann[i, j, k, l] = g(e_k, R(e_i, e_j) e_l), antisymmetric in both
@@ -372,50 +399,50 @@ class ConnectionSample:
     point: np.ndarray
     metric: MetricTensor
     gamma: np.ndarray
-    riemann: np.ndarray | None = None
+    riemann: np.ndarray
 
     def curvature_vector(self, x, y, z):
         """R(x, y) z with the index raised through the metric."""
-        if self.riemann is None:
-            raise ValueError("curvature was not requested at this sample")
         low = np.einsum("ijkl,i,j,l->k", self.riemann, x, y, z)
         return self.metric.inverse @ low
 
 
-def christoffel(field, p, h=None):
-    """Central-difference Christoffel symbols of the induced metric.
-
-    Cached per (point, step): bracket stencils revisit the same points.
-    """
+def christoffels(field, P, h=None):
+    """Christoffel symbols (N, 7, 7, 7) at the rows of P, cached per (point, step);
+    the missing points take one centre pass and one `metrics` call per side."""
     h = field.h if h is None else h
-    p = np.asarray(p, dtype=float)
-    key = (p.tobytes(), h)
-    hit = field._gamma_cache.get(key)
-    if hit is not None:
-        return hit
-    g = field.point_data(p).g
-    dg = central_difference(lambda P: field.metrics(P)[0], (p,), (AXES,), h)  # dg[k] = d_k g
-    ginv = np.linalg.inv(g)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    term = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, term)
-    if len(field._gamma_cache) > 4096:
-        field._gamma_cache.clear()
-    field._gamma_cache[key] = gamma
-    return gamma
+    check_step(h)
+
+    def metrics(Q):
+        return field.metrics(Q.reshape(-1, 7))[0].reshape(Q.shape + (7,))
+
+    def compute(C):
+        dg = central_difference(metrics, (C[:, None],), (AXES,), h)  # dg[n, k] = d_k g
+        # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), row by row
+        terms = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+        return [
+            0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(pd.g), term)
+            for pd, term in zip(field.points_data(C), terms)
+        ]
+
+    P = np.asarray(P, dtype=float)
+    keys = [(q.tobytes(), h) for q in P]
+    return np.array(_cached_rows(field._gamma_cache, 4096, keys, P, compute))
 
 
-def levi_civita(field, p, h=None, include_curvature=True):
+def christoffel(field, p, h=None):
+    """Christoffel symbols Gamma[k, i, j] at p: the N = 1 view of `christoffels`."""
+    return christoffels(field, np.asarray(p, dtype=float)[None], h)[0]
+
+
+def levi_civita(field, p, h=None):
     """Connection sample at p; curvature needs Christoffels on a stencil."""
     h = field.h if h is None else h
     p = np.asarray(p, dtype=float)
-    gamma = christoffel(field, p, h)
+    # the centre and its 14 axis neighbours in one batch; the stencil below reads them back
+    gamma = christoffels(field, np.concatenate([p[None], p + h * AXES, p - h * AXES]), h)[0]
+    dgamma = central_difference(lambda Q: christoffels(field, Q, h), (p,), (AXES,), h)  # d_i Gamma
     metric = field.metric(p)
-    if not include_curvature:
-        return ConnectionSample(point=p, metric=metric, gamma=gamma)
-    dgamma = np.empty((7, 7, 7, 7))  # dgamma[i] = d_i Gamma
-    for i in range(7):
-        dgamma[i] = central_difference(lambda q: christoffel(field, q, h), (p,), (AXES[i],), h)
     # R^k_{l i j} = d_i G^k_jl - d_j G^k_il + G^k_im G^m_jl - G^k_jm G^m_il
     mixed = (
         np.einsum("ikjl->klij", dgamma)
@@ -435,7 +462,7 @@ def curvature_g2_check(field, p, h=None):
     both factors are projected with the point's 2-form projectors and the
     norm uses the metric-induced inner product on each factor.
     """
-    conn = levi_civita(field, p, h=h, include_curvature=True)
+    conn = levi_civita(field, p, h=h)
     point = field.point_data(conn.point)
     i, j = np.triu_indices(7, 1)  # the increasing pairs, lexicographic
     M = conn.riemann[i[:, None], j[:, None], i, j]

@@ -265,6 +265,13 @@ class MetricTensor:
         self._gram_cache = {}
 
     @classmethod
+    def trusted(cls, M):
+        """Unchecked metric on M, known exactly symmetric and positive definite."""
+        metric = object.__new__(cls)
+        metric.entries, metric._gram_cache = M, {}
+        return metric
+
+    @classmethod
     def identity(cls, dim):
         return cls(np.eye(dim))
 

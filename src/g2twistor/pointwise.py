@@ -150,12 +150,14 @@ def induced_metric(rho, check_nondegenerate=True):
         raise DegenerateFormError(
             f"stabilizer dimension {annihilator_dimension(rho)} != 14"
         )
-    return MetricTensor(g[0]), int(orientation[0])
+    return MetricTensor.trusted(g[0]), int(orientation[0])
 
 
-def rho_star_coeffs(R):
-    """Hodge duals (N, 35) of stacked 3-forms R (N, 35) under their induced metrics."""
-    g, orientation = induced_metrics(R)
+def rho_star_coeffs(R, g=None, orientation=None):
+    """Hodge duals (N, 35) of stacked 3-forms R (N, 35) under their induced
+    metrics; pass (g, orientation) when `induced_metrics` already gave them."""
+    if g is None:
+        g, orientation = induced_metrics(R)
     vol = np.sqrt(np.linalg.det(g)) * orientation
     return hodge_star_coeffs(R, np.linalg.inv(g), vol, 3)
 
@@ -260,10 +262,6 @@ class G2Point:
         if np.abs(P7 + P14 - np.eye(21)).max() > 1e-9:
             raise G2StructureError("2-form projectors do not sum to the identity")
         return Q7, Q14, P7, P14, gram2
-
-    @property
-    def lambda2_basis_7(self):
-        return self._lambda2[0]
 
     @property
     def lambda2_basis_14(self):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import central_difference, christoffel, levi_civita, make_field
+from .fields import central_difference, check_step, christoffel, christoffels, levi_civita
+from .fields import make_field
 from .forms import KForm, contract, derivation_apply
 from .pointwise import su3_structure
 from .sampling import sphere_bundle_samples
@@ -202,8 +203,12 @@ def involutivity_residual(field, tp, h=None, which="01", carrier="transport"):
     """Max norm over eigenbasis pairs of the bracket component outside the
     chosen eigenspace (theta, vertical, and opposite-type parts)."""
     h = field.h if h is None else h
+    check_step(h)
     cs = cr_splitting(tp)
     tangents = cs.tangents_01(tp) if which == "01" else cs.tangents_10(tp)
+    # the base points m ± h d of all bracket stencils; the extensions read Christoffels at field.h
+    d = np.concatenate([tangents[:, 0].real, tangents[:, 0].imag])
+    christoffels(field, np.concatenate([tp.m + h * d, tp.m - h * d]), field.h)
     projection = "cr01" if which == "01" else "cr10"
     I6 = tp.su3.I
     worst = 0.0
@@ -232,7 +237,7 @@ def vertical_curvature_obstruction(field, tp, curvature=None, h=None):
     lowered tensor of shape (7, 7, 7, 7).
     """
     if curvature is None:
-        conn = levi_civita(field, tp.m, h=h, include_curvature=True)
+        conn = levi_civita(field, tp.m, h=h)
         riemann = conn.riemann
     else:
         riemann = curvature
@@ -348,6 +353,7 @@ def omega_closure_residual(field, tps, h=None, max_combos=None, seed=0):
     """Max |d Omega| on horizontal 4-frames over the sample of twistor
     points; vanishes exactly for the flat structure and detects torsion."""
     h = field.h if h is None else h
+    check_step(h)
     worst = 0.0
     rng = np.random.default_rng(seed)
     for tp in tps:
@@ -355,6 +361,8 @@ def omega_closure_residual(field, tps, h=None, max_combos=None, seed=0):
         combos = list(itertools.combinations(range(7), 4))
         if max_combos is not None and max_combos < len(combos):
             combos = [combos[i] for i in rng.choice(len(combos), max_combos, replace=False)]
+        d = np.array([v[0] for v in frame])  # the stencil points m ± h d of _d_eval, in one batch
+        field.points_data(np.concatenate([tp.m + h * d, tp.m - h * d]), star=True)
         for combo in combos:
             frame4 = [frame[c] for c in combo]
             worst = max(worst, abs(_d_eval(field, _omega_eval, tp, frame4, h)))

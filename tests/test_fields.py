@@ -8,6 +8,7 @@ from g2twistor.fields import (
     calibrate_integrability,
     central_difference,
     christoffel,
+    christoffels,
     curvature_g2_check,
     exterior_derivative,
     fernandez_gray_residual,
@@ -17,8 +18,8 @@ from g2twistor.fields import (
     make_field,
     torsion_residual,
 )
-from g2twistor.forms import KForm, wedge
-from g2twistor.pointwise import RHO_STD_TERMS
+from g2twistor.forms import KForm, hodge_star, wedge
+from g2twistor.pointwise import RHO_STD_TERMS, G2Point
 from g2twistor.sampling import sphere_bundle_samples, torus_points
 from g2twistor.twistor import involutivity_residual, twistor_point
 
@@ -145,6 +146,45 @@ def test_generic_callable_generator_stacks_points(points):
     field = make_field("generic-perturbed", 16, epsilon=0.1)
     plain = StructureField(generator=lambda p: field.rho(p), resolution=16)
     assert np.array_equal(plain.rho_coeffs(points), field.rho_coeffs(points))
+
+
+@pytest.mark.parametrize("n", [1, 12, 15, 196])
+def test_christoffels_rows_match_cold_christoffel(n):
+    """Every batch row, repeated rows included, equals a cold one-point call bit for bit."""
+    P = torus_points(n, 5)
+    P[n - n // 4 :] = P[: n // 4]  # the last quarter repeats the first
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    G = christoffels(field, P)
+    assert G.shape == (n, 7, 7, 7)
+    assert len(field._gamma_cache) == len({p.tobytes() for p in P})
+    for p, gamma in zip(P, G):
+        cold = make_field("generic-perturbed", 16, epsilon=0.1)
+        assert np.array_equal(gamma, christoffel(cold, p))
+    assert np.array_equal(christoffels(field, P[::-1]), G[::-1])  # now all cache hits
+
+
+@pytest.mark.parametrize("n", [1, 14, 50])
+def test_points_data_seeded_star_matches_from_rho(n):
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    P = torus_points(n, 6)
+    for p, pd in zip(P, field.points_data(P, star=True)):
+        assert "rho_star" in vars(pd)  # seeded by the batch, not computed on access
+        want = G2Point.from_rho(field.rho(p), validate=False)
+        assert np.array_equal(pd.g, want.g)
+        assert pd.orientation == want.orientation
+        star = hodge_star(want.rho, want.metric, want.orientation)
+        assert np.array_equal(pd.rho_star.coeffs, star.coeffs)
+
+
+def test_plain_callable_generator_through_batched_stencils():
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    plain = StructureField(generator=lambda p: field.rho(p), resolution=16)
+    ms, xs = sphere_bundle_samples(2, 3)
+    assert np.array_equal(christoffels(plain, ms), christoffels(field, ms))
+    residuals = [
+        involutivity_residual(f, twistor_point(f, ms[1], xs[1])) for f in (plain, field)
+    ]
+    assert residuals[0] == residuals[1] > 0.0
 
 
 def test_conformal_metric_closed_form(points):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from g2twistor.forms import (
     DegreeError,
     DimensionMismatch,
+    ExteriorAlgebraError,
     KForm,
     MetricTensor,
     NotPositiveDefinite,
@@ -355,6 +356,19 @@ def test_metric_requires_exact_symmetry_and_positivity():
         MetricTensor(M)
     with pytest.raises(NotPositiveDefinite):
         MetricTensor(np.diag([1.0, -1.0, 1.0]))
+
+
+def test_user_metric_rejects_inexact_symmetry():
+    M = np.eye(7)
+    M[2, 5] = 1e-17
+    with pytest.raises(ExteriorAlgebraError, match="exactly symmetric"):
+        MetricTensor(M)
+
+
+def test_user_metric_rejects_non_positive():
+    for w in ([1.0, -1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1e-14, 1.0]):
+        with pytest.raises(NotPositiveDefinite, match="not positive"):
+            MetricTensor(np.diag(w))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from g2twistor.forms import KForm, contract, transform, wedge
+from g2twistor.forms import KForm, MetricTensor, contract, transform, wedge
 from g2twistor.pointwise import (
     DegenerateFormError,
     DependentBasisError,
@@ -132,6 +132,20 @@ def test_induced_metrics_rows_match_single_point(std, n):
         gi, oi = induced_metric(KForm(7, 3, R[i]))
         assert np.array_equal(g[i], gi.entries)
         assert orientation[i] == oi
+
+
+def test_induced_metric_checks_positivity_once(std, monkeypatch):
+    """The metric of a 3-form takes one eigenvalue call (the pairing's) and
+    comes out exactly symmetric, so a user-built MetricTensor accepts it."""
+    R = _gl7_images(std, 5, np.random.default_rng(3))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    metrics = [induced_metric(KForm(7, 3, r), check_nondegenerate=False)[0] for r in R]
+    assert calls == [(1, 7, 7)] * len(R)
+    monkeypatch.undo()
+    for metric in metrics:
+        assert np.array_equal(MetricTensor(metric.entries).entries, metric.entries)
 
 
 def test_induced_metrics_reject_one_bad_row(std):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from g2twistor.fields import (
+    christoffel,
     fit_convergence_order,
     levi_civita,
     make_field,
@@ -357,6 +358,35 @@ def test_form_bundle_lift_parallel_transport(conformal):
     moved = transform(lam, A)  # transport of the coframe acts by pullback
     quotient = (moved.coeffs - lam.coeffs) / t
     assert np.abs(lam_dot - quotient).max() < 1e-4
+
+
+def test_batched_stencils_match_one_point_caches():
+    """The residuals on a fresh field, whose stencils fill the caches in
+    batches, equal those on a field whose caches were filled one point at a
+    time with the same keys."""
+    ms, xs = sphere_bundle_samples(3, 29)
+
+    def residuals(field):
+        out = []
+        for m, x in zip(ms, xs):
+            tp = twistor_point(field, m, x)
+            out += [
+                involutivity_residual(field, tp),
+                vertical_curvature_obstruction(field, tp),
+                omega_closure_residual(field, [tp], max_combos=5, seed=1),
+            ]
+        return out
+
+    fresh = make_field("generic-perturbed", 16, epsilon=0.1)
+    want = residuals(fresh)
+    warm = make_field("generic-perturbed", 16, epsilon=0.1)
+    for key in fresh._cache:
+        warm.point_data(np.frombuffer(key)).rho_star
+    for key, h in fresh._gamma_cache:
+        christoffel(warm, np.frombuffer(key), h)
+    sizes = len(warm._cache), len(warm._gamma_cache)
+    assert residuals(warm) == want
+    assert (len(warm._cache), len(warm._gamma_cache)) == sizes  # every read was a hit
 
 
 # ---------------------------------------------------------------------------
