@@ -4,9 +4,9 @@ Exports the committed files of two git revisions into fresh directories
 (`git archive`, so neither the working tree nor the repository's worktree
 list is touched), then, for each workload and each seed, runs
 
-    python3 campaign_bench/run.py --workload W --seed S --trace 0
+    python3 campaign_bench/run.py --workload W --seed S --trace 0 --seconds T
 
-once in each tree.  The tree that runs first alternates from pair to pair,
+once in each tree, with T the run_seconds of BENCHMARK.json.  The tree that runs first alternates from pair to pair,
 so drift of a shared machine falls on both sides alike.  For every
 end-to-end metric of BENCHMARK.json it reports the medians and quartiles of
 both sides, the pairs the change won and the difference of the medians
@@ -38,11 +38,9 @@ SIDES = ("parent", "change")
 
 
 def seed_list(text):
-    """'21-30' or '21,23,25' -> list of ints."""
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+    """'21-30' -> [21, ..., 30]."""
+    lo, hi = text.split("-")
+    return list(range(int(lo), int(hi) + 1))
 
 
 def export(rev, root):
@@ -97,16 +95,15 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--workload", action="append", required=True, help="repeat for several")
-    parser.add_argument("--seeds", type=seed_list, required=True, help="e.g. 21-30 or 21,23")
+    parser.add_argument("--seeds", type=seed_list, required=True, help="a range, e.g. 21-30")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--note", default="", help="one line saying what the change is")
-    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
 
     spec = json.loads(Path("BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     report = {
         "change": args.note,
         "command": f"python3 campaign_bench/run.py --workload <w> --seed <s> --trace 0 --seconds {seconds}",

@@ -226,10 +226,6 @@ class StructureField:
         """Induced metrics (N, 7, 7) and orientations (N,) at stacked points."""
         return induced_metrics(self.rho_coeffs(P))
 
-    def star_rho_coeffs(self, P):
-        """Hodge duals (N, 35) of rho at stacked points."""
-        return rho_star_coeffs(self.rho_coeffs(P))
-
     def point_data(self, p):
         """Unvalidated G2 point at p (cached); use validate_at for the checks."""
         return self.points_data(np.asarray(p, dtype=float)[None])[0]
@@ -439,9 +435,10 @@ def levi_civita(field, p, h=None):
     """Connection sample at p; curvature needs Christoffels on a stencil."""
     h = field.h if h is None else h
     p = np.asarray(p, dtype=float)
-    # the centre and its 14 axis neighbours in one batch; the stencil below reads them back
-    gamma = christoffels(field, np.concatenate([p[None], p + h * AXES, p - h * AXES]), h)[0]
-    dgamma = central_difference(lambda Q: christoffels(field, Q, h), (p,), (AXES,), h)  # d_i Gamma
+    # the centre and its 14 axis neighbours in one batch, differenced as `central_difference` does
+    G = christoffels(field, np.concatenate([p[None], p + h * AXES, p - h * AXES]), h)
+    gamma = G[0]
+    dgamma = (G[1:8] - G[8:]) / (2.0 * h)  # d_i Gamma
     metric = field.metric(p)
     # R^k_{l i j} = d_i G^k_jl - d_j G^k_il + G^k_im G^m_jl - G^k_jm G^m_il
     mixed = (
