@@ -192,11 +192,13 @@ def _percentile(values, q):
 # ---------------------------------------------------------------------------
 # campaigns
 
+#: leading csv columns of a sample: base point m, then fiber vector x
+_MX_HEADER = tuple(f"m{i + 1}" for i in range(7)) + tuple(f"x{i + 1}" for i in range(7))
+
 
 def run_pointwise(cfg):
     rng = np.random.default_rng(cfg.seed)
     point = standard_g2_point()
-    rows = []
 
     dims = [annihilator_dimension(point.rho)]
     for _ in range(10):
@@ -240,15 +242,14 @@ def run_pointwise(cfg):
             _, _, om = hodge_type_on_complement(point, b, v)
             omega_orth = max(omega_orth, abs(om))
 
-    for name, value in [
+    rows = [
         ("stabilizer_dim_min", min(dims)),
         ("metric_identity", metric_residual),
         ("projector_identity", proj_residual),
         ("quaternion", quat),
         ("cross_norm", crossnorm),
         ("omega_orthogonality", omega_orth),
-    ]:
-        rows.append((name, value))
+    ]
 
     ok = (
         stab_ok
@@ -291,7 +292,7 @@ def run_integrability(cfg):
         "tau": tau,
         "verdict": verdict,
     }
-    header = tuple(f"m{i+1}" for i in range(7)) + ("d_rho", "d_star_rho")
+    header = _MX_HEADER[:7] + ("d_rho", "d_star_rho")
     return summary, header, rows, {"integrability": verdict}, {}
 
 
@@ -320,11 +321,7 @@ def run_twistor(cfg):
         "threshold": threshold,
         "verdict": verdict,
     }
-    header = (
-        tuple(f"m{i+1}" for i in range(7))
-        + tuple(f"x{i+1}" for i in range(7))
-        + ("involutivity", "vertical_curvature", "omega_closure")
-    )
+    header = _MX_HEADER + ("involutivity", "vertical_curvature", "omega_closure")
     return summary, header, results, {"involutivity": verdict}, {}
 
 
@@ -361,11 +358,7 @@ def run_instanton(cfg):
         "verdict_instanton": verdicts["instanton"],
         "verdict_cr_holomorphic": verdicts["cr_holomorphic"],
     }
-    header = (
-        tuple(f"m{i+1}" for i in range(7))
-        + tuple(f"x{i+1}" for i in range(7))
-        + ("cr_residual", "f7_residual")
-    )
+    header = _MX_HEADER + ("cr_residual", "f7_residual")
     return summary, header, results, verdicts, {}
 
 

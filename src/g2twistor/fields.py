@@ -228,7 +228,9 @@ class StructureField:
 
     def point_data(self, p):
         """Unvalidated G2 point at p (cached); use validate_at for the checks."""
-        return self.points_data(np.asarray(p, dtype=float)[None])[0]
+        p = np.asarray(p, dtype=float)
+        hit = self._cache.get(p.tobytes())
+        return self.points_data(p[None])[0] if hit is None else hit
 
     def points_data(self, P, star=False):
         """`point_data` at the rows of P (N, 7): the missing ones from one induced-metric
@@ -428,7 +430,10 @@ def christoffels(field, P, h=None):
 
 def christoffel(field, p, h=None):
     """Christoffel symbols Gamma[k, i, j] at p: the N = 1 view of `christoffels`."""
-    return christoffels(field, np.asarray(p, dtype=float)[None], h)[0]
+    h = field.h if h is None else h
+    p = np.asarray(p, dtype=float)
+    hit = field._gamma_cache.get((p.tobytes(), h))
+    return christoffels(field, p[None], h)[0] if hit is None else hit
 
 
 def levi_civita(field, p, h=None):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from g2twistor.forms import KForm, MetricTensor, contract, transform, wedge
+from g2twistor.forms import KForm, MetricTensor, annihilator_dimension, contract, transform, wedge
 from g2twistor.pointwise import (
     DegenerateFormError,
     DependentBasisError,
@@ -165,6 +166,52 @@ def test_induced_metrics_reject_one_bad_row(std):
             induced_metrics(stacked)
         with pytest.raises(error):
             induced_metric(KForm(7, 3, row))
+
+
+# a GL(7) element U diag(s) V^T with singular values s in [0.5, 2] (condition
+# number at most 4), U and V orthogonal from a seeded QR, det of either sign
+_WELL_CONDITIONED = st.tuples(
+    st.integers(0, 2**32 - 1), st.lists(st.floats(0.5, 2.0), min_size=7, max_size=7)
+)
+
+
+def _gl7(seed, singular_values):
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    V, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    return U @ np.diag(singular_values) @ V.T
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_WELL_CONDITIONED, min_size=1, max_size=8))
+def test_gl7_images_batch_rows_match_single_point(std, params):
+    R = np.array([transform(std.rho, _gl7(*p)).coeffs for p in params])
+    g, orientation = induced_metrics(R)
+    for i, row in enumerate(R):
+        gi, oi = induced_metric(KForm(7, 3, row))
+        assert np.array_equal(g[i], gi.entries)
+        assert orientation[i] == oi
+        assert annihilator_dimension(KForm(7, 3, row)) == 14
+
+
+_SPLIT_TERMS = {**RHO_STD_TERMS, (2, 4, 5): 1.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["split", "degenerate"]),
+    st.lists(st.floats(-1.0, 1.0), min_size=35, max_size=35),
+    st.floats(1e-14, 1e-2),
+)
+def test_near_split_and_degenerate_forms_raise_form_errors(case, direction, size):
+    """Small perturbations of the split and degenerate cases above end in
+    SplitFormError or DegenerateFormError, never in a LinAlgError."""
+    terms = _SPLIT_TERMS if case == "split" else {(0, 1, 2): 1.0, (3, 4, 5): 1.0}
+    row = KForm.from_terms(7, terms).coeffs + size * np.array(direction)
+    with pytest.raises((SplitFormError, DegenerateFormError)):
+        induced_metrics(row[None])
+    with pytest.raises((SplitFormError, DegenerateFormError)):
+        induced_metric(KForm(7, 3, row))
 
 
 def test_pairing_self_consistency_enforced(std):
