@@ -4,8 +4,8 @@ Every campaign draws its sample set once, up front, from a seeded scrambled
 Halton sequence and then evaluates the fixed array in order on one thread,
 so reported numbers depend only on the config and the seed.  The sampler
 needs only numpy: Owen's randomized Halton algorithm (arXiv:1706.02808) and
-Moshier's Cephes `ndtri` return the bits of scipy's `qmc.Halton(d,
-scramble=True, seed=seed).random(n)` and `special.ndtri` (`tests/test_sampling.py`).
+Moshier's Cephes `ndtri` give the bits of scipy's scrambled `qmc.Halton`
+(``seed=``) and `special.ndtri`, as `tests/test_sampling.py` pins.
 """
 
 from __future__ import annotations
