@@ -20,7 +20,7 @@ from g2twistor.instanton import (
 )
 from g2twistor.pointwise import standard_g2_point
 from g2twistor.sampling import sphere_bundle_samples, torus_points
-from g2twistor.twistor import twistor_point
+from g2twistor.twistor import twistor_points
 
 
 def main():
@@ -36,15 +36,13 @@ def main():
     std = standard_g2_point()
     ms, xs = sphere_bundle_samples(args.samples, args.seed)
     base_pts = torus_points(5, args.seed)
+    tps = twistor_points(field, ms, xs)  # the field is fixed, so the frames serve every mix
 
     print(f"{'mix':>6} {'f7-residual':>14} {'max CR residual':>16} {'min CR residual':>16}")
     for s in np.linspace(0.0, 1.0, args.steps):
         conn = make_connection("mixed", std, index=args.index, vector=args.vector, mix=float(s))
         _, f7 = is_g2_instanton(field, conn, base_pts)
-        vals = [
-            cr_holomorphicity_residual(field, conn, twistor_point(field, m, x))
-            for m, x in zip(ms, xs)
-        ]
+        vals = [cr_holomorphicity_residual(field, conn, tp) for tp in tps]
         print(f"{s:6.2f} {f7:14.6f} {max(vals):16.6f} {min(vals):16.6f}")
     print(
         "\nnote: the CR residual of the pure 14-part connection is nonzero at"

@@ -15,7 +15,7 @@ import numpy as np
 
 from g2twistor.fields import make_field
 from g2twistor.sampling import sphere_bundle_samples
-from g2twistor.twistor import flat_noise_floor, involutivity_residual, twistor_point
+from g2twistor.twistor import blocks, flat_noise_floor, involutivity_residuals, twistor_points
 
 
 def main():
@@ -36,7 +36,11 @@ def main():
     for eps in args.epsilons:
         field = make_field(args.generator, args.resolution, epsilon=eps)
         vals = np.array(
-            [involutivity_residual(field, twistor_point(field, m, x)) for m, x in zip(ms, xs)]
+            [
+                r
+                for block in blocks(len(ms))
+                for r in involutivity_residuals(field, twistor_points(field, ms[block], xs[block]))
+            ]
         )
         print(
             f"{eps:8.3f} {vals.max():12.5f} {np.percentile(vals, 95):12.5f} "

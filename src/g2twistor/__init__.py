@@ -40,6 +40,7 @@ from .twistor import (
     involutivity_residual,
     tautological_forms,
     twistor_point,
+    twistor_points,
 )
 from .instanton import (
     ConnectionData,

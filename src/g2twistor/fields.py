@@ -259,14 +259,19 @@ class StructureField:
         return G2Point.from_rho(self.rho(np.asarray(p, dtype=float)), validate=True)
 
 
+#: missing rows computed per call of a cache's compute (bounds its stacks)
+CHUNK = 16
+
+
 def _cached_rows(cache, bound, keys, P, compute):
     """The entries under ``keys`` (one per row of P), the missing rows computed
-    once each in one call; cleared wholesale before an insert past ``bound``."""
+    once each, CHUNK rows per call; cleared wholesale before an insert past ``bound``."""
     found = {key: cache.get(key) for key in keys}
     new = [key for key, value in found.items() if value is None]
-    if new:
-        rows = dict(zip(keys, P))
-        for key, value in zip(new, compute(np.array([rows[key] for key in new]))):
+    rows = dict(zip(keys, P))
+    for start in range(0, len(new), CHUNK):
+        part = new[start : start + CHUNK]
+        for key, value in zip(part, compute(np.array([rows[key] for key in part]))):
             if len(cache) > bound:
                 cache.clear()
             found[key] = cache[key] = value
@@ -416,12 +421,10 @@ def christoffels(field, P, h=None):
 
     def compute(C):
         dg = central_difference(metrics, (C[:, None],), (AXES,), h)  # dg[n, k] = d_k g
-        # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), row by row
+        # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
         terms = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-        return [
-            0.5 * np.einsum("kl,ijl->kij", np.linalg.inv(pd.g), term)
-            for pd, term in zip(field.points_data(C), terms)
-        ]
+        ginv = np.linalg.inv(np.array([pd.g for pd in field.points_data(C)]))
+        return 0.5 * np.einsum("nkl,nijl->nkij", ginv, terms)
 
     P = np.asarray(P, dtype=float)
     keys = [(q.tobytes(), h) for q in P]
@@ -436,25 +439,35 @@ def christoffel(field, p, h=None):
     return christoffels(field, p[None], h)[0] if hit is None else hit
 
 
-def levi_civita(field, p, h=None):
-    """Connection sample at p; curvature needs Christoffels on a stencil."""
+def levi_civitas(field, P, h=None):
+    """Connection samples at the rows of P (N, 7); the centres and their 14 axis
+    neighbours come from one `christoffels` call."""
     h = field.h if h is None else h
-    p = np.asarray(p, dtype=float)
-    # the centre and its 14 axis neighbours in one batch, differenced as `central_difference` does
-    G = christoffels(field, np.concatenate([p[None], p + h * AXES, p - h * AXES]), h)
-    gamma = G[0]
-    dgamma = (G[1:8] - G[8:]) / (2.0 * h)  # d_i Gamma
-    metric = field.metric(p)
+    P = np.asarray(P, dtype=float)
+    # each centre and its axis neighbours, differenced as `central_difference` does
+    stencil = np.concatenate([P[:, None], P[:, None] + h * AXES, P[:, None] - h * AXES], axis=1)
+    G = christoffels(field, stencil.reshape(-1, 7), h).reshape(len(P), 15, 7, 7, 7)
+    gamma = G[:, 0]
+    dgamma = (G[:, 1:8] - G[:, 8:]) / (2.0 * h)  # d_i Gamma
+    metrics = [field.metric(p) for p in P]
     # R^k_{l i j} = d_i G^k_jl - d_j G^k_il + G^k_im G^m_jl - G^k_jm G^m_il
     mixed = (
-        np.einsum("ikjl->klij", dgamma)
-        - np.einsum("jkil->klij", dgamma)
-        + np.einsum("kim,mjl->klij", gamma, gamma)
-        - np.einsum("kjm,mil->klij", gamma, gamma)
+        np.einsum("nikjl->nklij", dgamma)
+        - np.einsum("njkil->nklij", dgamma)
+        + np.einsum("nkim,nmjl->nklij", gamma, gamma)
+        - np.einsum("nkjm,nmil->nklij", gamma, gamma)
     )
-    low = np.einsum("km,mlij->ijkl", metric.entries, mixed)
-    low = (low - np.einsum("ijlk->ijkl", low)) / 2.0
-    return ConnectionSample(point=p, metric=metric, gamma=gamma, riemann=low)
+    low = np.einsum("nkm,nmlij->nijkl", np.array([mt.entries for mt in metrics]), mixed)
+    low = (low - np.einsum("nijlk->nijkl", low)) / 2.0
+    return [
+        ConnectionSample(point=p, metric=mt, gamma=gm, riemann=r)
+        for p, mt, gm, r in zip(P, metrics, gamma, low)
+    ]
+
+
+def levi_civita(field, p, h=None):
+    """Connection sample at p: the N = 1 view of `levi_civitas`."""
+    return levi_civitas(field, np.asarray(p, dtype=float)[None], h)[0]
 
 
 def curvature_g2_check(field, p, h=None):

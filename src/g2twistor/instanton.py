@@ -15,7 +15,7 @@ import numpy as np
 from .fields import central_difference
 from .forms import KForm, contract, increasing_indices
 from .pointwise import hodge_type_on_complement
-from .twistor import _extension_value, cr_splitting, frobenius_bracket
+from .twistor import _extension_values, cr_splitting, frobenius_bracket
 
 AXES = np.eye(7)
 PAIRS2 = tuple(increasing_indices(7, 2))
@@ -196,7 +196,8 @@ def dolbeault_square_function_residual(field, tp, f, h=None):
 
 def _ext_tangent(field, tp, vec, m, x):
     """The cr01 section extension of vec, evaluated at ambient (m, x)."""
-    return _extension_value(field, tp, vec[0], tp.vertical_part(vec), m, x, "transport", "cr01")
+    base0, vert0 = np.asarray(vec[0])[None], tp.vertical_part(vec)[None]
+    return _extension_values(field, [tp], base0, vert0, m[None], x[None], "transport", "cr01")[0]
 
 
 def cr_holomorphicity_residual(field, conn, tp, h=None):

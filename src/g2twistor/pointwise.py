@@ -370,7 +370,7 @@ def su3_structure(point, v, tol=UNIT_TOL):
     type (3,0) for I.
     """
     v = np.asarray(v, dtype=float)
-    if abs(point.metric.inner(v, v) - 1.0) > tol:
+    if not abs(point.metric.inner(v, v) - 1.0) <= tol:  # a NaN v fails too
         raise NonUnitVectorError("v must be a g-unit vector")
     W = _complement_basis(point, v)
     omega7 = contract(point.rho, v)

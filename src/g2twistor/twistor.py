@@ -8,6 +8,10 @@ row 0 is the base component in torus coordinates, row 1 the fiber component
 in the ambient fiber chart.  The vertical part of a vector is its fiber
 component minus the horizontal-lift fiber of its base component; residual
 norms use the product metric (g on the base, g restricted to the fiber).
+
+The plural functions (`twistor_points`, `involutivity_residuals`, ...) take
+many samples in stacked array passes; row i equals the one-sample call bit
+for bit, and each singular function is the N = 1 view of its plural.
 """
 
 from __future__ import annotations
@@ -17,26 +21,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import central_difference, check_step, christoffel, christoffels, levi_civita
+from .fields import central_difference, check_step, christoffel, christoffels, levi_civitas
 from .fields import make_field
 from .forms import KForm, contract, derivation_apply
 from .pointwise import su3_structure
 from .sampling import sphere_bundle_samples
 
 SQ2 = np.sqrt(2.0)
+#: samples per batch pass of a campaign scan (bounds the stacks of a pass)
+BLOCK = 16
+#: rows per stacked Omega evaluation (bounds its dense rho and *rho stacks)
+OMEGA_ROWS = 16
+WHICH = ("01", "10")
+CARRIERS = ("transport", "parallel")
+PROJECTIONS = ("none", "b", "cr01", "cr10")
+#: the eigenbasis pairs (i, j), i < j, in `itertools.combinations` order
+_PAIR_I, _PAIR_J = (0, 0, 1), (1, 2, 2)
 
 
 class TwistorError(ValueError):
     pass
 
 
-def _hor_fiber(gamma, y, b):
-    """Fiber component of the horizontal lift of base vector b at fiber y."""
-    return -np.einsum("kij,i,j->k", gamma, b, y)
+def _check_option(name, value, allowed):
+    if value not in allowed:
+        raise TwistorError(f"{name} must be one of {allowed}, got {value!r}")
 
 
-def _lift(gamma, y, b):
-    return np.stack([b, _hor_fiber(gamma, y, b)])
+def blocks(n):
+    """Consecutive slices of at most BLOCK of n samples."""
+    return [slice(start, start + BLOCK) for start in range(0, n, BLOCK)]
+
+
+def _hor_fibers(gamma, y, b):
+    """Fiber components of the horizontal lifts of base vectors b at fibers y, row by row."""
+    return -np.einsum("nkij,ni,nj->nk", gamma, b, y)
 
 
 @dataclass(eq=False)
@@ -64,45 +83,40 @@ class TwistorPoint:
 
     def vertical_part(self, vec):
         """Fiber component minus the horizontal-lift fiber of the base part."""
-        return vec[1] - _hor_fiber(self.gamma, self.x, vec[0])
-
-    def components(self, vec):
-        """(theta, B-coords, vertical coords) of a tangent vector."""
-        g = self.point.g
-        b = vec[0]
-        theta_c = self.x @ g @ b
-        b_c = self.w_basis.T @ g @ b
-        vert_c = self.w_basis.T @ g @ self.vertical_part(vec)
-        return theta_c, b_c, vert_c
+        return vec[1] - _hor_fibers(self.gamma[None], self.x[None], np.asarray(vec[0])[None])[0]
 
 
-def twistor_point(field, m, x, gamma=None):
-    """Build the adapted frame at (m, x); x is normalized against g(m)."""
-    m = np.asarray(m, dtype=float)
-    x = np.asarray(x, dtype=float)
-    point = field.point_data(m)
-    nrm = point.metric.norm(x)
-    if nrm < 1e-12:
+def twistor_points(field, M, X):
+    """Adapted frames at the rows (m, x) of M and X, (N, 7) each; each x is
+    normalized against g(m).  One point-data and one Christoffel batch serve
+    all rows, and row i equals the one-row call bit for bit."""
+    M = np.asarray(M, dtype=float)
+    X = np.asarray(X, dtype=float)
+    if not np.isfinite(X).all():
+        raise TwistorError("fiber vector must be finite")
+    points = field.points_data(M)
+    G = np.array([pd.g for pd in points])
+    # |x|_g as `MetricTensor.norm` forms it: contiguous x on the left, x as given on the right
+    nrm = np.sqrt(np.maximum((np.ascontiguousarray(X)[:, None] @ G @ X[:, :, None])[:, 0, 0], 0.0))
+    if (nrm < 1e-12).any():
         raise TwistorError("fiber vector must be nonzero")
-    x = x / nrm
-    if gamma is None:
-        gamma = christoffel(field, m)
-    frame = su3_structure(point, x)
-    W = frame.basis
-    theta = _lift(gamma, x, x)
-    b_lifts = np.stack([_lift(gamma, x, W[:, a]) for a in range(6)])
-    vert = np.stack([np.stack([np.zeros(7), W[:, a]]) for a in range(6)])
-    return TwistorPoint(
-        field=field,
-        m=m,
-        x=x,
-        point=point,
-        gamma=gamma,
-        su3=frame,
-        theta=theta,
-        b_lifts=b_lifts,
-        vert_basis=vert,
-    )
+    # the matrix products below see contiguous rows whatever the layout of the input
+    X = np.ascontiguousarray(X / nrm[:, None])
+    gamma = christoffels(field, M)
+    frames = [su3_structure(pd, x) for pd, x in zip(points, X)]
+    W = np.array([frame.basis.T for frame in frames])  # (N, 6, 7): the rows w_a
+    V = np.concatenate([X[:, None], W], axis=1)  # x, then w_1..w_6
+    lifts = np.stack([V, -np.einsum("nkij,nai,nj->nak", gamma, V, X)], axis=2)
+    verts = np.stack([np.zeros_like(W), W], axis=2)
+    return [
+        TwistorPoint(field, m, x, pd, gm, frame, lift[0], lift[1:], vert)
+        for m, x, pd, gm, frame, lift, vert in zip(M, X, points, gamma, frames, lifts, verts)
+    ]
+
+
+def twistor_point(field, m, x):
+    """The adapted frame at (m, x): the N = 1 view of `twistor_points`."""
+    return twistor_points(field, np.asarray(m, float)[None], np.asarray(x, float)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +160,13 @@ def cr_splitting(tp):
 # local extensions and Frobenius brackets
 
 
-def _extension_value(field, tp, base0, vert0, p, y, carrier, projection):
-    """Value at ambient (p, y) of the local field extending (base0, vert0).
+def _stack(tps, name):
+    return np.array([getattr(tp, name) for tp in tps])
+
+
+def _extension_values(field, tps, base0, vert0, P, Y, carrier, projection):
+    """Values (R, 2, 7) at ambient points (P, Y) of the local fields extending
+    (base0, vert0) from tps, one twistor point and one row of each per row.
 
     carrier:    base-component scheme before any projection --
                 'transport' keeps coordinate-constant base components,
@@ -157,22 +176,46 @@ def _extension_value(field, tp, base0, vert0, p, y, carrier, projection):
                 (pointwise projection onto an eigenspace of the CR structure),
                 which turn the carrier into a section of the distribution.
     """
-    pd = field.point_data(p)
-    g = pd.g
-    yy = y @ g @ y
-    b = base0.astype(complex) if np.iscomplexobj(base0) else base0
+    points = field.points_data(P)
+    yg = Y[:, None] @ np.array([pd.g for pd in points])  # (R, 1, 7)
+    yy = yg @ Y[:, :, None]  # (R, 1, 1)
+    b = base0
     if carrier == "parallel":
-        disp = p - tp.m
-        b = b - np.einsum("kij,i,j->k", tp.gamma, disp, b)
+        disp = P - _stack(tps, "m")
+        b = b - np.einsum("nkij,ni,nj->nk", _stack(tps, "gamma"), disp, b)
     if projection != "none":
-        b = b - ((y @ g @ b) / yy) * y
+        b = b - ((yg @ b[:, :, None]) / yy)[:, 0] * Y
         if projection in ("cr01", "cr10"):
-            xhat = y / np.sqrt(yy)
-            Ib = np.einsum("ijk,i,j->k", pd.cross_tensor, xhat, b)
+            xhat = Y / np.sqrt(yy[:, 0])
+            cross = np.array([pd.cross_tensor for pd in points])
+            Ib = np.einsum("nijk,ni,nj->nk", cross, xhat, b)
             b = 0.5 * (b + 1j * Ib) if projection == "cr01" else 0.5 * (b - 1j * Ib)
-    vt = vert0 - ((y @ g @ vert0) / yy) * y
-    gamma = christoffel(field, p)
-    return np.stack([b, _hor_fiber(gamma, y, b) + vt])
+    vt = vert0 - ((yg @ vert0[:, :, None]) / yy)[:, 0] * Y
+    return np.stack([b, _hor_fibers(christoffels(field, P), Y, b) + vt], axis=1)
+
+
+def _brackets(field, tps, X, Y, h, carrier, projection):
+    """[X_n, Y_n] at tps[n] of the locally extended fields, for stacked
+    tangents X and Y (N, 2, 7): the stencils of all N brackets go through one
+    `central_difference`, one extension pass per stencil side (and per part
+    of a complex direction)."""
+    _check_option("carrier", carrier, CARRIERS)
+    _check_option("projection", projection, PROJECTIONS)
+    h = field.h if h is None else h
+    dtype = np.result_type(X, Y)
+    X, Y = np.asarray(X, dtype=dtype), np.asarray(Y, dtype=dtype)
+    rows = list(tps) * 2
+    # row n differences the extension of Y_n along X_n, row N + n that of X_n along Y_n
+    along, extended = np.concatenate([X, Y]), np.concatenate([Y, X])
+    m, x = _stack(rows, "m"), _stack(rows, "x")
+    base0 = extended[:, 0]
+    vert0 = extended[:, 1] - _hor_fibers(_stack(rows, "gamma"), x, base0)
+
+    def ext(P, Yp):
+        return _extension_values(field, rows, base0, vert0, P, Yp, carrier, projection)
+
+    d = central_difference(ext, (m, x), along.transpose(1, 0, 2), h)
+    return d[: len(X)] - d[len(X) :]
 
 
 def frobenius_bracket(field, tp, X, Y, h=None, carrier="transport", projection="none"):
@@ -181,83 +224,82 @@ def frobenius_bracket(field, tp, X, Y, h=None, carrier="transport", projection="
     Only the class of the result modulo the extended distribution is
     contractually meaningful; with a 'cr' projection the extensions are
     honest sections of the distribution, so that class is the Frobenius
-    obstruction up to O(h).
+    obstruction up to O(h).  The N = 1 view of the stacked bracket kernel.
     """
+    return _brackets(field, [tp], np.array([X]), np.array([Y]), h, carrier, projection)[0]
+
+
+def involutivity_residuals(field, tps, h=None, which="01", carrier="transport"):
+    """Per twistor point, the max norm over eigenbasis pairs of the bracket
+    component outside the chosen eigenspace (theta, vertical, and
+    opposite-type parts); the brackets of all points in one kernel pass."""
     h = field.h if h is None else h
-    X = np.asarray(X)
-    Y = np.asarray(Y)
-
-    def d_along(vec, V):
-        """Derivative along vec of the extension of V."""
-        base0, vert0 = V[0], tp.vertical_part(V)
-
-        def ext(p, y):
-            return _extension_value(field, tp, base0, vert0, p, y, carrier, projection)
-
-        return central_difference(ext, (tp.m, tp.x), vec, h)
-
-    return d_along(X, Y) - d_along(Y, X)
+    check_step(h)
+    _check_option("which", which, WHICH)
+    _check_option("carrier", carrier, CARRIERS)
+    tangents = [getattr(cr_splitting(tp), "tangents_" + which)(tp) for tp in tps]
+    tangents = np.array(tangents).reshape(-1, 3, 2, 7)
+    rows = [tp for tp in tps for _ in _PAIR_I]
+    X, Y = tangents[:, _PAIR_I].reshape(-1, 2, 7), tangents[:, _PAIR_J].reshape(-1, 2, 7)
+    br = _brackets(field, rows, X, Y, h, carrier, "cr" + which)
+    # theta, B and vertical coordinates of each bracket, each product taken
+    # in the order of the one-point expressions x @ g @ b and W.T @ g @ b
+    x, g, W = _stack(rows, "x"), np.array([tp.point.g for tp in rows]), _stack(rows, "w_basis")
+    theta_c = (x[:, None] @ g @ br[:, 0, :, None])[:, 0, 0]
+    Wg = W.transpose(0, 2, 1) @ g
+    b_c = Wg @ br[:, 0, :, None]
+    vert = br[:, 1] - _hor_fibers(_stack(rows, "gamma"), x, br[:, 0])
+    vert_c = (Wg @ vert[:, :, None])[..., 0]
+    Ib = (np.array([tp.su3.I for tp in rows]) @ b_c)[..., 0]
+    b_c = b_c[..., 0]
+    outside = 0.5 * (b_c - 1j * Ib) if which == "01" else 0.5 * (b_c + 1j * Ib)  # the other type
+    out_sq = np.sum(np.abs(outside) ** 2, axis=-1)
+    vert_sq = np.sum(np.abs(vert_c) ** 2, axis=-1)
+    res = [np.sqrt(abs(t) ** 2 + float(o) + float(v)) for t, o, v in zip(theta_c, out_sq, vert_sq)]
+    return [max(0.0, *res[k : k + 3]) for k in range(0, len(res), 3)]
 
 
 def involutivity_residual(field, tp, h=None, which="01", carrier="transport"):
     """Max norm over eigenbasis pairs of the bracket component outside the
-    chosen eigenspace (theta, vertical, and opposite-type parts)."""
-    h = field.h if h is None else h
-    check_step(h)
-    cs = cr_splitting(tp)
-    tangents = cs.tangents_01(tp) if which == "01" else cs.tangents_10(tp)
-    # the base points m ± h d of all bracket stencils; the extensions read Christoffels at field.h
-    d = np.concatenate([tangents[:, 0].real, tangents[:, 0].imag])
-    christoffels(field, np.concatenate([tp.m + h * d, tp.m - h * d]), field.h)
-    projection = "cr01" if which == "01" else "cr10"
-    I6 = tp.su3.I
-    worst = 0.0
-    for i, j in itertools.combinations(range(3), 2):
-        br = frobenius_bracket(
-            field, tp, tangents[i], tangents[j], h=h, carrier=carrier, projection=projection
-        )
-        theta_c, b_c, vert_c = tp.components(br)
-        if which == "01":
-            outside = 0.5 * (b_c - 1j * (I6 @ b_c))  # the (1,0) part
-        else:
-            outside = 0.5 * (b_c + 1j * (I6 @ b_c))
-        res = np.sqrt(
-            abs(theta_c) ** 2
-            + float(np.sum(np.abs(outside) ** 2))
-            + float(np.sum(np.abs(vert_c) ** 2))
-        )
-        worst = max(worst, res)
-    return worst
+    chosen eigenspace: the N = 1 view of `involutivity_residuals`."""
+    return involutivity_residuals(field, [tp], h, which, carrier)[0]
 
 
-def vertical_curvature_obstruction(field, tp, curvature=None, h=None):
-    """Max over (0,1)-pairs of |R(b, b') x|, the vertical-bracket obstruction.
+def vertical_curvature_obstructions(field, tps, curvature=None, h=None):
+    """Per twistor point, the max over (0,1)-pairs of |R(b, b') x|, the
+    vertical-bracket obstruction; the curvature of all points from one
+    `levi_civitas` batch.
 
     `curvature` may override the Levi-Civita curvature with a synthetic
     lowered tensor of shape (7, 7, 7, 7).
     """
     if curvature is None:
-        conn = levi_civita(field, tp.m, h=h)
-        riemann = conn.riemann
+        riemann = np.array([conn.riemann for conn in levi_civitas(field, _stack(tps, "m"), h)])
     else:
-        riemann = curvature
-    ginv = tp.point.ginv
-    cs = cr_splitting(tp)
-    wbar = np.einsum("ra,ia->ri", cs.b01, tp.w_basis)  # (3, 7) complex
-    worst = 0.0
-    for i, j in itertools.combinations(range(3), 2):
-        low = np.einsum("ijkl,i,j,l->k", riemann, wbar[i], wbar[j], tp.x)
-        worst = max(worst, tp.point.metric.norm(ginv @ low))
-    return worst
+        riemann = np.array([curvature] * len(tps))
+    wbar = np.array([np.einsum("ra,ia->ri", cr_splitting(tp).b01, tp.w_basis) for tp in tps])
+    rep = np.repeat(np.arange(len(tps)), 3)  # one row per pair
+    wi, wj = wbar[:, _PAIR_I].reshape(-1, 7), wbar[:, _PAIR_J].reshape(-1, 7)
+    low = np.einsum("nijkl,ni,nj,nl->nk", riemann[rep], wi, wj, _stack(tps, "x")[rep])
+    v = np.array([tp.point.ginv for tp in tps])[rep] @ low[:, :, None]  # (3N, 7, 1)
+    g = np.array([tp.point.g for tp in tps])[rep]
+    norms = np.sqrt(np.maximum(np.real(np.conj(v).transpose(0, 2, 1) @ g @ v)[:, 0, 0], 0.0))
+    return [max(0.0, *norms[k : k + 3]) for k in range(0, len(norms), 3)]
+
+
+def vertical_curvature_obstruction(field, tp, curvature=None, h=None):
+    """Max over (0,1)-pairs of |R(b, b') x|: the N = 1 view of
+    `vertical_curvature_obstructions`."""
+    return vertical_curvature_obstructions(field, [tp], curvature, h)[0]
 
 
 def flat_noise_floor(resolution, n_samples=32, seed=0):
     """Measured involutivity residual on the flat structure (floored)."""
     field = make_field("flat", resolution)
+    ms, xs = sphere_bundle_samples(n_samples, seed)
     worst = 0.0
-    for m, xr in zip(*sphere_bundle_samples(n_samples, seed)):
-        tp = twistor_point(field, m, xr)
-        worst = max(worst, involutivity_residual(field, tp))
+    for b in blocks(n_samples):
+        worst = max(worst, *involutivity_residuals(field, twistor_points(field, ms[b], xs[b])))
     return max(worst, 1e-14)
 
 
@@ -320,53 +362,94 @@ def canonical_form_horizontal_residual(field, k, n_samples=20, seed=0, h=None):
 # the holomorphic volume form on the horizontal bundle
 
 
+def _omega_values(field, P, Y, B):
+    """Omega = pullback(rho) - i (pullback(*rho) . theta) at the ambient points
+    (P, Y), (R, 7) each, on the base parts B (R, 3, 7) of three tangents, row
+    by row; the dense rho and *rho stacks hold OMEGA_ROWS rows at a time."""
+    points = field.points_data(P)
+    out = []
+    for start in range(0, len(P), OMEGA_ROWS):
+        rows = slice(start, start + OMEGA_ROWS)
+        b1, b2, b3 = B[rows, 0], B[rows, 1], B[rows, 2]
+        rho = np.array([pd.rho_dense for pd in points[rows]])
+        star = np.array([pd.rho_star_dense for pd in points[rows]])
+        re = np.einsum("nijk,ni,nj,nk->n", rho, b1, b2, b3)
+        im = -np.einsum("nijkl,ni,nj,nk,nl->n", star, Y[rows], b1, b2, b3)
+        out.append(re + 1j * im)
+    return np.concatenate(out)
+
+
 def _omega_eval(field, p, y, vectors):
-    """Omega = pullback(rho) - i (pullback(*rho) . theta) on ambient tangents."""
-    pd = field.point_data(p)
-    bs = [np.asarray(v[0]) for v in vectors]
-    re = np.einsum("ijk,i,j,k->", pd.rho_dense, *bs)
-    im = -np.einsum("ijkl,i,j,k,l->", pd.rho_star_dense, y, *bs)
-    return re + 1j * im
+    """Omega on three ambient tangents at (p, y): the N = 1 view of `_omega_values`."""
+    B = np.array([np.asarray(v[0]) for v in vectors])
+    return _omega_values(field, np.asarray(p)[None], np.asarray(y)[None], B[None])[0]
 
 
-def _imag_part_eval(field, p, y, vectors):
-    """(pullback(*rho) . theta) alone, for the factorization comparison."""
-    pd = field.point_data(p)
-    bs = [np.asarray(v[0]) for v in vectors]
-    return np.einsum("ijkl,i,j,k,l->", pd.rho_star_dense, y, *bs)
+#: the terms of d Omega on a 4-frame: the vector differenced along, then the other three
+_D_TERMS = np.array([(j, *(i for i in range(4) if i != j)) for j in range(4)])
 
 
-def _d_eval(field, evaluator, tp, frame4, h):
-    """Exterior derivative of a 3-form evaluator on 4 tangent vectors at tp,
-    using constant ambient extensions (whose mutual brackets vanish)."""
+def _d_omegas(field, M, X, frames, h):
+    """d Omega on the 4-frames frames (Q, 4, 2, 7) at the points (M, X), (Q, 7)
+    each, through constant ambient extensions (whose mutual brackets vanish):
+    every (frame, term, side) row of the stencils in one `central_difference`
+    of `_omega_values`."""
+    D = frames[:, _D_TERMS[:, 0]].reshape(-1, 2, 7)
+    B = frames[:, _D_TERMS[:, 1:], 0].reshape(-1, 3, 7)
+    rep = np.repeat(np.arange(len(frames)), 4)
+    vals = central_difference(
+        lambda P, Y: _omega_values(field, P, Y, B), (M[rep], X[rep]), D.transpose(1, 0, 2), h
+    ).reshape(-1, 4)
     total = 0.0 + 0.0j
     for j in range(4):
-        others = [frame4[i] for i in range(4) if i != j]
-        val = central_difference(
-            lambda m, x: evaluator(field, m, x, others), (tp.m, tp.x), frame4[j], h
-        )
-        total += (-1.0) ** j * val
+        total = total + (-1.0) ** j * vals[:, j]
     return total
+
+
+def _draw_combos(rng, max_combos):
+    """The 4-subsets of the 7 horizontal frame vectors, or max_combos of them drawn by rng."""
+    if max_combos is not None and not max_combos >= 1:
+        raise TwistorError(f"max_combos must be >= 1, got {max_combos!r}")
+    combos = list(itertools.combinations(range(7), 4))
+    if max_combos is not None and max_combos < len(combos):
+        combos = [combos[i] for i in rng.choice(len(combos), max_combos, replace=False)]
+    return combos
+
+
+def _omega_closures(field, tps, combos, h):
+    """Per twistor point tps[n], the max |d Omega| over the horizontal 4-frames
+    combos[n]: every (point, frame, term, side) row of the exterior-derivative
+    stencils goes through one `central_difference` of `_omega_values`."""
+    h = field.h if h is None else h
+    check_step(h)
+    frames = np.array([np.concatenate([tp.theta[None], tp.b_lifts]) for tp in tps])  # (N, 7, 2, 7)
+    m, x = _stack(tps, "m"), _stack(tps, "x")
+    # the stencil points m ± h v of all frame vectors, with their Hodge duals, in one batch
+    d = frames[:, :, 0]
+    field.points_data(np.stack([m[:, None] + h * d, m[:, None] - h * d]).reshape(-1, 7), star=True)
+    n_of = np.repeat(np.arange(len(tps)), [len(c) for c in combos])
+    frame4 = frames[n_of[:, None], np.array([c for cs in combos for c in cs])]  # (Q, 4, 2, 7)
+    d_omega = _d_omegas(field, m[n_of], x[n_of], frame4, h)
+    size = np.hypot(d_omega.real, d_omega.imag)  # abs of each value, as the scalar abs rounds it
+    ends = np.cumsum([len(c) for c in combos])
+    return [max(0.0, *size[end - len(c) : end]) for c, end in zip(combos, ends)]
+
+
+def omega_closure_residuals(field, tps, seeds, h=None, max_combos=None):
+    """Per twistor point, the max |d Omega| on horizontal 4-frames; point i
+    draws its frames from default_rng(seeds[i]).  Vanishes exactly for the
+    flat structure and detects torsion."""
+    combos = [_draw_combos(np.random.default_rng(seed), max_combos) for seed in seeds]
+    return _omega_closures(field, tps, combos, h)
 
 
 def omega_closure_residual(field, tps, h=None, max_combos=None, seed=0):
     """Max |d Omega| on horizontal 4-frames over the sample of twistor
-    points; vanishes exactly for the flat structure and detects torsion."""
-    h = field.h if h is None else h
-    check_step(h)
-    worst = 0.0
+    points, one generator drawing the frames of each point in turn; for one
+    point the N = 1 view of `omega_closure_residuals`."""
     rng = np.random.default_rng(seed)
-    for tp in tps:
-        frame = [tp.theta] + [tp.b_lifts[a] for a in range(6)]
-        combos = list(itertools.combinations(range(7), 4))
-        if max_combos is not None and max_combos < len(combos):
-            combos = [combos[i] for i in rng.choice(len(combos), max_combos, replace=False)]
-        d = np.array([v[0] for v in frame])  # the stencil points m ± h d of _d_eval, in one batch
-        field.points_data(np.concatenate([tp.m + h * d, tp.m - h * d]), star=True)
-        for combo in combos:
-            frame4 = [frame[c] for c in combo]
-            worst = max(worst, abs(_d_eval(field, _omega_eval, tp, frame4, h)))
-    return worst
+    combos = [_draw_combos(rng, max_combos) for _ in tps]
+    return max(0.0, *_omega_closures(field, tps, combos, h))
 
 
 def _pushforward_to_form_bundle(field, p, y, vec, h):
@@ -388,12 +471,9 @@ def xi_factorization_residual(field, tps, h=None, max_combos=10, seed=0):
     for tp in tps:
         lam = contract(field.point_data(tp.m).rho_star, tp.x)
         frame = [tp.theta] + [tp.b_lifts[a] for a in range(6)]
-        combos = list(itertools.combinations(range(7), 4))
-        if max_combos < len(combos):
-            combos = [combos[i] for i in rng.choice(len(combos), max_combos, replace=False)]
-        for combo in combos:
+        for combo in _draw_combos(rng, max_combos):
             frame4 = [frame[c] for c in combo]
-            direct = _d_eval(field, _imag_part_eval, tp, frame4, h)
+            direct = -_d_omegas(field, tp.m[None], tp.x[None], np.array([frame4]), h)[0].imag
             pushed = [_pushforward_to_form_bundle(field, tp.m, tp.x, v, h) for v in frame4]
             exact = xi_value(lam, pushed)
             worst = max(worst, abs(direct - exact))
@@ -416,7 +496,8 @@ def cartan_identity_residual(field, tp, h=None):
         br = frobenius_bracket(field, tp, zt[zi], zt[ti], h=h, projection="cr01")
         for xi, yi in [(0, 1), (2, 3), (4, 5)]:
             X, Y = tp.b_lifts[xi], tp.b_lifts[yi]
-            d_val = _d_eval(field, _omega_eval, tp, [X, Y, zt[zi], zt[ti]], h)
+            frame4 = np.array([[X, Y, zt[zi], zt[ti]]])
+            d_val = _d_omegas(field, tp.m[None], tp.x[None], frame4, h)[0]
             om_val = _omega_eval(field, tp.m, tp.x, [X.astype(complex), Y.astype(complex), br])
             worst = max(worst, abs(d_val + om_val))
     return worst

@@ -369,6 +369,13 @@ def test_su3_rejects_non_unit(std):
         su3_structure(std, 1.01 * E[0])
 
 
+def test_su3_rejects_nan_vector(std):
+    v = E[0].copy()
+    v[3] = np.nan
+    with pytest.raises(NonUnitVectorError):
+        su3_structure(std, v)
+
+
 def test_su3_omega_matches_contraction(std):
     """The Hermitian form of the frame is the restriction of rho . v."""
     from g2twistor.forms import transform

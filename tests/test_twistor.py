@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from g2twistor.fields import (
 )
 from g2twistor.forms import KForm, contract
 from g2twistor.sampling import sphere_bundle_samples
+from g2twistor.fields import CHUNK
 from g2twistor.twistor import (
+    BLOCK,
+    OMEGA_ROWS,
     TwistorError,
     canonical_form_horizontal_residual,
     cartan_identity_residual,
@@ -20,11 +24,15 @@ from g2twistor.twistor import (
     form_bundle_lift,
     frobenius_bracket,
     involutivity_residual,
+    involutivity_residuals,
     omega_closure_residual,
+    omega_closure_residuals,
     tautological_forms,
     theta_value,
     twistor_point,
+    twistor_points,
     vertical_curvature_obstruction,
+    vertical_curvature_obstructions,
     xi_factorization_residual,
     xi_value,
 )
@@ -89,6 +97,20 @@ def test_normalization_is_internal(generic):
 def test_zero_fiber_vector_rejected(flat):
     with pytest.raises(TwistorError):
         twistor_point(flat, MS[0], np.zeros(7))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_fiber_vector_rejected(bad):
+    field = make_field("flat", 16)
+    x = XS[1].copy()
+    x[2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no matmul overflow warning on the way
+        with pytest.raises(TwistorError, match="finite"):
+            twistor_point(field, MS[1], x)
+        with pytest.raises(TwistorError, match="finite"):
+            twistor_points(field, MS[:3], np.stack([XS[0], x, XS[2]]))
+    assert not field._cache  # rejected before any point was computed
 
 
 def test_lift_beats_naive_transport(conformal):
@@ -452,3 +474,80 @@ def test_cartan_identity_conformal_rate(conformal):
 def test_noise_floor_reported(flat):
     floor = flat_noise_floor(16, n_samples=8, seed=0)
     assert 0 < floor <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# batches and options
+
+
+@pytest.mark.parametrize(
+    "family, eps",
+    [("flat", 0.0), ("generic-perturbed", 0.1), ("conformal", 0.05), ("closed-perturbed", 0.05)],
+)
+def test_batch_rows_equal_one_point_calls(family, eps):
+    """Row i of every batched function equals the N = 1 call on a fresh field
+    bit for bit; the batch crosses the block, the cache chunk and the Omega
+    row chunk, and the sample arrays keep the sampler's memory layout."""
+    n = max(BLOCK, CHUNK) + 2
+    assert n * 3 * 4 * 2 > OMEGA_ROWS
+    ms, xs = sphere_bundle_samples(n, 31)
+
+    def make():
+        return make_field(family, 16, epsilon=eps, frequency=(1, 2, 0, 1, 0, 0, -1))
+
+    field = make()
+    tps = twistor_points(field, ms, xs)
+    options = list(itertools.product(("01", "10"), ("transport", "parallel")))
+    invol = {
+        (w, c): involutivity_residuals(field, tps, which=w, carrier=c) for w, c in options
+    }
+    vert = vertical_curvature_obstructions(field, tps)
+    omega = omega_closure_residuals(field, tps, range(7, 7 + n), max_combos=3)
+    for i in range(n):
+        fresh = make()
+        tp = twistor_point(fresh, ms[i], xs[i])
+        for name in ("m", "x", "gamma", "theta", "b_lifts", "vert_basis", "w_basis"):
+            assert np.array_equal(getattr(tp, name), getattr(tps[i], name)), name
+        for w, c in options:
+            assert involutivity_residual(fresh, tp, which=w, carrier=c) == invol[w, c][i]
+        assert vertical_curvature_obstruction(fresh, tp) == vert[i]
+        assert omega_closure_residual(fresh, [tp], max_combos=3, seed=7 + i) == omega[i]
+
+
+def test_fiber_vectors_normalized_as_metric_norm():
+    """Each x is divided by |x|_g exactly as `MetricTensor.norm` rounds it,
+    whatever the memory layout of the sample array."""
+    ms, xs = sphere_bundle_samples(100, 12)
+    field = make_field("closed-perturbed", 32, epsilon=0.05, frequency=(1, 2, 0, 1, 0, 0, -1))
+    for m, x, tp in zip(ms, xs, twistor_points(field, ms, xs)):
+        assert np.array_equal(tp.x, x / field.point_data(m).metric.norm(x))
+
+
+def test_noise_floor_is_max_of_one_point_residuals():
+    n = BLOCK + 3
+    ms, xs = sphere_bundle_samples(n, 4)
+    field = make_field("flat", 16)
+    residuals = [involutivity_residual(field, twistor_point(field, m, x)) for m, x in zip(ms, xs)]
+    assert flat_noise_floor(16, n_samples=n, seed=4) == max([1e-14] + residuals)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, tp: involutivity_residual(f, tp, which="1O"),
+        lambda f, tp: involutivity_residual(f, tp, carrier="paralel"),
+        lambda f, tp: frobenius_bracket(f, tp, tp.b_lifts[0], tp.b_lifts[1], carrier="paralel"),
+        lambda f, tp: frobenius_bracket(f, tp, tp.b_lifts[0], tp.b_lifts[1], projection="cr0l"),
+        lambda f, tp: omega_closure_residual(f, [tp], max_combos=0),
+        lambda f, tp: omega_closure_residual(f, [tp], max_combos=-2),
+        lambda f, tp: omega_closure_residuals(f, [tp], [0], max_combos=0),
+    ],
+    ids=["which", "carrier", "bracket-carrier", "projection", "combos-0", "combos-neg", "batch"],
+)
+def test_bad_options_rejected_before_any_work(call):
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    tp = twistor_point(field, MS[3], XS[3])
+    sizes = len(field._cache), len(field._gamma_cache)
+    with pytest.raises(TwistorError):
+        call(field, tp)
+    assert (len(field._cache), len(field._gamma_cache)) == sizes
