@@ -202,10 +202,9 @@ def _brackets(field, tps, X, Y, h, carrier, projection):
     _check_option("carrier", carrier, CARRIERS)
     _check_option("projection", projection, PROJECTIONS)
     h = field.h if h is None else h
-    dtype = np.result_type(X, Y)
-    X, Y = np.asarray(X, dtype=dtype), np.asarray(Y, dtype=dtype)
     rows = list(tps) * 2
-    # row n differences the extension of Y_n along X_n, row N + n that of X_n along Y_n
+    # row n differences the extension of Y_n along X_n, row N + n that of X_n along Y_n;
+    # the concatenations give both a common dtype
     along, extended = np.concatenate([X, Y]), np.concatenate([Y, X])
     m, x = _stack(rows, "m"), _stack(rows, "x")
     base0 = extended[:, 0]
@@ -449,7 +448,7 @@ def omega_closure_residual(field, tps, h=None, max_combos=None, seed=0):
     point the N = 1 view of `omega_closure_residuals`."""
     rng = np.random.default_rng(seed)
     combos = [_draw_combos(rng, max_combos) for _ in tps]
-    return max(0.0, *_omega_closures(field, tps, combos, h))
+    return max(0.0, *_omega_closures(field, tps, combos, h)) if tps else 0.0
 
 
 def _pushforward_to_form_bundle(field, p, y, vec, h):
