@@ -8,7 +8,7 @@ for a virtual N^7 grid; evaluation points need not lie on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, inf
 
@@ -194,14 +194,12 @@ def make_field(family, resolution, epsilon=0.0, frequency=(1, 0, 0, 0, 0, 0, 0))
 # the field
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StructureField:
     """Grid-free almost-G2 structure: p -> rho(p), 1-periodic per axis."""
 
     generator: object
     resolution: int
-    _cache: dict = dc_field(default_factory=dict, repr=False)
-    _gamma_cache: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def h(self):
@@ -227,14 +225,13 @@ class StructureField:
         return induced_metrics(self.rho_coeffs(P))
 
     def point_data(self, p):
-        """Unvalidated G2 point at p (cached); use validate_at for the checks."""
-        p = np.asarray(p, dtype=float)
-        hit = self._cache.get(p.tobytes())
-        return self.points_data(p[None])[0] if hit is None else hit
+        """Unvalidated G2 point at p: the N = 1 view of `points_data`; use
+        validate_at for the checks."""
+        return self.points_data(np.asarray(p, dtype=float)[None])[0]
 
     def points_data(self, P, star=False):
-        """`point_data` at the rows of P (N, 7): the missing ones from one induced-metric
-        pass, with ``star`` also one Hodge-star pass that seeds rho_star."""
+        """`point_data` at the rows of P (N, 7) from induced-metric passes over
+        the distinct rows, with ``star`` also Hodge-star passes that seed rho_star."""
 
         def compute(C):
             R = self.rho_coeffs(C)
@@ -245,8 +242,7 @@ class StructureField:
                 for r, gi, oi, s in zip(R, g, o, S)
             ]
 
-        P = np.asarray(P, dtype=float)
-        return _cached_rows(self._cache, 8192, [q.tobytes() for q in P], P, compute)
+        return _distinct_rows(np.asarray(P, dtype=float), compute)
 
     def metric(self, p):
         return self.point_data(p).metric
@@ -259,22 +255,20 @@ class StructureField:
         return G2Point.from_rho(self.rho(np.asarray(p, dtype=float)), validate=True)
 
 
-#: missing rows computed per call of a cache's compute (bounds its stacks)
+#: rows per call of a stacked row pass (bounds its stacks)
 CHUNK = 16
 
 
-def _cached_rows(cache, bound, keys, P, compute):
-    """The entries under ``keys`` (one per row of P), the missing rows computed
-    once each, CHUNK rows per call; cleared wholesale before an insert past ``bound``."""
-    found = {key: cache.get(key) for key in keys}
-    new = [key for key, value in found.items() if value is None]
+def _distinct_rows(P, compute):
+    """compute's value for each row of P, each distinct row (by its bytes)
+    computed once, CHUNK rows per call of compute."""
+    keys = [q.tobytes() for q in P]
     rows = dict(zip(keys, P))
-    for start in range(0, len(new), CHUNK):
-        part = new[start : start + CHUNK]
-        for key, value in zip(part, compute(np.array([rows[key] for key in part]))):
-            if len(cache) > bound:
-                cache.clear()
-            found[key] = cache[key] = value
+    distinct = list(rows)
+    found = {}
+    for start in range(0, len(distinct), CHUNK):
+        part = distinct[start : start + CHUNK]
+        found.update(zip(part, compute(np.array([rows[key] for key in part]))))
     return [found[key] for key in keys]
 
 
@@ -411,8 +405,8 @@ class ConnectionSample:
 
 
 def christoffels(field, P, h=None):
-    """Christoffel symbols (N, 7, 7, 7) at the rows of P, cached per (point, step);
-    the missing points take one centre pass and one `metrics` call per side."""
+    """Christoffel symbols (N, 7, 7, 7) at the rows of P: the distinct rows take
+    one centre `metrics` call and one `metrics` call per stencil side."""
     h = field.h if h is None else h
     check_step(h)
 
@@ -423,20 +417,15 @@ def christoffels(field, P, h=None):
         dg = central_difference(metrics, (C[:, None],), (AXES,), h)  # dg[n, k] = d_k g
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
         terms = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-        ginv = np.linalg.inv(np.array([pd.g for pd in field.points_data(C)]))
+        ginv = np.linalg.inv(field.metrics(C)[0])
         return 0.5 * np.einsum("nkl,nijl->nkij", ginv, terms)
 
-    P = np.asarray(P, dtype=float)
-    keys = [(q.tobytes(), h) for q in P]
-    return np.array(_cached_rows(field._gamma_cache, 4096, keys, P, compute))
+    return np.array(_distinct_rows(np.asarray(P, dtype=float), compute))
 
 
 def christoffel(field, p, h=None):
     """Christoffel symbols Gamma[k, i, j] at p: the N = 1 view of `christoffels`."""
-    h = field.h if h is None else h
-    p = np.asarray(p, dtype=float)
-    hit = field._gamma_cache.get((p.tobytes(), h))
-    return christoffels(field, p[None], h)[0] if hit is None else hit
+    return christoffels(field, np.asarray(p, dtype=float)[None], h)[0]
 
 
 def levi_civitas(field, P, h=None):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import central_difference, check_step, christoffel, christoffels, levi_civitas
+from .fields import CHUNK, central_difference, check_step, christoffel, christoffels, levi_civitas
 from .fields import make_field
 from .forms import KForm, contract, derivation_apply
 from .pointwise import su3_structure
@@ -30,8 +30,6 @@ from .sampling import sphere_bundle_samples
 SQ2 = np.sqrt(2.0)
 #: samples per batch pass of a campaign scan (bounds the stacks of a pass)
 BLOCK = 16
-#: rows per stacked Omega evaluation (bounds its dense rho and *rho stacks)
-OMEGA_ROWS = 16
 WHICH = ("01", "10")
 CARRIERS = ("transport", "parallel")
 PROJECTIONS = ("none", "b", "cr01", "cr10")
@@ -364,11 +362,11 @@ def canonical_form_horizontal_residual(field, k, n_samples=20, seed=0, h=None):
 def _omega_values(field, P, Y, B):
     """Omega = pullback(rho) - i (pullback(*rho) . theta) at the ambient points
     (P, Y), (R, 7) each, on the base parts B (R, 3, 7) of three tangents, row
-    by row; the dense rho and *rho stacks hold OMEGA_ROWS rows at a time."""
-    points = field.points_data(P)
+    by row; the dense rho and *rho stacks hold CHUNK rows at a time."""
+    points = field.points_data(P, star=True)
     out = []
-    for start in range(0, len(P), OMEGA_ROWS):
-        rows = slice(start, start + OMEGA_ROWS)
+    for start in range(0, len(P), CHUNK):
+        rows = slice(start, start + CHUNK)
         b1, b2, b3 = B[rows, 0], B[rows, 1], B[rows, 2]
         rho = np.array([pd.rho_dense for pd in points[rows]])
         star = np.array([pd.rho_star_dense for pd in points[rows]])
@@ -423,9 +421,6 @@ def _omega_closures(field, tps, combos, h):
     check_step(h)
     frames = np.array([np.concatenate([tp.theta[None], tp.b_lifts]) for tp in tps])  # (N, 7, 2, 7)
     m, x = _stack(tps, "m"), _stack(tps, "x")
-    # the stencil points m ± h v of all frame vectors, with their Hodge duals, in one batch
-    d = frames[:, :, 0]
-    field.points_data(np.stack([m[:, None] + h * d, m[:, None] - h * d]).reshape(-1, 7), star=True)
     n_of = np.repeat(np.arange(len(tps)), [len(c) for c in combos])
     frame4 = frames[n_of[:, None], np.array([c for cs in combos for c in cs])]  # (Q, 4, 2, 7)
     d_omega = _d_omegas(field, m[n_of], x[n_of], frame4, h)
@@ -451,12 +446,11 @@ def omega_closure_residual(field, tps, h=None, max_combos=None, seed=0):
     return max(0.0, *_omega_closures(field, tps, combos, h)) if tps else 0.0
 
 
-def _pushforward_to_form_bundle(field, p, y, vec, h):
-    """Tangent map of (p, y) -> (*rho(p) . y, p) into Tot(Lambda^3)."""
+def _pushforward_to_form_bundle(field, tp, vec, h):
+    """Tangent map of (p, y) -> (*rho(p) . y, p) into Tot(Lambda^3) at tp."""
     b, w = np.asarray(vec[0], dtype=float), np.asarray(vec[1], dtype=float)
-    pd = field.point_data(p)
-    dstar = central_difference(lambda q: field.point_data(q).rho_star.coeffs, (p,), (b,), h)
-    lam_dot = contract(pd.rho_star, w).coeffs + contract(KForm(7, 4, dstar), y).coeffs
+    dstar = central_difference(lambda q: field.point_data(q).rho_star.coeffs, (tp.m,), (b,), h)
+    lam_dot = contract(tp.point.rho_star, w).coeffs + contract(KForm(7, 4, dstar), tp.x).coeffs
     return b, lam_dot
 
 
@@ -468,12 +462,12 @@ def xi_factorization_residual(field, tps, h=None, max_combos=10, seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for tp in tps:
-        lam = contract(field.point_data(tp.m).rho_star, tp.x)
+        lam = contract(tp.point.rho_star, tp.x)
         frame = [tp.theta] + [tp.b_lifts[a] for a in range(6)]
         for combo in _draw_combos(rng, max_combos):
             frame4 = [frame[c] for c in combo]
             direct = -_d_omegas(field, tp.m[None], tp.x[None], np.array([frame4]), h)[0].imag
-            pushed = [_pushforward_to_form_bundle(field, tp.m, tp.x, v, h) for v in frame4]
+            pushed = [_pushforward_to_form_bundle(field, tp, v, h) for v in frame4]
             exact = xi_value(lam, pushed)
             worst = max(worst, abs(direct - exact))
     return worst

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,14 @@ from g2twistor.fields import (
 from g2twistor.forms import KForm, hodge_star, wedge
 from g2twistor.pointwise import RHO_STD_TERMS, G2Point
 from g2twistor.sampling import sphere_bundle_samples, torus_points
-from g2twistor.twistor import involutivity_residual, twistor_point
+from g2twistor.twistor import (
+    involutivity_residual,
+    involutivity_residuals,
+    omega_closure_residuals,
+    twistor_point,
+    twistor_points,
+    vertical_curvature_obstructions,
+)
 
 RNG = np.random.default_rng(11)
 AXES = np.eye(7)
@@ -144,6 +153,23 @@ def test_batched_field_rows_match_point_data(n):
         assert np.array_equal(pd.rho_star.coeffs, star.coeffs)
 
 
+def test_structure_field_holds_no_state():
+    """A field is its generator and resolution, frozen; a twistor scan writes nothing to it."""
+    assert [f.name for f in dataclasses.fields(StructureField)] == ["generator", "resolution"]
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.resolution = 32
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.rows = {}
+    before = dict(vars(field))
+    ms, xs = sphere_bundle_samples(3, 4)
+    tps = twistor_points(field, ms, xs)
+    involutivity_residuals(field, tps)
+    vertical_curvature_obstructions(field, tps)
+    omega_closure_residuals(field, tps, range(3), max_combos=2)
+    assert vars(field) == before
+
+
 def test_generic_callable_generator_stacks_points(points):
     field = make_field("generic-perturbed", 16, epsilon=0.1)
     plain = StructureField(generator=lambda p: field.rho(p), resolution=16)
@@ -158,11 +184,10 @@ def test_christoffels_rows_match_cold_christoffel(n):
     field = make_field("generic-perturbed", 16, epsilon=0.1)
     G = christoffels(field, P)
     assert G.shape == (n, 7, 7, 7)
-    assert len(field._gamma_cache) == len({p.tobytes() for p in P})
     for p, gamma in zip(P, G):
         cold = make_field("generic-perturbed", 16, epsilon=0.1)
         assert np.array_equal(gamma, christoffel(cold, p))
-    assert np.array_equal(christoffels(field, P[::-1]), G[::-1])  # now all cache hits
+    assert np.array_equal(christoffels(field, P[::-1]), G[::-1])
 
 
 def test_plain_callable_generator_through_batched_stencils():
@@ -265,7 +290,7 @@ def test_exterior_derivative_rejects_bad_step(flat):
     "op", ["christoffel", "levi_civita", "involutivity_residual", "exterior_derivative"]
 )
 def test_stencil_consumers_reject_bad_step(op, h):
-    """A zero or NaN step raises instead of caching NaN or reading as zero."""
+    """A zero or NaN step raises instead of reading as zero or reaching the metric."""
     field = make_field("generic-perturbed", 16, epsilon=0.1)
     ms, xs = sphere_bundle_samples(1, 4)
     calls = {
@@ -278,7 +303,6 @@ def test_stencil_consumers_reject_bad_step(op, h):
     }
     with pytest.raises(ValueError, match="step must be positive and finite"):
         calls[op]()
-    assert all(key[1] == field.h for key in field._gamma_cache)
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 
 from g2twistor.fields import (
-    christoffel,
+    CHUNK,
+    StructureField,
     fit_convergence_order,
     levi_civita,
     make_field,
 )
 from g2twistor.forms import KForm, contract
 from g2twistor.sampling import sphere_bundle_samples
-from g2twistor.fields import CHUNK
 from g2twistor.twistor import (
     BLOCK,
-    OMEGA_ROWS,
     TwistorError,
     canonical_form_horizontal_residual,
     cartan_identity_residual,
@@ -99,9 +98,29 @@ def test_zero_fiber_vector_rejected(flat):
         twistor_point(flat, MS[0], np.zeros(7))
 
 
+class CountingGenerator:
+    """A field's generator that counts the calls of its stacked formula."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def __call__(self, p):
+        return self.inner(p)
+
+    def coeffs(self, P):
+        self.calls += 1
+        return self.inner.coeffs(P)
+
+
+def counting_field(family, resolution, **kwargs):
+    """A field whose every stacked rho evaluation is counted, with its counter."""
+    gen = CountingGenerator(make_field(family, resolution, **kwargs).generator)
+    return StructureField(generator=gen, resolution=resolution), gen
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_fiber_vector_rejected(bad):
-    field = make_field("flat", 16)
+    field, gen = counting_field("flat", 16)
     x = XS[1].copy()
     x[2] = bad
     with warnings.catch_warnings():
@@ -110,7 +129,7 @@ def test_non_finite_fiber_vector_rejected(bad):
             twistor_point(field, MS[1], x)
         with pytest.raises(TwistorError, match="finite"):
             twistor_points(field, MS[:3], np.stack([XS[0], x, XS[2]]))
-    assert not field._cache  # rejected before any point was computed
+    assert gen.calls == 0  # rejected before any point was computed
 
 
 def test_lift_beats_naive_transport(conformal):
@@ -382,35 +401,6 @@ def test_form_bundle_lift_parallel_transport(conformal):
     assert np.abs(lam_dot - quotient).max() < 1e-4
 
 
-def test_batched_stencils_match_one_point_caches():
-    """The residuals on a fresh field, whose stencils fill the caches in
-    batches, equal those on a field whose caches were filled one point at a
-    time with the same keys."""
-    ms, xs = sphere_bundle_samples(3, 29)
-
-    def residuals(field):
-        out = []
-        for m, x in zip(ms, xs):
-            tp = twistor_point(field, m, x)
-            out += [
-                involutivity_residual(field, tp),
-                vertical_curvature_obstruction(field, tp),
-                omega_closure_residual(field, [tp], max_combos=5, seed=1),
-            ]
-        return out
-
-    fresh = make_field("generic-perturbed", 16, epsilon=0.1)
-    want = residuals(fresh)
-    warm = make_field("generic-perturbed", 16, epsilon=0.1)
-    for key in fresh._cache:
-        warm.point_data(np.frombuffer(key)).rho_star
-    for key, h in fresh._gamma_cache:
-        christoffel(warm, np.frombuffer(key), h)
-    sizes = len(warm._cache), len(warm._gamma_cache)
-    assert residuals(warm) == want
-    assert (len(warm._cache), len(warm._gamma_cache)) == sizes  # every read was a hit
-
-
 # ---------------------------------------------------------------------------
 # the holomorphic volume form
 
@@ -486,10 +476,9 @@ def test_noise_floor_reported(flat):
 )
 def test_batch_rows_equal_one_point_calls(family, eps):
     """Row i of every batched function equals the N = 1 call on a fresh field
-    bit for bit; the batch crosses the block, the cache chunk and the Omega
-    row chunk, and the sample arrays keep the sampler's memory layout."""
+    bit for bit; the batch crosses the block and the row chunk, and the
+    sample arrays keep the sampler's memory layout."""
     n = max(BLOCK, CHUNK) + 2
-    assert n * 3 * 4 * 2 > OMEGA_ROWS
     ms, xs = sphere_bundle_samples(n, 31)
 
     def make():
@@ -545,9 +534,9 @@ def test_noise_floor_is_max_of_one_point_residuals():
     ids=["which", "carrier", "bracket-carrier", "projection", "combos-0", "combos-neg", "batch"],
 )
 def test_bad_options_rejected_before_any_work(call):
-    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    field, gen = counting_field("generic-perturbed", 16, epsilon=0.1)
     tp = twistor_point(field, MS[3], XS[3])
-    sizes = len(field._cache), len(field._gamma_cache)
+    gen.calls = 0
     with pytest.raises(TwistorError):
         call(field, tp)
-    assert (len(field._cache), len(field._gamma_cache)) == sizes
+    assert gen.calls == 0
