@@ -38,9 +38,12 @@ SIDES = ("parent", "change")
 
 
 def seed_list(text):
-    """'21-30' -> [21, ..., 30]."""
+    """'21-30' -> [21, ..., 30]; an empty or reversed range is an argparse error."""
     lo, hi = text.split("-")
-    return list(range(int(lo), int(hi) + 1))
+    seeds = list(range(int(lo), int(hi) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}: need LO-HI with LO <= HI")
+    return seeds
 
 
 def export(rev, root):

@@ -213,7 +213,7 @@ def run_pointwise(cfg):
 
     metric_residual = float(np.abs(point.g - np.eye(7)).max())
     P7, P14 = point.lambda2_projectors
-    proj_residual = float(np.abs(P7 + P14 - np.eye(21)).max())
+    proj_residual = float(max(np.abs(P7 + P14 - np.eye(21)).max(), np.abs(P7 @ P14).max()))
     ranks = (round(np.trace(P7)), round(np.trace(P14)))
 
     quat = 0.0
@@ -344,10 +344,10 @@ def run_instanton(cfg):
 
     results = []
     for block in tw.blocks(cfg.samples):
-        for m, tp in zip(ms[block], tw.twistor_points(field, ms[block], xs[block])):
+        for tp in tw.twistor_points(field, ms[block], xs[block]):
             cr = inst.cr_holomorphicity_residual(field, conn, tp)
-            _, f7 = inst.is_g2_instanton(field, conn, [m], tol=cfg.tol_instanton)
-            results.append(tuple(m) + tuple(tp.x) + (cr, f7))
+            f7 = inst.f7_residual(tp.point, conn.curvature(tp.m, field.h))
+            results.append(tuple(tp.m) + tuple(tp.x) + (cr, f7))
     cr_max = max(r[14] for r in results)
     f7_max = max(r[15] for r in results)
     verdicts = {

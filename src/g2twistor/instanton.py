@@ -134,24 +134,24 @@ def make_connection(family, point, index=0, vector=0, mix=0.0):
 # instanton test
 
 
-def _gram_norm(F, gram):
-    """Norm of a (21, r, r) curvature: metric Gram on the form index,
-    Frobenius on the bundle indices."""
-    val = np.einsum("Iab,IJ,Jab->", np.conj(F), gram, F).real
+def f7_residual(point, F):
+    """Norm of the 7-part of a (21, r, r) curvature F at a G2 point: metric
+    Gram on the form index, Frobenius on the bundle indices."""
+    P7, _ = point.lambda2_projectors
+    F7 = np.einsum("IJ,Jab->Iab", P7, F)
+    val = np.einsum("Iab,IJ,Jab->", np.conj(F7), point.metric.gram(2), F7).real
     return float(np.sqrt(max(val, 0.0)))
 
 
 def is_g2_instanton(field, conn, sample_points, tol=1e-8, h=None):
     """(verdict, max residual): residual is the norm of the 7-part of the
-    curvature at each sample."""
+    curvature at each sample; one `points_data` pass serves all samples."""
     h = field.h if h is None else h
-    worst = 0.0
-    for p in sample_points:
-        point = field.point_data(np.asarray(p, dtype=float))
-        F = conn.curvature(p, h)
-        P7, _ = point.lambda2_projectors
-        F7 = np.einsum("IJ,Jab->Iab", P7, F)
-        worst = max(worst, _gram_norm(F7, point.metric.gram(2)))
+    P = np.asarray(sample_points, dtype=float).reshape(-1, 7)
+    worst = max(
+        (f7_residual(point, conn.curvature(p, h)) for p, point in zip(P, field.points_data(P))),
+        default=0.0,
+    )
     return worst <= tol, worst
 
 

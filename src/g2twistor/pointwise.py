@@ -31,6 +31,7 @@ from .forms import (
     hodge_star,
     hodge_star_coeffs,
     increasing_indices,
+    minors,
     transform,
     wedge,
 )
@@ -242,35 +243,26 @@ class G2Point:
         return annihilator_basis(self.rho)
 
     @cached_property
-    def _lambda2(self):
-        """(Q7, Q14, P7, P14, gram2) for the 7 + 14 splitting of 2-forms."""
-        gram2 = self.metric.gram(2)
-        # image of v -> rho . v
-        S7 = np.column_stack(
-            [contract(self.rho, np.eye(7)[i]).coeffs for i in range(7)]
-        )
-        Q7 = _gram_orthonormal_columns(S7, gram2)
-        # annihilator algebra mapped into 2-forms through g
+    def lambda2_basis_14(self):
+        """g-orthonormal basis (21, 14) of Lambda^2_14: the stabilizer algebra
+        lowered through g."""
         cols = []
         for A in self.stabilizer_algebra:
             M = A.T @ self.g
             M = (M - M.T) / 2.0
             cols.append(np.array([M[i, j] for i, j in increasing_indices(7, 2)]))
-        Q14 = _gram_orthonormal_columns(np.column_stack(cols), gram2)
-        P7 = Q7 @ Q7.T @ gram2
-        P14 = Q14 @ Q14.T @ gram2
-        if np.abs(P7 + P14 - np.eye(21)).max() > 1e-9:
-            raise G2StructureError("2-form projectors do not sum to the identity")
-        return Q7, Q14, P7, P14, gram2
-
-    @property
-    def lambda2_basis_14(self):
-        return self._lambda2[1]
+        return _gram_orthonormal_columns(np.column_stack(cols), self.metric.gram(2))
 
     @property
     def lambda2_projectors(self):
-        _, _, P7, P14, _ = self._lambda2
-        return P7, P14
+        """(P7, P14) = ((I + T)/3, (2I - T)/3) for T(a) = *(rho ^ a), which is
+        2 on Lambda^2_7 and -1 on Lambda^2_14.  <Ta, b> vol = b ^ rho ^ a reads
+        T off the pairing gather M and the inverse Gram matrix minors(g, 2)."""
+        _, _, mi, ms = _pairing_gathers()
+        M = self.rho.coeffs[mi] * ms
+        T = minors(self.g, 2) @ M / (self.orientation * self.metric.sqrt_det)
+        I = np.eye(comb(7, 2))
+        return (I + T) / 3.0, (2.0 * I - T) / 3.0
 
     # -- point operations -----------------------------------------------------
 

@@ -131,9 +131,6 @@ class CrSplitting:
     def tangents_01(self, tp):
         return np.einsum("ra,aij->rij", self.b01, tp.b_lifts.astype(complex))
 
-    def tangents_10(self, tp):
-        return np.einsum("ra,aij->rij", self.b10, tp.b_lifts.astype(complex))
-
 
 def cr_splitting(tp):
     """Eigenbasis of the fiberwise complex structure transported to B."""
@@ -234,7 +231,8 @@ def involutivity_residuals(field, tps, h=None, which="01", carrier="transport"):
     check_step(h)
     _check_option("which", which, WHICH)
     _check_option("carrier", carrier, CARRIERS)
-    tangents = [getattr(cr_splitting(tp), "tangents_" + which)(tp) for tp in tps]
+    bases = [getattr(cr_splitting(tp), "b" + which) for tp in tps]  # b01 or b10
+    tangents = [np.einsum("ra,aij->rij", b, tp.b_lifts.astype(complex)) for b, tp in zip(bases, tps)]
     tangents = np.array(tangents).reshape(-1, 3, 2, 7)
     rows = [tp for tp in tps for _ in _PAIR_I]
     X, Y = tangents[:, _PAIR_I].reshape(-1, 2, 7), tangents[:, _PAIR_J].reshape(-1, 2, 7)

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from g2twistor.forms import KForm, increasing_indices
+from g2twistor.forms import KForm, contract, increasing_indices
 
 
 def inversion_sign(perm):
@@ -113,3 +113,14 @@ def derivation_eval(a, A, vectors):
         vv[r] = np.asarray(A) @ vv[r]
         total += eval_form(a, vv)
     return total
+
+
+def lambda2_projectors_by_basis(point):
+    """(P7, P14) = Q Q^T gram2 from g-orthonormal bases: Q7 of the image of
+    v -> rho . v and Q14 of the stabilizer algebra lowered through g."""
+    gram2 = point.metric.gram(2)
+    S7 = np.column_stack([contract(point.rho, e).coeffs for e in np.eye(7)])
+    w, U = np.linalg.eigh(S7.T @ gram2 @ S7)
+    Q7 = S7 @ U / np.sqrt(w)
+    Q14 = point.lambda2_basis_14
+    return Q7 @ Q7.T @ gram2, Q14 @ Q14.T @ gram2

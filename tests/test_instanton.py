@@ -10,13 +10,14 @@ from g2twistor.instanton import (
     cr_holomorphicity_residual,
     dolbeault_square_function_residual,
     dolbeault_square_section_residual,
+    f7_residual,
     hodge_type_cr_residual,
     is_g2_instanton,
     make_connection,
 )
 from g2twistor.pointwise import standard_g2_point
 from g2twistor.sampling import sphere_bundle_samples, torus_points
-from g2twistor.twistor import cr_splitting, twistor_point
+from g2twistor.twistor import cr_splitting, twistor_point, twistor_points
 
 RNG = np.random.default_rng(31)
 MS, XS = sphere_bundle_samples(12, 41)
@@ -54,6 +55,18 @@ def test_constant_7_connection_is_not(flat, std):
     assert not ok
     # the curvature sits entirely in the 7-part, so the residual is its norm
     assert res == pytest.approx(np.sqrt(3.0), abs=1e-10)
+
+
+def test_f7_residual_of_twistor_points_matches_instanton_scan(std):
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    conn = make_connection("mixed", std, index=3, vector=2, mix=0.5)
+    ms, xs = sphere_bundle_samples(16, 5)
+    singles = []
+    for m, tp in zip(ms, twistor_points(field, ms, xs)):
+        res = f7_residual(tp.point, conn.curvature(tp.m, field.h))
+        assert res == is_g2_instanton(field, conn, [m])[1]
+        singles.append(res)
+    assert is_g2_instanton(field, conn, ms)[1] == max(singles)
 
 
 @pytest.mark.parametrize("kw", [{"index": -1}, {"index": 14}, {"vector": -3}, {"vector": 7}])

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+import oracles
+
 from g2twistor.forms import KForm, MetricTensor, annihilator_dimension, contract, transform, wedge
 from g2twistor.pointwise import (
     DegenerateFormError,
@@ -461,6 +463,31 @@ def test_projector_equivariance_under_stabilizer(std):
         lhs = KForm(7, 2, P7 @ transform(a, U).coeffs)
         rhs = transform(KForm(7, 2, P7 @ a.coeffs), U)
         assert (lhs - rhs).coefficient_norm < 1e-8
+
+
+def test_closed_form_projectors_on_gl7_images(std):
+    """The first 100 well-conditioned draws of default_rng(0), every second
+    one with its orientation flipped."""
+    rows = _gl7_images(std, 100, np.random.default_rng(0))
+    rows[1::2] *= -1.0
+    points = [G2Point.from_rho(KForm(7, 3, r)) for r in rows]
+    assert {p.orientation for p in points} == {-1, 1}
+    for point in points:
+        P7, P14 = point.lambda2_projectors
+        R7, R14 = oracles.lambda2_projectors_by_basis(point)
+        assert np.abs(P7 - R7).max() <= 1e-8 and np.abs(P14 - R14).max() <= 1e-8
+        gram2 = point.metric.gram(2)
+        S7 = np.column_stack([contract(point.rho, e).coeffs for e in E])
+        Q14 = point.lambda2_basis_14
+        for err in (
+            P7 @ P14,
+            gram2 @ P7 - (gram2 @ P7).T,
+            gram2 @ P14 - (gram2 @ P14).T,
+            P7 @ S7 - S7,
+            P14 @ Q14 - Q14,
+        ):
+            assert np.abs(err).max() <= 1e-9
+        assert abs(np.trace(P7) - 7) <= 1e-9 and abs(np.trace(P14) - 14) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
