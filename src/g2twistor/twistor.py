@@ -231,9 +231,9 @@ def involutivity_residuals(field, tps, h=None, which="01", carrier="transport"):
     check_step(h)
     _check_option("which", which, WHICH)
     _check_option("carrier", carrier, CARRIERS)
-    bases = [getattr(cr_splitting(tp), "b" + which) for tp in tps]  # b01 or b10
-    tangents = [np.einsum("ra,aij->rij", b, tp.b_lifts.astype(complex)) for b, tp in zip(bases, tps)]
-    tangents = np.array(tangents).reshape(-1, 3, 2, 7)
+    tangents = np.array([cr_splitting(tp).tangents_01(tp) for tp in tps]).reshape(-1, 3, 2, 7)
+    if which == "10":  # b10 = conj(b01) and the lifts are real
+        tangents = np.conj(tangents)
     rows = [tp for tp in tps for _ in _PAIR_I]
     X, Y = tangents[:, _PAIR_I].reshape(-1, 2, 7), tangents[:, _PAIR_J].reshape(-1, 2, 7)
     br = _brackets(field, rows, X, Y, h, carrier, "cr" + which)
