@@ -35,7 +35,6 @@ from .fields import (
 )
 from .twistor import (
     TwistorPoint,
-    cr_splitting,
     frobenius_bracket,
     involutivity_residual,
     tautological_forms,

@@ -247,9 +247,6 @@ class StructureField:
     def metric(self, p):
         return self.point_data(p).metric
 
-    def star_rho(self, p):
-        return self.point_data(p).rho_star
-
     def validate_at(self, p):
         """Run the full G2 point invariants at p; raises on failure."""
         return G2Point.from_rho(self.rho(np.asarray(p, dtype=float)), validate=True)

@@ -230,13 +230,6 @@ class KForm:
             M[j, i] = -self.coeffs[p]
         return M
 
-    @classmethod
-    def from_matrix(cls, M):
-        M = np.asarray(M, dtype=float)
-        dim = M.shape[0]
-        c = np.array([M[i, j] for i, j in increasing_indices(dim, 2)])
-        return cls(dim, 2, c)
-
     @property
     def coefficient_norm(self):
         return float(np.linalg.norm(self.coeffs))

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import central_difference
-from .forms import KForm, contract, increasing_indices
+from .forms import KForm, contract
 from .pointwise import hodge_type_on_complement
-from .twistor import _extension_values, cr_splitting, frobenius_bracket
+from .twistor import _extension_values, frobenius_bracket
 
 AXES = np.eye(7)
-PAIRS2 = tuple(increasing_indices(7, 2))
 CONNECTION_FAMILIES = ("flat", "const-14", "const-7", "mixed")
 
 
@@ -55,20 +54,17 @@ class ConnectionData:
             raise ConnectionDataError("no potential to difference")
         p = np.asarray(p, dtype=float)
         A = np.asarray(self.potential(p))
-        dA = np.empty((7, 7, self.rank, self.rank), dtype=complex)
-        for i in range(7):
-            dA[i] = central_difference(
-                lambda q: np.asarray(self.potential(q)), (p,), (AXES[i],), h
-            )
-        F = np.empty((len(PAIRS2), self.rank, self.rank), dtype=complex)
-        for a, (i, j) in enumerate(PAIRS2):
-            F[a] = dA[i][j] - dA[j][i] + A[i] @ A[j] - A[j] @ A[i]
-        return F
+        # dA[i, j] = d_i A_j, the potential evaluated at one stacked point per row
+        dA = central_difference(
+            lambda Q: np.array([self.potential(q) for q in Q], dtype=complex), (p,), (AXES,), h
+        )
+        i, j = np.triu_indices(7, 1)  # the increasing pairs
+        return dA[i, j] - dA[j, i] + A[i] @ A[j] - A[j] @ A[i]
 
     def curvature_dense(self, p, h=1e-4):
         """Dense antisymmetric (7, 7, rank, rank) curvature array."""
         F = self.curvature(p, h)
-        i, j = np.triu_indices(7, 1)  # PAIRS2, in the same order
+        i, j = np.triu_indices(7, 1)  # the increasing pairs of F
         out = np.zeros((7, 7, self.rank, self.rank), dtype=complex)
         out[i, j], out[j, i] = F, -F
         return out
@@ -162,36 +158,43 @@ def is_g2_instanton(field, conn, sample_points, tol=1e-8, h=None):
 def cr_dolbeault_on_functions(field, tp, f, h=None):
     """(d-bar f)(b) = derivative of f along each (0,1) basis vector."""
     h = field.h if h is None else h
-    tangents = cr_splitting(tp).tangents_01(tp)
-    return np.array([central_difference(f, (tp.m, tp.x), t, h) for t in tangents])
+    return np.array([central_difference(f, (tp.m, tp.x), t, h) for t in tp.tangents_01])
+
+
+def _dbar_squared(field, tp, section, potential, h):
+    """(d-bar^2 s)(b_i, b_j) for the (0,1) pairs i < j, by the Cartan pattern
+    on 1-covectors (d-bar a)(b1, b2) = -b1 a(b2) + b2 a(b1) + a([b1, b2])
+    applied to a = d-bar s: -nabla_i nabla_j s + nabla_j nabla_i s +
+    nabla_[b_i, b_j] s.  s(m, x) is a section of the pulled-back bundle with
+    connection potential(p) -> (7, r, r); potential None is the trivial
+    bundle (a function s, no connection term).  The inner derivatives run
+    along the cr01 extensions of the b_j."""
+    tangents = tp.tangents_01
+    at = (tp.m, tp.x)
+
+    def nabla(s, vec, m, x):
+        der = central_difference(s, (m, x), vec, h)
+        if potential is None:
+            return der
+        return der + np.einsum("iab,i,b->a", np.asarray(potential(m)), vec[0], s(m, x))
+
+    def eta(j):
+        return lambda m, x: nabla(section, _ext_tangent(field, tp, tangents[j], m, x), m, x)
+
+    out = []
+    for i, j in itertools.combinations(range(3), 2):
+        br = frobenius_bracket(field, tp, tangents[i], tangents[j], h=h, projection="cr01")
+        out.append(
+            -nabla(eta(j), tangents[i], *at) + nabla(eta(i), tangents[j], *at) + nabla(section, br, *at)
+        )
+    return out
 
 
 def dolbeault_square_function_residual(field, tp, f, h=None):
-    """Max over (0,1) pairs of the degree-2 operator applied twice to f.
-
-    Uses the Cartan pattern on 1-covectors: (d-bar a)(b1, b2) =
-    -b1 a(b2) + b2 a(b1) + a([b1, b2]); identically zero in the continuum.
-    """
+    """Max over (0,1) pairs of the degree-2 operator applied twice to f:
+    `_dbar_squared` on the trivial bundle, identically zero in the continuum."""
     h = field.h if h is None else h
-    tangents = cr_splitting(tp).tangents_01(tp)
-
-    def df_along(j):
-        # b_j f as a function of the twistor point, extended like b_j itself
-        def val(m, x):
-            ext = _ext_tangent(field, tp, tangents[j], m, x)
-            return central_difference(f, (m, x), ext, h)
-
-        return val
-
-    at = (tp.m, tp.x)
-    worst = 0.0
-    for i, j in itertools.combinations(range(len(tangents)), 2):
-        term1 = -central_difference(df_along(j), at, tangents[i], h)
-        term2 = central_difference(df_along(i), at, tangents[j], h)
-        br = frobenius_bracket(field, tp, tangents[i], tangents[j], h=h, projection="cr01")
-        term3 = central_difference(f, at, br, h)
-        worst = max(worst, abs(term1 + term2 + term3))
-    return worst
+    return max(0.0, *(abs(v) for v in _dbar_squared(field, tp, f, None, h)))
 
 
 def _ext_tangent(field, tp, vec, m, x):
@@ -210,8 +213,7 @@ def cr_holomorphicity_residual(field, conn, tp, h=None):
     """
     h = field.h if h is None else h
     F = conn.curvature_dense(tp.m, h)
-    cs = cr_splitting(tp)
-    wbar = np.einsum("ra,ia->ri", cs.b01, tp.w_basis)
+    wbar = tp.wbar
     total = 0.0
     for i, j in itertools.combinations(range(3), 2):
         val = np.einsum("ijab,i,j->ab", F, wbar[i], wbar[j])
@@ -240,46 +242,12 @@ def dolbeault_square_section_residual(field, conn, tp, h=None):
     (d-bar^2 xi)(b_i, b_j) + F(b_i, b_j) xi.
     """
     h = field.h if h is None else h
-    cs = cr_splitting(tp)
-    tangents = cs.tangents_01(tp)
-    wbar = np.einsum("ra,ia->ri", cs.b01, tp.w_basis)
+    wbar = tp.wbar
     F = conn.curvature_dense(tp.m, h)
-
-    def A_at(p):
-        return np.asarray(conn.potential(p))
-
-    def nabla(j, section_fn):
-        """Covariant derivative along b_j of a section-valued function."""
-
-        def val(m, x):
-            ext = _ext_tangent(field, tp, tangents[j], m, x)
-            der = central_difference(section_fn, (m, x), ext, h)
-            return der + np.einsum("iab,i,b->a", A_at(m), ext[0], section_fn(m, x))
-
-        return val
-
-    at = (tp.m, tp.x)
     worst = 0.0
-    for s in range(conn.rank):
-        xi0 = np.zeros(conn.rank, dtype=complex)
-        xi0[s] = 1.0
-
-        def xi(m, x):
-            return xi0
-
-        eta = [nabla(j, xi) for j in range(3)]
-        for i, j in itertools.combinations(range(3), 2):
-            t1 = -central_difference(eta[j], at, tangents[i], h) - np.einsum(
-                "iab,i,b->a", A_at(tp.m), tangents[i][0], eta[j](tp.m, tp.x)
-            )
-            t2 = central_difference(eta[i], at, tangents[j], h) + np.einsum(
-                "iab,i,b->a", A_at(tp.m), tangents[j][0], eta[i](tp.m, tp.x)
-            )
-            br = frobenius_bracket(field, tp, tangents[i], tangents[j], h=h, projection="cr01")
-            t3 = central_difference(xi, at, br, h) + np.einsum(
-                "iab,i,b->a", A_at(tp.m), br[0], xi0
-            )
-            dbar2 = t1 + t2 + t3
+    for xi0 in np.eye(conn.rank, dtype=complex):
+        dbar2 = _dbar_squared(field, tp, lambda m, x: xi0, conn.potential, h)
+        for (i, j), val in zip(itertools.combinations(range(3), 2), dbar2):
             fval = np.einsum("ijab,i,j,b->a", F, wbar[i], wbar[j], xi0)
-            worst = max(worst, float(np.abs(dbar2 + fval).max()))
+            worst = max(worst, float(np.abs(val + fval).max()))
     return worst

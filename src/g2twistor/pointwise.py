@@ -323,7 +323,9 @@ class Su3Frame:
     """Hermitian data on the g-orthogonal complement of a unit vector.
 
     ``basis`` holds six g-orthonormal columns spanning v-perp; all member
-    forms and maps are written in that basis.  ``Omega = Omega_re + i
+    forms and maps are written in that basis.  The rows of ``b10`` are a
+    Hermitian-orthonormal basis of the i-eigenspace of I, and their
+    conjugates ``b01`` one of the (0,1) vectors.  ``Omega = Omega_re + i
     Omega_im`` is of type (3,0) for I: contracting with any (0,1)-vector
     gives zero.
     """
@@ -332,8 +334,13 @@ class Su3Frame:
     basis: np.ndarray
     omega: KForm
     I: np.ndarray
+    b10: np.ndarray  # (3, 6) complex rows
     Omega_re: KForm
     Omega_im: KForm
+
+    @property
+    def b01(self):
+        return np.conj(self.b10)
 
 
 def _complement_basis(point, v):
@@ -372,32 +379,34 @@ def su3_structure(point, v, tol=UNIT_TOL):
     I6 = W.T @ point.g @ cross_w
     if np.abs(I6 @ I6 + np.eye(6)).max() > UNIT_TOL:
         raise G2StructureError("complex structure does not square to -Id")
+    # (1,0) candidates (e_a - i I e_a)/sqrt(2); a Hermitian Gram-Schmidt sweep
+    # keeps exactly one of each conjugate-parallel pair.
+    rows = []
+    for a in range(6):
+        c = (np.eye(6)[a] - 1j * I6[:, a]) / np.sqrt(2.0)
+        for r in rows:
+            c = c - (np.conj(r) @ c) * r
+        n = np.linalg.norm(c)
+        if n > 0.5:
+            rows.append(c / n)
+    if len(rows) != 3:
+        raise G2StructureError("eigenbasis extraction failed")
     Omega_re = transform(point.rho, W)
     Omega_im = -1.0 * transform(contract(point.rho_star, v), W)
-    frame = Su3Frame(v=v, basis=W, omega=omega, I=I6, Omega_re=Omega_re, Omega_im=Omega_im)
+    frame = Su3Frame(v, W, omega, I6, np.array(rows), Omega_re, Omega_im)
     _check_su3_frame(frame)
     return frame
 
 
 def _check_su3_frame(frame):
-    I6 = frame.I
-    om = frame.omega.as_matrix()
     # omega(x, y) = g(I x, y) in the orthonormal frame
-    if np.abs(om - I6.T).max() > UNIT_TOL:
+    if np.abs(frame.omega.as_matrix() - frame.I.T).max() > UNIT_TOL:
         raise G2StructureError("omega and I are inconsistent")
-    # (3,0): contraction with (0,1)-vectors vanishes
+    # (3,0): Omega(b01_r, ., .) = 0 for the (0,1) basis
     re, im = frame.Omega_re, frame.Omega_im
-    for a in range(6):
-        w = np.eye(6)[a]
-        iw = I6 @ w
-        residual = np.concatenate(
-            [
-                contract(re, w).coeffs - contract(im, iw).coeffs,
-                contract(im, w).coeffs + contract(re, iw).coeffs,
-            ]
-        )
-        if np.abs(residual).max() > UNIT_TOL:
-            raise G2StructureError("Omega has a component of wrong type")
+    Omega = re.dense() + 1j * im.dense()
+    if np.abs(np.einsum("ra,abc->rbc", frame.b01, Omega)).max() > UNIT_TOL:
+        raise G2StructureError("Omega has a component of wrong type")
     # Omega ^ conj(Omega) = -2i Re ^ Im must be a nonzero multiple of vol
     top = wedge(re, im).coeffs[0]
     if abs(top) < 0.5:

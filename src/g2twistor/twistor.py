@@ -27,7 +27,6 @@ from .forms import KForm, contract, derivation_apply
 from .pointwise import su3_structure
 from .sampling import sphere_bundle_samples
 
-SQ2 = np.sqrt(2.0)
 #: samples per batch pass of a campaign scan (bounds the stacks of a pass)
 BLOCK = 16
 WHICH = ("01", "10")
@@ -79,6 +78,16 @@ class TwistorPoint:
     def w_basis(self):
         return self.su3.basis
 
+    @property
+    def tangents_01(self):
+        """The (0,1) basis of the frame carried to B: (3, 2, 7) complex tangents."""
+        return np.einsum("ra,aij->rij", self.su3.b01, self.b_lifts.astype(complex))
+
+    @property
+    def wbar(self):
+        """The (0,1) basis of the frame in torus coordinates: (3, 7) complex rows."""
+        return np.einsum("ra,ia->ri", self.su3.b01, self.w_basis)
+
     def vertical_part(self, vec):
         """Fiber component minus the horizontal-lift fiber of the base part."""
         return vec[1] - _hor_fibers(self.gamma[None], self.x[None], np.asarray(vec[0])[None])[0]
@@ -115,40 +124,6 @@ def twistor_points(field, M, X):
 def twistor_point(field, m, x):
     """The adapted frame at (m, x): the N = 1 view of `twistor_points`."""
     return twistor_points(field, np.asarray(m, float)[None], np.asarray(x, float)[None])[0]
-
-
-# ---------------------------------------------------------------------------
-# CR splitting
-
-
-@dataclass(eq=False)
-class CrSplitting:
-    """Eigenbases of the complex structure on B, written in the B frame."""
-
-    b10: np.ndarray  # (3, 6) complex rows, orthonormal
-    b01: np.ndarray  # conjugate rows
-
-    def tangents_01(self, tp):
-        return np.einsum("ra,aij->rij", self.b01, tp.b_lifts.astype(complex))
-
-
-def cr_splitting(tp):
-    """Eigenbasis of the fiberwise complex structure transported to B."""
-    I6 = tp.su3.I
-    # (1,0) candidates (v - i I v)/sqrt(2); a Hermitian Gram-Schmidt sweep
-    # keeps exactly one of each conjugate-parallel pair.
-    rows = []
-    for a in range(6):
-        c = (np.eye(6)[a] - 1j * I6[:, a]) / SQ2
-        for r in rows:
-            c = c - (np.conj(r) @ c) * r
-        n = np.linalg.norm(c)
-        if n > 0.5:
-            rows.append(c / n)
-    if len(rows) != 3:
-        raise TwistorError("eigenbasis extraction failed")
-    b10 = np.array(rows)
-    return CrSplitting(b10=b10, b01=np.conj(b10))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +206,7 @@ def involutivity_residuals(field, tps, h=None, which="01", carrier="transport"):
     check_step(h)
     _check_option("which", which, WHICH)
     _check_option("carrier", carrier, CARRIERS)
-    tangents = np.array([cr_splitting(tp).tangents_01(tp) for tp in tps]).reshape(-1, 3, 2, 7)
+    tangents = np.array([tp.tangents_01 for tp in tps]).reshape(-1, 3, 2, 7)
     if which == "10":  # b10 = conj(b01) and the lifts are real
         tangents = np.conj(tangents)
     rows = [tp for tp in tps for _ in _PAIR_I]
@@ -272,7 +247,7 @@ def vertical_curvature_obstructions(field, tps, curvature=None, h=None):
         riemann = np.array([conn.riemann for conn in levi_civitas(field, _stack(tps, "m"), h)])
     else:
         riemann = np.array([curvature] * len(tps))
-    wbar = np.array([np.einsum("ra,ia->ri", cr_splitting(tp).b01, tp.w_basis) for tp in tps])
+    wbar = np.array([tp.wbar for tp in tps])
     rep = np.repeat(np.arange(len(tps)), 3)  # one row per pair
     wi, wj = wbar[:, _PAIR_I].reshape(-1, 7), wbar[:, _PAIR_J].reshape(-1, 7)
     low = np.einsum("nijkl,ni,nj,nl->nk", riemann[rep], wi, wj, _stack(tps, "x")[rep])
@@ -480,8 +455,7 @@ def cartan_identity_residual(field, tp, h=None):
     closed along the relevant directions.
     """
     h = field.h if h is None else h
-    cs = cr_splitting(tp)
-    zt = cs.tangents_01(tp)
+    zt = tp.tangents_01
     worst = 0.0
     for zi, ti in itertools.combinations(range(3), 2):
         br = frobenius_bracket(field, tp, zt[zi], zt[ti], h=h, projection="cr01")

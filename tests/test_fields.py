@@ -322,7 +322,7 @@ def test_torsion_residual_matches_per_point_route(family, points):
     for p in points:
         want = (
             exterior_derivative(field.rho, p, field.h).coefficient_norm,
-            exterior_derivative(field.star_rho, p, field.h).coefficient_norm,
+            exterior_derivative(lambda q: field.point_data(q).rho_star, p, field.h).coefficient_norm,
         )
         assert torsion_residual(field, p) == want
 

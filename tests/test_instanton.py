@@ -17,7 +17,7 @@ from g2twistor.instanton import (
 )
 from g2twistor.pointwise import standard_g2_point
 from g2twistor.sampling import sphere_bundle_samples, torus_points
-from g2twistor.twistor import cr_splitting, twistor_point, twistor_points
+from g2twistor.twistor import twistor_point, twistor_points
 
 RNG = np.random.default_rng(31)
 MS, XS = sphere_bundle_samples(12, 41)
@@ -248,7 +248,7 @@ def test_dbar_coordinate_pullback(flat):
     """For the pullback of a base coordinate the derivative picks the
     conjugate-linear component of the differential."""
     tp = twistor_point(flat, MS[1], XS[1])
-    wbar = np.einsum("ra,ia->ri", cr_splitting(tp).b01, tp.w_basis)
+    wbar = tp.wbar
     for j in range(7):
         vals = cr_dolbeault_on_functions(flat, tp, lambda m, x, j=j: m[j])
         assert np.abs(vals - wbar[:, j]).max() < 1e-10

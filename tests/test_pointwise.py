@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from g2twistor.pointwise import (
     DegenerateFormError,
     DependentBasisError,
     G2Point,
+    G2StructureError,
     NonUnitVectorError,
     RHO_STD_TERMS,
     SplitFormError,
@@ -20,6 +23,7 @@ from g2twistor.pointwise import (
     octonion_multiply,
     project_lambda2,
     standard_g2_point,
+    _check_su3_frame,
     su3_structure,
 )
 
@@ -424,6 +428,20 @@ def test_su3_volume_nondegenerate(std):
     assert top == pytest.approx(4.0, abs=1e-10)
 
 
+def test_su3_check_rejects_broken_frames(std):
+    """The frame check names each broken invariant: a flipped I against
+    omega, the (0,3) variant Omega_re + i Omega_im, and a zero Omega."""
+    fr = su3_structure(std, random_unit())
+    _check_su3_frame(fr)
+    with pytest.raises(G2StructureError, match="inconsistent"):
+        _check_su3_frame(replace(fr, I=-fr.I))
+    with pytest.raises(G2StructureError, match="wrong type"):
+        _check_su3_frame(replace(fr, Omega_im=-1.0 * fr.Omega_im))
+    zero = 0.0 * fr.Omega_re
+    with pytest.raises(G2StructureError, match="degenerate"):
+        _check_su3_frame(replace(fr, Omega_re=zero, Omega_im=zero))
+
+
 # ---------------------------------------------------------------------------
 # 2-form splitting
 
@@ -438,7 +456,7 @@ def test_seven_part_projects_to_itself(std):
 def test_fourteen_part_from_stabilizer(std):
     A = std.stabilizer_algebra[5]
     M = A.T @ std.g
-    b = KForm.from_matrix((M - M.T) / 2.0)
+    b = KForm(7, 2, ((M - M.T) / 2.0)[np.triu_indices(7, 1)])
     b7, b14 = project_lambda2(std, b)
     assert b7.coefficient_norm < 1e-12
 

@@ -7,6 +7,7 @@ import pytest
 from g2twistor.fields import (
     CHUNK,
     StructureField,
+    christoffels,
     fit_convergence_order,
     levi_civita,
     make_field,
@@ -18,7 +19,6 @@ from g2twistor.twistor import (
     TwistorError,
     canonical_form_horizontal_residual,
     cartan_identity_residual,
-    cr_splitting,
     flat_noise_floor,
     form_bundle_lift,
     frobenius_bracket,
@@ -153,7 +153,7 @@ def test_lift_beats_naive_transport(conformal):
 
 def test_splitting_eigen_equations(generic):
     tp = twistor_point(generic, MS[3], XS[3])
-    cs = cr_splitting(tp)
+    cs = tp.su3
     I6 = tp.su3.I
     assert np.abs(I6 @ I6 + np.eye(6)).max() < 1e-10
     for r in cs.b10:
@@ -167,8 +167,7 @@ def test_splitting_eigen_equations(generic):
 
 def test_splitting_standard_direction_span(flat):
     tp = twistor_point(flat, MS[0], np.eye(7)[0])
-    cs = cr_splitting(tp)
-    amb = np.einsum("ra,ia->ri", cs.b10, tp.w_basis)
+    amb = np.einsum("ra,ia->ri", tp.su3.b10, tp.w_basis)
     want = np.array(
         [
             [0, 1, -1j, 0, 0, 0, 0],
@@ -238,6 +237,23 @@ def test_flat_involutivity_zero(flat):
         assert involutivity_residual(flat, tp) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_flat_residuals_are_exact_zeros(n):
+    """On the flat structure every difference of constants is exactly 0.0:
+    the Christoffel symbols, both involutivity residuals under both carriers
+    and the vertical obstruction, so the noise floor is its clamp."""
+    field = make_field("flat", n)
+    for seed in (0, 7, 14):
+        ms, xs = sphere_bundle_samples(16, seed)
+        assert not christoffels(field, ms).any()
+        tps = twistor_points(field, ms, xs)
+        for which in ("01", "10"):
+            for carrier in ("transport", "parallel"):
+                assert involutivity_residuals(field, tps, which=which, carrier=carrier) == [0.0] * 16
+        assert vertical_curvature_obstructions(field, tps) == [0.0] * 16
+        assert flat_noise_floor(n, 24, seed) == 1e-14
+
+
 def test_generic_involutivity_positive(generic):
     floor = flat_noise_floor(16, n_samples=10, seed=5)
     vals = [
@@ -280,8 +296,7 @@ def test_vertical_obstruction_matches_bracket_route(conformal):
         field = make_field("conformal", n, epsilon=0.05)
         tp = twistor_point(field, MS[2], XS[2])
         oracle = vertical_curvature_obstruction(field, tp)
-        cs = cr_splitting(tp)
-        t01 = cs.tangents_01(tp)
+        t01 = tp.tangents_01
         worst = 0.0
         for i, j in itertools.combinations(range(3), 2):
             br = frobenius_bracket(field, tp, t01[i], t01[j], projection="cr01")
