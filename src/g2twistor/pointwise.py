@@ -393,7 +393,9 @@ def su3_structure(point, v, tol=UNIT_TOL):
         raise G2StructureError("eigenbasis extraction failed")
     Omega_re = transform(point.rho, W)
     Omega_im = -1.0 * transform(contract(point.rho_star, v), W)
-    frame = Su3Frame(v, W, omega, I6, np.array(rows), Omega_re, Omega_im)
+    frame = Su3Frame(
+        v=v, basis=W, omega=omega, I=I6, b10=np.array(rows), Omega_re=Omega_re, Omega_im=Omega_im
+    )
     _check_su3_frame(frame)
     return frame
 

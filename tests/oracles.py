@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 
+from g2twistor.fields import central_difference
 from g2twistor.forms import KForm, contract, increasing_indices
 
 
@@ -124,3 +125,17 @@ def lambda2_projectors_by_basis(point):
     Q7 = S7 @ U / np.sqrt(w)
     Q14 = point.lambda2_basis_14
     return Q7 @ Q7.T @ gram2, Q14 @ Q14.T @ gram2
+
+
+def curvature_by_axis_loop(conn, p, h):
+    """F_ij = d_i A_j - d_j A_i + [A_i, A_j] over increasing pairs, one
+    central difference per axis and one pair at a time."""
+    A = np.asarray(conn.potential(p))
+    dA = np.empty((7, 7, conn.rank, conn.rank), dtype=complex)
+    for i, e in enumerate(np.eye(7)):
+        dA[i] = central_difference(lambda q: np.asarray(conn.potential(q)), (p,), (e,), h)
+    pairs = increasing_indices(7, 2)
+    F = np.empty((len(pairs), conn.rank, conn.rank), dtype=complex)
+    for a, (i, j) in enumerate(pairs):
+        F[a] = dA[i][j] - dA[j][i] + A[i] @ A[j] - A[j] @ A[i]
+    return F

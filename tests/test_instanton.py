@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from g2twistor.fields import make_field
 from g2twistor.forms import KForm
 from g2twistor.instanton import (
@@ -81,6 +83,25 @@ def test_differenced_curvature_matches_analytic(std):
         for p in PTS[:3]:
             diff = np.abs(conn.curvature(p) - conn.curvature_differenced(p, 1e-4)).max()
             assert diff < 1e-9
+
+
+def test_differenced_curvature_matches_axis_loop(std):
+    """The stacked-axis difference keeps the bits of one difference per
+    axis, on the mixed family and on a random rank-2 potential."""
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((7, 7, 2, 2)) + 1j * rng.standard_normal((7, 7, 2, 2))
+
+    def potential(p):
+        A = np.einsum("k,kiab->iab", np.sin(2 * np.pi * p), B)
+        return A - np.conj(A.transpose(0, 2, 1))
+
+    conns = [make_connection("mixed", std, index=4, vector=1, mix=0.3)]
+    conns.append(ConnectionData(rank=2, potential=potential))
+    for conn in conns:
+        for p in PTS[:3]:
+            for h in (1e-4, 1 / 16):
+                want = oracles.curvature_by_axis_loop(conn, p, h)
+                assert np.array_equal(conn.curvature_differenced(p, h), want)
 
 
 def test_nonabelian_differenced_curvature_oracle():
