@@ -70,8 +70,13 @@ def run_once(tree, workload, seed, seconds):
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{tree.name} {workload} seed {seed} failed:\n{proc.stderr}")
-    result = json.loads(lines[-1])
-    if not result["correct"]:
+    try:
+        result = json.loads(lines[-1])
+        correct = result["correct"]
+    except (ValueError, KeyError, TypeError):
+        last = lines[-1]
+        raise SystemExit(f"{tree.name} {workload} seed {seed} failed: no result object in {last!r}") from None
+    if not correct:
         raise SystemExit(f"{tree.name} {workload} seed {seed} is not correct:\n{proc.stderr}")
     return result
 

@@ -302,8 +302,6 @@ def run_integrability(cfg):
 def run_twistor(cfg):
     field = flds.make_field(cfg.generator, cfg.resolution, cfg.epsilon, cfg.frequency)
     ms, xs = sphere_bundle_samples(cfg.samples, cfg.seed)
-    floor = tw.flat_noise_floor(cfg.resolution, n_samples=min(cfg.samples, 24), seed=cfg.seed)
-
     results = []
     for block in tw.blocks(cfg.samples):
         tps = tw.twistor_points(field, ms[block], xs[block])
@@ -315,14 +313,14 @@ def run_twistor(cfg):
         )
         results += [tuple(tp.m) + tuple(tp.x) + r for tp, r in zip(tps, columns)]
     invols = [r[14] for r in results]
-    threshold = max(10.0 * floor, cfg.tol_involutive)
+    threshold = max(10.0 * tw.FLAT_FLOOR, cfg.tol_involutive)
     verdict = "involutive" if max(invols) <= threshold else "non-involutive"
     summary = {
         "max_involutivity": max(invols),
         "p95_involutivity": _percentile(invols, 95),
         "max_vertical_curvature": max(r[15] for r in results),
         "max_omega_closure": max(r[16] for r in results),
-        "noise_floor": floor,
+        "noise_floor": tw.FLAT_FLOOR,
         "threshold": threshold,
         "verdict": verdict,
     }

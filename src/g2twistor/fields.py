@@ -74,9 +74,6 @@ class FlatGenerator(_Generator):
     def coeffs(self, P):
         return np.zeros(np.shape(P)[:-1] + (35,)) + _rho_std()
 
-    def params(self):
-        return {}
-
 
 @dataclass(frozen=True)
 class ClosedPerturbedGenerator(_Generator):
@@ -95,9 +92,6 @@ class ClosedPerturbedGenerator(_Generator):
         scale = -self.epsilon * np.sin(_phase(f, P)) / max(np.linalg.norm(f), 1e-12)
         return _rho_std() + scale[..., None] * _closed_direction(tuple(self.frequency))
 
-    def params(self):
-        return {"epsilon": self.epsilon, "frequency": list(self.frequency)}
-
 
 @dataclass(frozen=True)
 class GenericPerturbedGenerator(_Generator):
@@ -110,9 +104,6 @@ class GenericPerturbedGenerator(_Generator):
     def coeffs(self, P):
         c = self.epsilon * np.sin(_phase(self.frequency, P))
         return _rho_std() + c[..., None] * _kappa3()
-
-    def params(self):
-        return {"epsilon": self.epsilon, "frequency": list(self.frequency)}
 
 
 @dataclass(frozen=True)
@@ -163,9 +154,6 @@ class ConformalGenerator(_Generator):
             if df[i] != 0.0:
                 out = out + (3.0 * scale * df[i]) * wedge(KForm.basis(7, (i,)), rho)
         return out
-
-    def params(self):
-        return {"epsilon": self.amplitude, "frequency": list(self.frequency)}
 
 
 GENERATORS = {

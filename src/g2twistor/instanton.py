@@ -8,14 +8,13 @@ anti-Hermitian r x r matrix per increasing index pair.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 import numpy as np
 
 from .fields import central_difference
 from .forms import KForm, contract
 from .pointwise import hodge_type_on_complement
-from .twistor import _extension_values, frobenius_bracket
+from .twistor import _PAIR_I, _PAIR_J, _brackets, _extension_values
 
 AXES = np.eye(7)
 CONNECTION_FAMILIES = ("flat", "const-14", "const-7", "mixed")
@@ -39,7 +38,6 @@ class ConnectionData:
     potential: object = None
     curvature_analytic: object = None
     label: str = ""
-    params: dict = dc_field(default_factory=dict)
 
     def curvature(self, p, h=1e-4):
         p = np.asarray(p, dtype=float)
@@ -74,7 +72,7 @@ class ConnectionData:
 # connection families (constant-curvature abelian ones are the workhorses)
 
 
-def _abelian_from_2form(coeffs, label, params):
+def _abelian_from_2form(coeffs, label):
     """Rank-1 connection with constant curvature i * (the given 2-form),
     realized by the chart-local linear potential A_j = i/2 sum_i f_ij p_i."""
     dense = KForm(7, 2, coeffs).as_matrix()
@@ -91,7 +89,6 @@ def _abelian_from_2form(coeffs, label, params):
         potential=potential,
         curvature_analytic=curvature,
         label=label,
-        params=params,
     )
 
 
@@ -114,16 +111,15 @@ def make_connection(family, point, index=0, vector=0, mix=0.0):
             potential=lambda p: np.zeros((7, 1, 1), dtype=complex),
             curvature_analytic=lambda p: np.zeros((21, 1, 1), dtype=complex),
             label="flat",
-            params={},
         )
     if family == "const-14":
         coeffs = point.lambda2_basis_14[:, index].copy()
-        return _abelian_from_2form(coeffs, "const-14", {"index": index})
+        return _abelian_from_2form(coeffs, "const-14")
     if family == "const-7":
         coeffs = contract(point.rho, AXES[vector]).coeffs
-        return _abelian_from_2form(coeffs, "const-7", {"vector": vector})
+        return _abelian_from_2form(coeffs, "const-7")
     coeffs = point.lambda2_basis_14[:, index] + mix * contract(point.rho, AXES[vector]).coeffs
-    return _abelian_from_2form(coeffs, "mixed", {"index": index, "vector": vector, "mix": mix})
+    return _abelian_from_2form(coeffs, "mixed")
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +157,19 @@ def cr_dolbeault_on_functions(field, tp, f, h=None):
     return np.array([central_difference(f, (tp.m, tp.x), t, h) for t in tp.tangents_01])
 
 
-def _dbar_squared(field, tp, section, potential, h):
-    """(d-bar^2 s)(b_i, b_j) for the (0,1) pairs i < j, by the Cartan pattern
-    on 1-covectors (d-bar a)(b1, b2) = -b1 a(b2) + b2 a(b1) + a([b1, b2])
-    applied to a = d-bar s: -nabla_i nabla_j s + nabla_j nabla_i s +
-    nabla_[b_i, b_j] s.  s(m, x) is a section of the pulled-back bundle with
-    connection potential(p) -> (7, r, r); potential None is the trivial
+def _dbar_squared(field, tp, sections, potential, h):
+    """Per section s, (d-bar^2 s)(b_i, b_j) for the (0,1) pairs i < j, by the
+    Cartan pattern on 1-covectors (d-bar a)(b1, b2) = -b1 a(b2) + b2 a(b1) +
+    a([b1, b2]) applied to a = d-bar s: -nabla_i nabla_j s + nabla_j nabla_i s
+    + nabla_[b_i, b_j] s.  Each s(m, x) is a section of the pulled-back bundle
+    with connection potential(p) -> (7, r, r); potential None is the trivial
     bundle (a function s, no connection term).  The inner derivatives run
-    along the cr01 extensions of the b_j."""
+    along the cr01 extensions of the b_j; the three brackets come from one
+    kernel pass that every section shares."""
     tangents = tp.tangents_01
     at = (tp.m, tp.x)
+    pairs = (tangents[list(_PAIR_I)], tangents[list(_PAIR_J)])
+    brackets = _brackets(field, [tp] * 3, *pairs, h, "transport", "cr01")
 
     def nabla(s, vec, m, x):
         der = central_difference(s, (m, x), vec, h)
@@ -178,23 +177,23 @@ def _dbar_squared(field, tp, section, potential, h):
             return der
         return der + np.einsum("iab,i,b->a", np.asarray(potential(m)), vec[0], s(m, x))
 
-    def eta(j):
+    def eta(section, j):
         return lambda m, x: nabla(section, _ext_tangent(field, tp, tangents[j], m, x), m, x)
 
-    out = []
-    for i, j in itertools.combinations(range(3), 2):
-        br = frobenius_bracket(field, tp, tangents[i], tangents[j], h=h, projection="cr01")
-        out.append(
-            -nabla(eta(j), tangents[i], *at) + nabla(eta(i), tangents[j], *at) + nabla(section, br, *at)
-        )
-    return out
+    return [
+        [
+            -nabla(eta(s, j), tangents[i], *at) + nabla(eta(s, i), tangents[j], *at) + nabla(s, br, *at)
+            for i, j, br in zip(_PAIR_I, _PAIR_J, brackets)
+        ]
+        for s in sections
+    ]
 
 
 def dolbeault_square_function_residual(field, tp, f, h=None):
     """Max over (0,1) pairs of the degree-2 operator applied twice to f:
     `_dbar_squared` on the trivial bundle, identically zero in the continuum."""
     h = field.h if h is None else h
-    return max(0.0, *(abs(v) for v in _dbar_squared(field, tp, f, None, h)))
+    return max(0.0, *(abs(v) for v in _dbar_squared(field, tp, [f], None, h)[0]))
 
 
 def _ext_tangent(field, tp, vec, m, x):
@@ -215,7 +214,7 @@ def cr_holomorphicity_residual(field, conn, tp, h=None):
     F = conn.curvature_dense(tp.m, h)
     wbar = tp.wbar
     total = 0.0
-    for i, j in itertools.combinations(range(3), 2):
+    for i, j in zip(_PAIR_I, _PAIR_J):
         val = np.einsum("ijab,i,j->ab", F, wbar[i], wbar[j])
         total += float(np.sum(np.abs(val) ** 2))
     return float(np.sqrt(total))
@@ -244,10 +243,11 @@ def dolbeault_square_section_residual(field, conn, tp, h=None):
     h = field.h if h is None else h
     wbar = tp.wbar
     F = conn.curvature_dense(tp.m, h)
+    xis = np.eye(conn.rank, dtype=complex)
+    sections = [lambda m, x, xi0=xi0: xi0 for xi0 in xis]
     worst = 0.0
-    for xi0 in np.eye(conn.rank, dtype=complex):
-        dbar2 = _dbar_squared(field, tp, lambda m, x: xi0, conn.potential, h)
-        for (i, j), val in zip(itertools.combinations(range(3), 2), dbar2):
+    for xi0, dbar2 in zip(xis, _dbar_squared(field, tp, sections, conn.potential, h)):
+        for i, j, val in zip(_PAIR_I, _PAIR_J, dbar2):
             fval = np.einsum("ijab,i,j,b->a", F, wbar[i], wbar[j], xi0)
             worst = max(worst, float(np.abs(val + fval).max()))
     return worst

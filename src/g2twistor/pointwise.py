@@ -330,7 +330,6 @@ class Su3Frame:
     gives zero.
     """
 
-    v: np.ndarray
     basis: np.ndarray
     omega: KForm
     I: np.ndarray
@@ -394,7 +393,7 @@ def su3_structure(point, v, tol=UNIT_TOL):
     Omega_re = transform(point.rho, W)
     Omega_im = -1.0 * transform(contract(point.rho_star, v), W)
     frame = Su3Frame(
-        v=v, basis=W, omega=omega, I=I6, b10=np.array(rows), Omega_re=Omega_re, Omega_im=Omega_im
+        basis=W, omega=omega, I=I6, b10=np.array(rows), Omega_re=Omega_re, Omega_im=Omega_im
     )
     _check_su3_frame(frame)
     return frame

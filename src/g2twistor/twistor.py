@@ -34,6 +34,8 @@ CARRIERS = ("transport", "parallel")
 PROJECTIONS = ("none", "b", "cr01", "cr10")
 #: the eigenbasis pairs (i, j), i < j, in `itertools.combinations` order
 _PAIR_I, _PAIR_J = (0, 0, 1), (1, 2, 2)
+#: the involutivity noise floor of the flat structure: its residuals are exact zeros, clamped here
+FLAT_FLOOR = 1e-14
 
 
 class TwistorError(ValueError):
@@ -64,7 +66,6 @@ class TwistorPoint:
     tangent space (same orthonormal basis of x-perp).
     """
 
-    field: object
     m: np.ndarray
     x: np.ndarray
     point: object  # G2Point at m
@@ -116,7 +117,7 @@ def twistor_points(field, M, X):
     lifts = np.stack([V, -np.einsum("nkij,nai,nj->nak", gamma, V, X)], axis=2)
     verts = np.stack([np.zeros_like(W), W], axis=2)
     return [
-        TwistorPoint(field, m, x, pd, gm, frame, lift[0], lift[1:], vert)
+        TwistorPoint(m, x, pd, gm, frame, lift[0], lift[1:], vert)
         for m, x, pd, gm, frame, lift, vert in zip(M, X, points, gamma, frames, lifts, verts)
     ]
 
@@ -264,13 +265,14 @@ def vertical_curvature_obstruction(field, tp, curvature=None, h=None):
 
 
 def flat_noise_floor(resolution, n_samples=32, seed=0):
-    """Measured involutivity residual on the flat structure (floored)."""
+    """Measured involutivity residual on the flat structure, clamped to
+    FLAT_FLOOR (its brackets are exact zeros, see docs/CONVENTIONS.md)."""
     field = make_field("flat", resolution)
     ms, xs = sphere_bundle_samples(n_samples, seed)
     worst = 0.0
     for b in blocks(n_samples):
         worst = max(worst, *involutivity_residuals(field, twistor_points(field, ms[b], xs[b])))
-    return max(worst, 1e-14)
+    return max(worst, FLAT_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +459,7 @@ def cartan_identity_residual(field, tp, h=None):
     h = field.h if h is None else h
     zt = tp.tangents_01
     worst = 0.0
-    for zi, ti in itertools.combinations(range(3), 2):
+    for zi, ti in zip(_PAIR_I, _PAIR_J):
         br = frobenius_bracket(field, tp, zt[zi], zt[ti], h=h, projection="cr01")
         for xi, yi in [(0, 1), (2, 3), (4, 5)]:
             X, Y = tp.b_lifts[xi], tp.b_lifts[yi]

@@ -25,3 +25,20 @@ def test_seeds_option_exits_2_on_a_reversed_range(capsys):
         bench_pairs.main(["--parent", "HEAD", "--change", "HEAD", "--workload", "twistor", "--seeds", "30-21", "--out", "x.json"])
     assert exc.value.code == 2
     assert "empty seed range '30-21'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "printed",
+    ["print('starting')\nprint('done')", "print('{\"metrics\": {}}')", "print('[1, 2]')"],
+)
+def test_a_malformed_result_line_ends_in_one_line(tmp_path, printed):
+    """A last line that is no result object, or one without "correct", stops
+    the script with one line naming the tree, the workload and the seed."""
+    tree = tmp_path / "abc123"
+    (tree / "campaign_bench").mkdir(parents=True)
+    (tree / "campaign_bench" / "run.py").write_text(printed + "\n")
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.run_once(tree, "twistor", 7, 1)
+    message = str(exc.value.code)
+    assert message.startswith("abc123 twistor seed 7 failed")
+    assert "\n" not in message

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import g2twistor
+from g2twistor import twistor
 from g2twistor.cli import (
     _SCALAR_KEYS,
     ConfigError,
@@ -276,3 +277,19 @@ def test_config_echoed_in_summary(tmp_path):
     summary = (out / "summary.txt").read_text()
     for needle in ("generator: flat", "samples: 3", "seed: 9", "resolution: 16"):
         assert needle in summary
+
+
+def test_twistor_campaign_reports_the_flat_floor_without_rescanning(tmp_path, monkeypatch):
+    """The flat floor is the constant clamp: a twistor campaign builds no flat
+    field and runs no flat scan, and its verdict rule is unchanged."""
+
+    def no_flat_scan(*args, **kwargs):
+        raise AssertionError("the campaign rescanned the flat structure")
+
+    monkeypatch.setattr(twistor, "flat_noise_floor", no_flat_scan)
+    config = Path(__file__).resolve().parents[1] / "configs" / "twistor-perturbed.cfg"
+    out = tmp_path / "tw"
+    assert main(["--config", str(config), "--samples", "3", "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "noise_floor: 1e-14" in summary
+    assert "threshold: 1e-09" in summary

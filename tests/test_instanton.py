@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 
+from g2twistor import instanton, twistor
 from g2twistor.fields import make_field
 from g2twistor.forms import KForm
 from g2twistor.instanton import (
@@ -102,6 +103,33 @@ def test_differenced_curvature_matches_axis_loop(std):
             for h in (1e-4, 1 / 16):
                 want = oracles.curvature_by_axis_loop(conn, p, h)
                 assert np.array_equal(conn.curvature_differenced(p, h), want)
+
+
+def test_section_residual_brackets_once_per_point(flat, monkeypatch):
+    """The sections of a rank-3 residual share the three (0,1) brackets of
+    one bracket-kernel pass, instead of one pass per section and pair."""
+    passes = []
+    kernel = twistor._brackets
+
+    def counting(field, tps, *args):
+        passes.append(len(tps))
+        return kernel(field, tps, *args)
+
+    monkeypatch.setattr(twistor, "_brackets", counting)
+    monkeypatch.setattr(instanton, "_brackets", counting, raising=False)
+
+    def potential(p):
+        phase = np.sin(2 * np.pi * np.asarray(p))
+        A = np.zeros((7, 3, 3), dtype=complex)
+        A[:, 0, 1], A[:, 1, 0] = 0.3 * phase, -0.3 * phase
+        A[:, 2, 2] = 0.5j * np.cos(2 * np.pi * np.asarray(p))
+        return A
+
+    conn = ConnectionData(rank=3, potential=potential, label="rank-3")
+    tp = twistor_point(flat, MS[2], XS[2])
+    # the operator route meets the differenced non-abelian curvature to O(h^2)
+    assert dolbeault_square_section_residual(flat, conn, tp) < 10.0 * flat.h**2
+    assert passes == [3]  # one pass of the three pairs
 
 
 def test_nonabelian_differenced_curvature_oracle():

@@ -16,6 +16,7 @@ from g2twistor.forms import KForm, contract
 from g2twistor.sampling import sphere_bundle_samples
 from g2twistor.twistor import (
     BLOCK,
+    FLAT_FLOOR,
     TwistorError,
     canonical_form_horizontal_residual,
     cartan_identity_residual,
@@ -252,6 +253,14 @@ def test_flat_residuals_are_exact_zeros(n):
                 assert involutivity_residuals(field, tps, which=which, carrier=carrier) == [0.0] * 16
         assert vertical_curvature_obstructions(field, tps) == [0.0] * 16
         assert flat_noise_floor(n, 24, seed) == 1e-14
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_flat_noise_floor_is_the_clamp_off_the_block_boundary(n):
+    """The constant the twistor campaign reports is what the flat scan
+    measures, also for sample counts that leave a partial block."""
+    for n_samples, seed in ((1, 0), (5, 3), (BLOCK + 1, 9)):
+        assert flat_noise_floor(n, n_samples, seed) == FLAT_FLOOR
 
 
 def test_generic_involutivity_positive(generic):
