@@ -64,6 +64,7 @@ def src_hash(tree):
 
 
 def run_once(tree, workload, seed, seconds):
+    """One benchmark run in tree: ({metric: value}, {"attempted": n, "failed": n})."""
     cmd = [sys.executable, "campaign_bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -73,12 +74,14 @@ def run_once(tree, workload, seed, seconds):
     try:
         result = json.loads(lines[-1])
         correct = result["correct"]
-    except (ValueError, KeyError, TypeError):
+        values = {name: metric["value"] for name, metric in result["metrics"].items()}
+        counts = {key: result[key] for key in ("attempted", "failed")}
+    except (ValueError, KeyError, TypeError, AttributeError):
         last = lines[-1]
         raise SystemExit(f"{tree.name} {workload} seed {seed} failed: no result object in {last!r}") from None
     if not correct:
         raise SystemExit(f"{tree.name} {workload} seed {seed} is not correct:\n{proc.stderr}")
-    return result
+    return values, counts
 
 
 def summarize(runs, better):
@@ -135,11 +138,11 @@ def main(argv=None):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 first[str(i)] = order[0]
                 for side in order:
-                    result = run_once(trees[side], workload, seed, seconds)
+                    values, run_counts = run_once(trees[side], workload, seed, seconds)
                     for name in better:
-                        runs[name][side].append(result["metrics"][name]["value"])
+                        runs[name][side].append(values[name])
                     for key in counts:
-                        counts[key][side] += result[key]
+                        counts[key][side] += run_counts[key]
                 line = ", ".join(f"{side} {runs['samples_per_s'][side][-1]:.1f}" for side in SIDES)
                 print(f"{workload} seed {seed}: samples_per_s {line}", flush=True)
             metrics = {}

@@ -47,11 +47,7 @@ def _kappa3():
 def _closed_direction(frequency):
     """sum_i f_i e^i ^ kappa for kappa = e^13 + e^25 (0-based)."""
     kappa = KForm.from_terms(7, {(1, 3): 1.0, (2, 5): 1.0})
-    out = KForm.zero(7, 3)
-    for i, f in enumerate(frequency):
-        if f != 0:
-            out = out + float(f) * wedge(KForm.basis(7, (i,)), kappa)
-    return _frozen(out)
+    return _frozen(wedge(KForm(7, 1, frequency), kappa))
 
 
 def _phase(frequency, P):
@@ -147,13 +143,7 @@ class ConformalGenerator(_Generator):
 
     def exact_drho(self, p):
         scale = float(np.exp(3.0 * self._f(p)))
-        df = self._df(p)
-        rho = KForm(7, 3, _rho_std())
-        out = KForm.zero(7, 4)
-        for i in range(7):
-            if df[i] != 0.0:
-                out = out + (3.0 * scale * df[i]) * wedge(KForm.basis(7, (i,)), rho)
-        return out
+        return wedge(KForm(7, 1, 3.0 * scale * self._df(p)), KForm(7, 3, _rho_std()))
 
 
 GENERATORS = {
@@ -414,15 +404,16 @@ def christoffel(field, p, h=None):
 
 
 def levi_civitas(field, P, h=None):
-    """Connection samples at the rows of P (N, 7); the centres and their 14 axis
-    neighbours come from one `christoffels` call."""
+    """Connection samples at the rows of P (N, 7): one `christoffels` call on
+    the centres and one per stencil side on their axis neighbours."""
     h = field.h if h is None else h
     P = np.asarray(P, dtype=float)
-    # each centre and its axis neighbours, differenced as `central_difference` does
-    stencil = np.concatenate([P[:, None], P[:, None] + h * AXES, P[:, None] - h * AXES], axis=1)
-    G = christoffels(field, stencil.reshape(-1, 7), h).reshape(len(P), 15, 7, 7, 7)
-    gamma = G[:, 0]
-    dgamma = (G[:, 1:8] - G[:, 8:]) / (2.0 * h)  # d_i Gamma
+
+    def gammas(Q):
+        return christoffels(field, Q.reshape(-1, 7), h).reshape(Q.shape[:-1] + (7, 7, 7))
+
+    gamma = christoffels(field, P, h)
+    dgamma = central_difference(gammas, (P[:, None],), (AXES,), h)  # dgamma[n, i] = d_i Gamma
     metrics = [field.metric(p) for p in P]
     # R^k_{l i j} = d_i G^k_jl - d_j G^k_il + G^k_im G^m_jl - G^k_jm G^m_il
     mixed = (

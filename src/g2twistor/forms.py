@@ -2,8 +2,9 @@
 
 A k-form is stored as a coefficient vector over the lexicographically
 ordered strictly increasing multi-indices of length k.  Every sign
-computation funnels through ``sort_with_sign`` / ``merge_sign`` so the
-shuffle-sign convention lives in exactly one place.
+computation funnels through ``sort_with_sign``, and the contraction and
+complement tables are views of the wedge table, so the shuffle-sign
+convention lives in exactly one place.
 
 Sign conventions (see docs/CONVENTIONS.md for the full sheet):
 
@@ -73,16 +74,6 @@ def sort_with_sign(indices):
         if j > 0 and idx[j] == idx[j - 1]:
             return None, 0
     return tuple(idx), sign
-
-
-def merge_sign(left, right):
-    """Shuffle sign of concatenating two disjoint sorted index tuples."""
-    sign = 1
-    for i in left:
-        for j in right:
-            if i > j:
-                sign = -sign
-    return sign
 
 
 def minors(A, k):
@@ -224,11 +215,7 @@ class KForm:
         """Antisymmetric matrix representation of a 2-form."""
         if self.degree != 2:
             raise DegreeError("matrix representation needs degree 2")
-        M = np.zeros((self.dim, self.dim))
-        for p, (i, j) in enumerate(increasing_indices(self.dim, 2)):
-            M[i, j] = self.coeffs[p]
-            M[j, i] = -self.coeffs[p]
-        return M
+        return self.dense()
 
     @property
     def coefficient_norm(self):
@@ -255,13 +242,12 @@ class MetricTensor:
         if w.min() <= PD_TOL * max(1.0, abs(w.max())):
             raise NotPositiveDefinite(f"metric eigenvalue {w.min():.3g} not positive")
         self.entries = M
-        self._gram_cache = {}
 
     @classmethod
     def trusted(cls, M):
         """Unchecked metric on M, known exactly symmetric and positive definite."""
         metric = object.__new__(cls)
-        metric.entries, metric._gram_cache = M, {}
+        metric.entries = M
         return metric
 
     @classmethod
@@ -294,10 +280,7 @@ class MetricTensor:
 
         <e^I, e^J> = det( g^{-1}[I, J] ).
         """
-        G = self._gram_cache.get(degree)
-        if G is None:
-            G = self._gram_cache[degree] = minors(self.inverse, degree)
-        return G
+        return minors(self.inverse, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +322,12 @@ def wedge(a, b):
     return KForm(a.dim, degree, out)
 
 
-@lru_cache(maxsize=None)
 def _contract_table(dim, degree):
-    pos_out = index_position(dim, degree - 1)
-    comp, src, dst, sg = [], [], [], []
-    for p, I in enumerate(increasing_indices(dim, degree)):
-        for r, c in enumerate(I):
-            comp.append(c)
-            src.append(p)
-            dst.append(pos_out[tuple(x for x in I if x != c)])
-            sg.append((-1.0) ** r)
-    return (
-        np.array(comp, dtype=int),
-        np.array(src, dtype=int),
-        np.array(dst, dtype=int),
-        np.array(sg, dtype=float),
-    )
+    """Entries (comp, src, dst, sign): (a . v)[dst] += sign * v[comp] * a[src],
+    the entries of e^comp ^ e^J read backwards; those of one dst come in
+    ascending comp."""
+    comp, dst, src, sg = _wedge_table(dim, 1, degree - 1)
+    return comp, src, dst, sg
 
 
 def contract(a, v):
@@ -370,16 +343,10 @@ def contract(a, v):
     return KForm(a.dim, a.degree - 1, out)
 
 
-@lru_cache(maxsize=None)
 def _complement_table(dim, degree):
-    pos_out = index_position(dim, dim - degree)
-    dst = np.empty(comb(dim, degree), dtype=int)
-    sg = np.empty(comb(dim, degree))
-    full = set(range(dim))
-    for p, I in enumerate(increasing_indices(dim, degree)):
-        Ic = tuple(sorted(full - set(I)))
-        dst[p] = pos_out[Ic]
-        sg[p] = merge_sign(I, Ic)
+    """For each increasing I: the position of its complement Ic and the sign
+    of e^I ^ e^Ic, from the one wedge entry of each I."""
+    _, dst, _, sg = _wedge_table(dim, degree, dim - degree)
     return dst, sg
 
 

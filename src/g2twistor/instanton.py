@@ -106,12 +106,7 @@ def make_connection(family, point, index=0, vector=0, mix=0.0):
     if not 0 <= vector < 7:
         raise ConnectionDataError(f"vector must be in 0..6, got {vector}")
     if family == "flat":
-        return ConnectionData(
-            rank=1,
-            potential=lambda p: np.zeros((7, 1, 1), dtype=complex),
-            curvature_analytic=lambda p: np.zeros((21, 1, 1), dtype=complex),
-            label="flat",
-        )
+        return _abelian_from_2form(np.zeros(21), "flat")
     if family == "const-14":
         coeffs = point.lambda2_basis_14[:, index].copy()
         return _abelian_from_2form(coeffs, "const-14")

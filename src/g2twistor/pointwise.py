@@ -194,7 +194,8 @@ class G2Point:
 
     @classmethod
     def from_rho(cls, rho, validate=True):
-        metric, orientation = induced_metric(rho, check_nondegenerate=validate)
+        # with validate, _validate checks the stabilizer dimension
+        metric, orientation = induced_metric(rho, check_nondegenerate=False)
         return cls(rho, metric, None, orientation, validate=validate)
 
     def _validate(self):

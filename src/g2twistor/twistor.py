@@ -135,6 +135,11 @@ def _stack(tps, name):
     return np.array([getattr(tp, name) for tp in tps])
 
 
+def _frames(tps):
+    """The seven horizontal frame vectors theta, b_1..b_6 of each point: (N, 7, 2, 7)."""
+    return np.array([np.concatenate([tp.theta[None], tp.b_lifts]) for tp in tps])
+
+
 def _extension_values(field, tps, base0, vert0, P, Y, carrier, projection):
     """Values (R, 2, 7) at ambient points (P, Y) of the local fields extending
     (base0, vert0) from tps, one twistor point and one row of each per row.
@@ -388,37 +393,29 @@ def _draw_combos(rng, max_combos):
     return combos
 
 
-def _omega_closures(field, tps, combos, h):
-    """Per twistor point tps[n], the max |d Omega| over the horizontal 4-frames
-    combos[n]: every (point, frame, term, side) row of the exterior-derivative
-    stencils goes through one `central_difference` of `_omega_values`."""
+def omega_closure_residuals(field, tps, seeds, h=None, max_combos=None):
+    """Per twistor point, the max |d Omega| on horizontal 4-frames; point i
+    draws its frames from default_rng(seeds[i]).  Every (point, frame, term,
+    side) row of the exterior-derivative stencils goes through one
+    `central_difference` of `_omega_values`.  Vanishes exactly for the flat
+    structure and detects torsion."""
+    combos = [_draw_combos(np.random.default_rng(seed), max_combos) for seed in seeds]
     h = field.h if h is None else h
     check_step(h)
-    frames = np.array([np.concatenate([tp.theta[None], tp.b_lifts]) for tp in tps])  # (N, 7, 2, 7)
-    m, x = _stack(tps, "m"), _stack(tps, "x")
     n_of = np.repeat(np.arange(len(tps)), [len(c) for c in combos])
-    frame4 = frames[n_of[:, None], np.array([c for cs in combos for c in cs])]  # (Q, 4, 2, 7)
-    d_omega = _d_omegas(field, m[n_of], x[n_of], frame4, h)
+    frame4 = _frames(tps)[n_of[:, None], np.array([c for cs in combos for c in cs])]  # (Q, 4, 2, 7)
+    d_omega = _d_omegas(field, _stack(tps, "m")[n_of], _stack(tps, "x")[n_of], frame4, h)
     size = np.hypot(d_omega.real, d_omega.imag)  # abs of each value, as the scalar abs rounds it
     ends = np.cumsum([len(c) for c in combos])
     return [max(0.0, *size[end - len(c) : end]) for c, end in zip(combos, ends)]
 
 
-def omega_closure_residuals(field, tps, seeds, h=None, max_combos=None):
-    """Per twistor point, the max |d Omega| on horizontal 4-frames; point i
-    draws its frames from default_rng(seeds[i]).  Vanishes exactly for the
-    flat structure and detects torsion."""
-    combos = [_draw_combos(np.random.default_rng(seed), max_combos) for seed in seeds]
-    return _omega_closures(field, tps, combos, h)
-
-
 def omega_closure_residual(field, tps, h=None, max_combos=None, seed=0):
     """Max |d Omega| on horizontal 4-frames over the sample of twistor
-    points, one generator drawing the frames of each point in turn; for one
-    point the N = 1 view of `omega_closure_residuals`."""
-    rng = np.random.default_rng(seed)
-    combos = [_draw_combos(rng, max_combos) for _ in tps]
-    return max(0.0, *_omega_closures(field, tps, combos, h)) if tps else 0.0
+    points, point i drawing its frames from default_rng(seed + i): the max of
+    `omega_closure_residuals`."""
+    seeds = range(seed, seed + len(tps))
+    return max(0.0, *omega_closure_residuals(field, tps, seeds, h, max_combos)) if tps else 0.0
 
 
 def _pushforward_to_form_bundle(field, tp, vec, h):
@@ -432,19 +429,19 @@ def _pushforward_to_form_bundle(field, tp, vec, h):
 def xi_factorization_residual(field, tps, h=None, max_combos=10, seed=0):
     """Two-path check: d((pullback *rho) . theta) on horizontal 4-frames
     against the exact canonical form Xi pulled through the embedding of the
-    sphere bundle into Tot(Lambda^3)."""
+    sphere bundle into Tot(Lambda^3).  Per point, each frame vector is pushed
+    forward once and the d Omega of all its 4-frames come from one pass."""
     h = field.h if h is None else h
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for tp in tps:
+    for tp, frame in zip(tps, _frames(tps)):
         lam = contract(tp.point.rho_star, tp.x)
-        frame = [tp.theta] + [tp.b_lifts[a] for a in range(6)]
-        for combo in _draw_combos(rng, max_combos):
-            frame4 = [frame[c] for c in combo]
-            direct = -_d_omegas(field, tp.m[None], tp.x[None], np.array([frame4]), h)[0].imag
-            pushed = [_pushforward_to_form_bundle(field, tp, v, h) for v in frame4]
-            exact = xi_value(lam, pushed)
-            worst = max(worst, abs(direct - exact))
+        pushed = [_pushforward_to_form_bundle(field, tp, v, h) for v in frame]
+        combos = _draw_combos(rng, max_combos)
+        m, x = np.tile(tp.m, (len(combos), 1)), np.tile(tp.x, (len(combos), 1))
+        direct = -_d_omegas(field, m, x, frame[np.array(combos)], h).imag
+        for combo, d in zip(combos, direct):
+            worst = max(worst, abs(d - xi_value(lam, [pushed[c] for c in combo])))
     return worst
 
 
@@ -454,17 +451,15 @@ def cartan_identity_residual(field, tp, h=None):
     Z, T run over the (0,1) eigenbasis (extended as sections), X, Y over
     the real B frame; with our exterior-derivative convention the identity
     reads d Omega(X, Y, Z, T) = -Omega(X, Y, [Z, T]) whenever Omega is
-    closed along the relevant directions.
+    closed along the relevant directions.  The three brackets come from one
+    bracket-kernel pass, the nine d Omega values from one `_d_omegas` pass.
     """
     h = field.h if h is None else h
     zt = tp.tangents_01
-    worst = 0.0
-    for zi, ti in zip(_PAIR_I, _PAIR_J):
-        br = frobenius_bracket(field, tp, zt[zi], zt[ti], h=h, projection="cr01")
-        for xi, yi in [(0, 1), (2, 3), (4, 5)]:
-            X, Y = tp.b_lifts[xi], tp.b_lifts[yi]
-            frame4 = np.array([[X, Y, zt[zi], zt[ti]]])
-            d_val = _d_omegas(field, tp.m[None], tp.x[None], frame4, h)[0]
-            om_val = _omega_eval(field, tp.m, tp.x, [X.astype(complex), Y.astype(complex), br])
-            worst = max(worst, abs(d_val + om_val))
-    return worst
+    br = _brackets(field, [tp] * 3, zt[list(_PAIR_I)], zt[list(_PAIR_J)], h, "transport", "cr01")
+    xy = tp.b_lifts.reshape(3, 2, 2, 7).astype(complex)  # the pairs (X, Y) = (0, 1), (2, 3), (4, 5)
+    frames = np.array([[X, Y, zt[z], zt[t]] for z, t in zip(_PAIR_I, _PAIR_J) for X, Y in xy])
+    B = np.array([[X[0], Y[0], b[0]] for b in br for X, Y in xy])
+    m, x = np.tile(tp.m, (len(frames), 1)), np.tile(tp.x, (len(frames), 1))
+    vals = _d_omegas(field, m, x, frames, h) + _omega_values(field, m, x, B)
+    return max(0.0, *(abs(v) for v in vals))

@@ -29,11 +29,17 @@ def test_seeds_option_exits_2_on_a_reversed_range(capsys):
 
 @pytest.mark.parametrize(
     "printed",
-    ["print('starting')\nprint('done')", "print('{\"metrics\": {}}')", "print('[1, 2]')"],
+    [
+        "print('starting')\nprint('done')",
+        "print('{\"metrics\": {}}')",
+        "print('[1, 2]')",
+        "print('{\"correct\": true}')",
+    ],
 )
 def test_a_malformed_result_line_ends_in_one_line(tmp_path, printed):
-    """A last line that is no result object, or one without "correct", stops
-    the script with one line naming the tree, the workload and the seed."""
+    """A last line that is no result object, or one without "correct",
+    "metrics", "attempted" or "failed", stops the script with one line naming
+    the tree, the workload and the seed."""
     tree = tmp_path / "abc123"
     (tree / "campaign_bench").mkdir(parents=True)
     (tree / "campaign_bench" / "run.py").write_text(printed + "\n")

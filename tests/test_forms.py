@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2twistor.forms import (
+    _complement_table,
+    _contract_table,
     DegreeError,
     DimensionMismatch,
     ExteriorAlgebraError,
@@ -477,3 +479,26 @@ def test_dense_matches_evaluation_oracle():
         assert D.shape == (5,) * degree
         for idx in itertools.product(range(5), repeat=degree):
             assert _close(D[idx], oracles.eval_form(a, [basis[i] for i in idx]))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_contract_table_entries_per_output_in_ascending_component(dim):
+    """Each entry of the contraction table is e^c ^ e^J = sign e^I; the entries
+    of one output J come in ascending c, the order `contract` sums them in."""
+    for k in range(1, dim + 1):
+        comp, src, dst, sg = _contract_table(dim, k)
+        for c, I, J, s in zip(comp, src, dst, sg):
+            J = increasing_indices(dim, k - 1)[J]
+            assert sort_with_sign((c,) + J) == (increasing_indices(dim, k)[I], s)
+        for J in np.unique(dst):
+            assert np.all(np.diff(comp[dst == J]) > 0)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_complement_table_is_the_sorting_sign_of_each_index_and_its_complement(dim):
+    for k in range(dim + 1):
+        dst, sg = _complement_table(dim, k)
+        for p, I in enumerate(increasing_indices(dim, k)):
+            Ic = tuple(i for i in range(dim) if i not in I)
+            assert dst[p] == index_position(dim, dim - k)[Ic]
+            assert sg[p] == sort_with_sign(I + Ic)[1]

@@ -12,6 +12,7 @@ from g2twistor.fields import (
     levi_civita,
     make_field,
 )
+from g2twistor import twistor
 from g2twistor.forms import KForm, contract
 from g2twistor.sampling import sphere_bundle_samples
 from g2twistor.twistor import (
@@ -483,6 +484,49 @@ def test_cartan_identity_conformal_rate(conformal):
         errs.append(cartan_identity_residual(field, tp))
     assert fit_convergence_order(HS, errs) > 0.9
     assert errs[-1] < errs[0]
+
+
+def recording_kernels(monkeypatch, *names):
+    """Replace twistor kernels by wrappers that record the second argument
+    (the points or rows) of each call, per kernel name."""
+    seen = {name: [] for name in names}
+    for name in names:
+        kernel = getattr(twistor, name)
+
+        def recording(field, rows, *args, kernel=kernel, name=name):
+            seen[name].append(rows)
+            return kernel(field, rows, *args)
+
+        monkeypatch.setattr(twistor, name, recording)
+    return seen
+
+
+def test_cartan_identity_one_bracket_and_one_d_omega_pass(generic, monkeypatch):
+    """The three brackets come from one bracket-kernel pass, the nine
+    d Omega values (three pairs times three (X, Y)) from one `_d_omegas` pass."""
+    tp = twistor_point(generic, MS[3], XS[3])
+    seen = recording_kernels(monkeypatch, "_brackets", "_d_omegas")
+    cartan_identity_residual(generic, tp)
+    assert [len(rows) for rows in seen["_brackets"]] == [3]
+    assert [len(rows) for rows in seen["_d_omegas"]] == [9]
+
+
+def test_xi_factorization_pushes_each_frame_vector_once(generic, monkeypatch):
+    """Per point, each of the seven frame vectors is pushed forward once, and
+    the d Omega of all its 4-frames come from one `_d_omegas` pass."""
+    tps = [twistor_point(generic, MS[k], XS[k]) for k in range(2)]
+    seen = recording_kernels(monkeypatch, "_pushforward_to_form_bundle", "_d_omegas")
+    xi_factorization_residual(generic, tps, max_combos=6)
+    assert seen["_pushforward_to_form_bundle"] == [tps[0]] * 7 + [tps[1]] * 7
+    assert [len(rows) for rows in seen["_d_omegas"]] == [6, 6]
+
+
+def test_omega_closure_residual_is_the_max_of_the_per_point_residuals(generic):
+    """Point i of a sample draws its frames from default_rng(seed + i)."""
+    tps = [twistor_point(generic, MS[k], XS[k]) for k in range(3)]
+    per_point = omega_closure_residuals(generic, tps, range(4, 7), max_combos=3)
+    assert omega_closure_residual(generic, tps, max_combos=3, seed=4) == max(per_point)
+    assert omega_closure_residual(generic, [], max_combos=3) == 0.0
 
 
 def test_noise_floor_reported(flat):
