@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2twistor.forms import (
-    _complement_table,
-    _contract_table,
     DegreeError,
     DimensionMismatch,
     ExteriorAlgebraError,
     KForm,
     MetricTensor,
     NotPositiveDefinite,
+    _complement_table,
+    _contract_table,
     annihilator_basis,
     annihilator_dimension,
     contract,
@@ -487,9 +487,9 @@ def test_contract_table_entries_per_output_in_ascending_component(dim):
     of one output J come in ascending c, the order `contract` sums them in."""
     for k in range(1, dim + 1):
         comp, src, dst, sg = _contract_table(dim, k)
-        for c, I, J, s in zip(comp, src, dst, sg):
-            J = increasing_indices(dim, k - 1)[J]
-            assert sort_with_sign((c,) + J) == (increasing_indices(dim, k)[I], s)
+        for c, p, q, s in zip(comp, src, dst, sg):
+            J = increasing_indices(dim, k - 1)[q]
+            assert sort_with_sign((c,) + J) == (increasing_indices(dim, k)[p], s)
         for J in np.unique(dst):
             assert np.all(np.diff(comp[dst == J]) > 0)
 
