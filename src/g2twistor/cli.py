@@ -13,9 +13,9 @@ all            every campaign into one output directory
 Reports: summary.txt ('key: value' lines, config echoed verbatim) and
 samples.csv (per-sample rows; first line is a timestamp comment, the rest
 is byte-reproducible for a fixed config and seed).  Samples run on one
-thread; the twistor and instanton scans take them in blocks of
-``twistor.BLOCK``, each block in batched array passes whose rows equal the
-one-sample computation bit for bit, so no output byte depends on the block.
+thread; the integrability, twistor and instanton scans take them in blocks
+of ``twistor.BLOCK``, each block in batched array passes whose rows equal
+the one-sample computation bit for bit, so no output byte depends on the block.
 ``workers`` is validated and echoed in summary.txt but changes neither the
 output nor the code path.
 """
@@ -284,7 +284,7 @@ def run_integrability(cfg):
     points = torus_points(cfg.samples, cfg.seed)
     tau = flds.calibrate_integrability(cfg.resolution)
 
-    results = [flds.torsion_residual(field, p) for p in points]
+    results = [r for b in tw.blocks(cfg.samples) for r in flds.torsion_residuals(field, points[b])]
     rows = [tuple(p) + r for p, r in zip(points, results)]
     d_max = max(r[0] for r in results)
     s_max = max(r[1] for r in results)

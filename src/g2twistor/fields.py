@@ -281,52 +281,54 @@ def central_difference(f, at, direction, h):
 
 
 def _d_from_partials(partials, degree):
-    """Coefficients of d(a) = sum_i e^i ^ d_i a from the partials (7, C(7, k))."""
+    """Coefficients (N, C(7, k+1)) of d(a) = sum_i e^i ^ d_i a from partials (N, 7, C(7, k))."""
     ia, ib, io, sg = _wedge_table(7, 1, degree)
-    out = np.zeros(comb(7, degree + 1))
-    np.add.at(out, io, sg * partials[ia, ib])
+    out = np.zeros((len(partials), comb(7, degree + 1)))
+    np.add.at(out, (slice(None), io), sg * partials[:, ia, ib])
     return out
 
 
 def exterior_derivative(form_at, p, h):
     """Central-difference exterior derivative of a KForm-valued map."""
-    forms = []
+    p = np.asarray(p, dtype=float)
+    degree = form_at(p).degree
 
     def coeffs(P):
-        forms[:] = [form_at(q) for q in P]
-        return np.array([a.coeffs for a in forms])
+        return np.array([form_at(q).coeffs for q in P])
 
-    partials = central_difference(coeffs, (np.asarray(p, dtype=float),), (AXES,), h)
-    degree = forms[0].degree
-    return KForm(7, degree + 1, _d_from_partials(partials, degree))
+    partials = central_difference(coeffs, (p,), (AXES,), h)
+    return KForm(7, degree + 1, _d_from_partials(partials[None], degree)[0])
 
 
-def _torsion_forms(field, p, h):
-    """(d rho, d *rho) coefficients at p from one batched stencil per sign."""
+def _torsion_forms(field, P, h):
+    """(d rho, d *rho) coefficients (N, 35) each at the rows of P (N, 7): the
+    stencils of all rows in one `central_difference` along (AXES,)."""
 
-    def rho_and_star(P):
-        R = field.rho_coeffs(P)
-        return np.concatenate([R, rho_star_coeffs(R)], axis=1)
+    def rho_and_star(Q):
+        R = field.rho_coeffs(Q.reshape(-1, 7))
+        return np.concatenate([R, rho_star_coeffs(R)], axis=1).reshape(Q.shape[:-1] + (70,))
 
-    partials = central_difference(rho_and_star, (np.asarray(p, dtype=float),), (AXES,), h)
-    return _d_from_partials(partials[:, :35], 3), _d_from_partials(partials[:, 35:], 4)
+    partials = central_difference(rho_and_star, (P[:, None],), (AXES,), h)
+    return _d_from_partials(partials[..., :35], 3), _d_from_partials(partials[..., 35:], 4)
+
+
+def torsion_residuals(field, P, h=None):
+    """(|d rho|, |d *rho|) at each row of P (N, 7), coefficient norms (the
+    Fernandez-Gray test); row i equals the one-row call bit for bit."""
+    P = np.asarray(P, dtype=float).reshape(-1, 7)
+    d_rho, d_star = _torsion_forms(field, P, field.h if h is None else h)
+    return [(float(np.linalg.norm(a)), float(np.linalg.norm(b))) for a, b in zip(d_rho, d_star)]
 
 
 def torsion_residual(field, p, h=None):
-    """(|d rho|, |d *rho|) at p, coefficient norms (the Fernandez-Gray test)."""
-    d_rho, d_star = _torsion_forms(field, p, field.h if h is None else h)
-    return float(np.linalg.norm(d_rho)), float(np.linalg.norm(d_star))
+    """(|d rho|, |d *rho|) at p: the N = 1 view of `torsion_residuals`."""
+    return torsion_residuals(field, np.asarray(p, dtype=float)[None], h)[0]
 
 
 def fernandez_gray_residual(field, sample_points, h=None):
-    """(max |d rho|, max |d *rho|) over the sample set, coefficient norms."""
-    max_d = 0.0
-    max_ds = 0.0
-    for p in sample_points:
-        d_rho, d_star = torsion_residual(field, p, h)
-        max_d = max(max_d, d_rho)
-        max_ds = max(max_ds, d_star)
-    return max_d, max_ds
+    """(max |d rho|, max |d *rho|) over the sample set, coefficient norms; zeros for none."""
+    residuals = torsion_residuals(field, sample_points, h)
+    return tuple(max(column) for column in zip((0.0, 0.0), *residuals))
 
 
 def calibrate_integrability(resolution, n_points=20, seed=0, amplitude=0.01):
@@ -339,13 +341,10 @@ def calibrate_integrability(resolution, n_points=20, seed=0, amplitude=0.01):
     """
     gen = ConformalGenerator(amplitude)
     field = StructureField(generator=gen, resolution=resolution)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_points):
-        p = rng.random(7)
-        approx = _torsion_forms(field, p, field.h)[0]
-        worst = max(worst, float(np.linalg.norm(approx - gen.exact_drho(p).coeffs)))
-    return 5.0 * max(worst, 1e-14)
+    P = np.random.default_rng(seed).random((n_points, 7))
+    approx = _torsion_forms(field, P, field.h)[0]
+    errors = [float(np.linalg.norm(a - gen.exact_drho(p).coeffs)) for p, a in zip(P, approx)]
+    return 5.0 * max(0.0, *errors, 1e-14)
 
 
 def integrability_verdict(field, sample_points, tau=None):

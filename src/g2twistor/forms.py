@@ -2,8 +2,8 @@
 
 A k-form is stored as a coefficient vector over the lexicographically
 ordered strictly increasing multi-indices of length k.  Every sign
-computation funnels through ``sort_with_sign``, and the contraction and
-complement tables are views of the wedge table, so the shuffle-sign
+computation funnels through ``sort_with_sign``: the contraction, complement
+and derivation tables are read off the wedge table, so the shuffle-sign
 convention lives in exactly one place.
 
 Sign conventions (see docs/CONVENTIONS.md for the full sheet):
@@ -381,7 +381,8 @@ def hodge_star_coeffs(a, ginv, vol, degree):
         comp, src, dst, sg = _contract_table(n, degree - r)
         L = np.zeros((N, n, comb(n, degree - r - 1), comb(n, r)))
         L[:, comp, dst] = sg[:, None] * X[:, src]  # lowered slot r+1 split off
-        U = (ginv @ L.reshape(N, n, -1)).reshape(L.shape).transpose(0, 2, 1, 3)
+        U = ginv @ L.reshape(N, n, L.shape[2] * L.shape[3])  # sized, not -1: N may be 0
+        U = U.reshape(L.shape).transpose(0, 2, 1, 3)
         prev, last = _extend_table(n, r)
         X = U[:, :, last, prev]
     weights = X[:, 0, :] * vol[:, None]
@@ -452,32 +453,18 @@ def _derivation_table(dim, degree):
     """Entries (src, dst, m, j, sign) of the derivation action.
 
     For A in gl(n) acting on forms by (A.a)(x1..xk) = sum_i a(x1..A xi..xk):
-    out[dst] += sign * A[m, j] * a[src].
+    out[dst] += sign * A[m, j] * a[src].  As A.e^K = sum A[m, j] e^j ^ (e_m . e^K),
+    each entry joins a contraction e_m . e^K = s1 e^L with a wedge
+    e^j ^ e^L = s2 e^P on L, and the entries come in (dst, j, m) order.
     """
-    pos = index_position(dim, degree)
-    src, dst, mm, jj, sg = [], [], [], [], []
-    for p, J in enumerate(increasing_indices(dim, degree)):
-        for r, j in enumerate(J):
-            rest = J[:r] + J[r + 1 :]
-            rest_set = set(rest)
-            for m in range(dim):
-                if m in rest_set:
-                    continue
-                K, s = sort_with_sign(rest + (m,))
-                # moving m from the last slot back to slot r costs (-1)^(k-1-r)
-                s *= (-1.0) ** (degree - 1 - r)
-                dst.append(p)
-                src.append(pos[K])
-                mm.append(m)
-                jj.append(j)
-                sg.append(s)
-    return (
-        np.array(src, dtype=int),
-        np.array(dst, dtype=int),
-        np.array(mm, dtype=int),
-        np.array(jj, dtype=int),
-        np.array(sg, dtype=float),
-    )
+    if degree == 0:
+        return tuple(np.zeros(0, dtype=t) for t in (int, int, int, int, float))
+    mm, src, lc, s1 = _contract_table(dim, degree)  # e_m . e^K = s1 e^L, L at lc
+    jj, lw, dst, s2 = _wedge_table(dim, 1, degree - 1)  # e^j ^ e^L = s2 e^P, L at lw
+    c, w = np.nonzero(lc[:, None] == lw)  # every (contraction, wedge) pair sharing L
+    order = np.lexsort((mm[c], jj[w], dst[w]))
+    c, w = c[order], w[order]
+    return src[c], dst[w], mm[c], jj[w], s1[c] * s2[w]
 
 
 def derivation_apply(a, A):

@@ -100,6 +100,8 @@ def twistor_points(field, M, X):
     all rows, and row i equals the one-row call bit for bit."""
     M = np.asarray(M, dtype=float)
     X = np.asarray(X, dtype=float)
+    if not len(M):
+        return []
     if not np.isfinite(X).all():
         raise TwistorError("fiber vector must be finite")
     points = field.points_data(M)
@@ -212,6 +214,8 @@ def involutivity_residuals(field, tps, h=None, which="01", carrier="transport"):
     check_step(h)
     _check_option("which", which, WHICH)
     _check_option("carrier", carrier, CARRIERS)
+    if not tps:
+        return []
     tangents = np.array([tp.tangents_01 for tp in tps]).reshape(-1, 3, 2, 7)
     if which == "10":  # b10 = conj(b01) and the lifts are real
         tangents = np.conj(tangents)
@@ -249,6 +253,8 @@ def vertical_curvature_obstructions(field, tps, curvature=None, h=None):
     `curvature` may override the Levi-Civita curvature with a synthetic
     lowered tensor of shape (7, 7, 7, 7).
     """
+    if not tps:
+        return []
     if curvature is None:
         riemann = np.array([conn.riemann for conn in levi_civitas(field, _stack(tps, "m"), h)])
     else:
@@ -356,12 +362,6 @@ def _omega_values(field, P, Y, B):
     return np.concatenate(out)
 
 
-def _omega_eval(field, p, y, vectors):
-    """Omega on three ambient tangents at (p, y): the N = 1 view of `_omega_values`."""
-    B = np.array([np.asarray(v[0]) for v in vectors])
-    return _omega_values(field, np.asarray(p)[None], np.asarray(y)[None], B[None])[0]
-
-
 #: the terms of d Omega on a 4-frame: the vector differenced along, then the other three
 _D_TERMS = np.array([(j, *(i for i in range(4) if i != j)) for j in range(4)])
 
@@ -402,6 +402,8 @@ def omega_closure_residuals(field, tps, seeds, h=None, max_combos=None):
     combos = [_draw_combos(np.random.default_rng(seed), max_combos) for seed in seeds]
     h = field.h if h is None else h
     check_step(h)
+    if not tps:
+        return []
     n_of = np.repeat(np.arange(len(tps)), [len(c) for c in combos])
     frame4 = _frames(tps)[n_of[:, None], np.array([c for cs in combos for c in cs])]  # (Q, 4, 2, 7)
     d_omega = _d_omegas(field, _stack(tps, "m")[n_of], _stack(tps, "x")[n_of], frame4, h)

@@ -19,11 +19,13 @@ from g2twistor.fields import (
     levi_civita,
     make_field,
     torsion_residual,
+    torsion_residuals,
 )
 from g2twistor.forms import KForm, hodge_star, wedge
 from g2twistor.pointwise import RHO_STD_TERMS, G2Point
 from g2twistor.sampling import sphere_bundle_samples, torus_points
 from g2twistor.twistor import (
+    BLOCK,
     involutivity_residual,
     involutivity_residuals,
     omega_closure_residuals,
@@ -314,17 +316,75 @@ def test_flat_field_torsion_free_exactly(flat, points):
     assert d < 1e-13 and ds < 1e-13
 
 
+def _per_point_torsion(field, p):
+    """(|d rho|, |d *rho|) from differencing rho and *rho point by point through point_data."""
+    return (
+        exterior_derivative(field.rho, p, field.h).coefficient_norm,
+        exterior_derivative(lambda q: field.point_data(q).rho_star, p, field.h).coefficient_norm,
+    )
+
+
 @pytest.mark.parametrize("family", ["closed-perturbed", "generic-perturbed", "conformal"])
 def test_torsion_residual_matches_per_point_route(family, points):
     """The batched stencil gives the same bits as differencing rho and *rho
     point by point through point_data."""
     field = make_field(family, 16, epsilon=0.05)
     for p in points:
-        want = (
-            exterior_derivative(field.rho, p, field.h).coefficient_norm,
-            exterior_derivative(lambda q: field.point_data(q).rho_star, p, field.h).coefficient_norm,
-        )
-        assert torsion_residual(field, p) == want
+        assert torsion_residual(field, p) == _per_point_torsion(field, p)
+
+
+@pytest.mark.parametrize("n", [1, 5, BLOCK + 1])
+@pytest.mark.parametrize("family", ["closed-perturbed", "generic-perturbed", "conformal"])
+def test_torsion_residuals_rows_match_one_point_calls(family, n):
+    """Row i of the stacked torsion kernel equals the one-point residual and
+    the per-point route bit for bit (each norm taken row by row: a norm
+    along axis 1 moves the last bit of a row of closed-perturbed here), and
+    the Fernandez-Gray residual takes the column maxima."""
+    field = make_field(family, 16, epsilon=0.05)
+    P = torus_points(n, 21)
+    rows = torsion_residuals(field, P)
+    assert rows == [torsion_residual(field, p) for p in P]
+    assert rows == [_per_point_torsion(field, p) for p in P]
+    assert fernandez_gray_residual(field, P) == tuple(max(0.0, *col) for col in zip(*rows))
+
+
+@pytest.mark.parametrize("resolution", [8, 16, 32, 64])
+def test_calibration_matches_per_point_loop(resolution):
+    """One stacked pass gives the threshold of the per-point loop exactly:
+    random((n, 7)) draws the stream of n calls of random(7)."""
+    gen = ConformalGenerator(0.01)
+    field = StructureField(generator=gen, resolution=resolution)
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(20):
+        p = rng.random(7)
+        approx = exterior_derivative(field.rho, p, field.h).coeffs
+        worst = max(worst, float(np.linalg.norm(approx - gen.exact_drho(p).coeffs)))
+    assert calibrate_integrability(resolution) == 5.0 * max(worst, 1e-14)
+
+
+@pytest.mark.parametrize(
+    "op, want",
+    [
+        ("twistor_points", []),
+        ("involutivity_residuals", []),
+        ("vertical_curvature_obstructions", []),
+        ("omega_closure_residuals", []),
+        ("torsion_residuals", []),
+        ("fernandez_gray_residual", (0.0, 0.0)),
+    ],
+)
+def test_batches_accept_no_rows(flat, op, want):
+    """A batch of no rows gives no rows, and the Fernandez-Gray maxima start at zero."""
+    calls = {
+        "twistor_points": lambda: twistor_points(flat, [], []),
+        "involutivity_residuals": lambda: involutivity_residuals(flat, []),
+        "vertical_curvature_obstructions": lambda: vertical_curvature_obstructions(flat, []),
+        "omega_closure_residuals": lambda: omega_closure_residuals(flat, [], []),
+        "torsion_residuals": lambda: torsion_residuals(flat, []),
+        "fernandez_gray_residual": lambda: fernandez_gray_residual(flat, []),
+    }
+    assert calls[op]() == want
 
 
 def test_closed_perturbation_keeps_d_rho_zero(points):

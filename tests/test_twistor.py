@@ -436,13 +436,14 @@ def test_omega_closure_flat_zero(flat):
 
 
 def test_omega_matches_frame_volume(flat, generic):
-    from g2twistor.twistor import _omega_eval
+    from g2twistor.twistor import _omega_values
 
     for field in (flat, generic):
         tp = twistor_point(field, MS[1], XS[1])
         fr = tp.su3
         for (a, b, c) in [(0, 1, 2), (1, 3, 5), (0, 2, 4)]:
-            val = _omega_eval(field, tp.m, tp.x, [tp.b_lifts[a], tp.b_lifts[b], tp.b_lifts[c]])
+            B = tp.b_lifts[[a, b, c], 0]
+            val = _omega_values(field, tp.m[None], tp.x[None], B[None])[0]
             basis = np.eye(6)
             want = fr.Omega_re.evaluate([basis[a], basis[b], basis[c]]) + 1j * fr.Omega_im.evaluate(
                 [basis[a], basis[b], basis[c]]
