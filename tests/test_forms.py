@@ -407,7 +407,7 @@ def test_annihilator_basis_annihilates():
 
 
 def test_derivation_action_matches_evaluation_oracle():
-    for dim, degree in [(dim, k) for dim in (4, 7) for k in range(dim + 1)]:
+    for dim, degree in [(d, k) for d in (4, 7) for k in range(d + 1)]:
         a = random_form(dim, degree)
         A = RNG.standard_normal((dim, dim))
         out = derivation_apply(a, A)
