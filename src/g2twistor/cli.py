@@ -328,6 +328,17 @@ def run_twistor(cfg):
     return summary, header, results, {"involutivity": verdict}, {}
 
 
+def _instanton_rows(field, conn, M, X):
+    """(m, x, cr, f7) rows of one block; its frames are freed before the next block."""
+    tps = tw.twistor_points(field, M, X)
+    F = np.array([conn.curvature(tp.m, field.h) for tp in tps])
+    columns = zip(
+        inst.cr_holomorphicity_residuals(field, conn, tps),
+        inst.f7_residuals([tp.point for tp in tps], F),
+    )
+    return [tuple(tp.m) + tuple(tp.x) + r for tp, r in zip(tps, columns)]
+
+
 def run_instanton(cfg):
     field = flds.make_field(cfg.generator, cfg.resolution, cfg.epsilon, cfg.frequency)
     point = standard_g2_point()
@@ -340,12 +351,7 @@ def run_instanton(cfg):
     )
     ms, xs = sphere_bundle_samples(cfg.samples, cfg.seed)
 
-    results = []
-    for block in tw.blocks(cfg.samples):
-        for tp in tw.twistor_points(field, ms[block], xs[block]):
-            cr = inst.cr_holomorphicity_residual(field, conn, tp)
-            f7 = inst.f7_residual(tp.point, conn.curvature(tp.m, field.h))
-            results.append(tuple(tp.m) + tuple(tp.x) + (cr, f7))
+    results = [r for b in tw.blocks(cfg.samples) for r in _instanton_rows(field, conn, ms[b], xs[b])]
     cr_max = max(r[14] for r in results)
     f7_max = max(r[15] for r in results)
     verdicts = {

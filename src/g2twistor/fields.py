@@ -232,6 +232,13 @@ class StructureField:
 
 #: rows per call of a stacked row pass (bounds its stacks)
 CHUNK = 16
+#: samples per batch pass of a campaign scan (bounds the stacks of a pass)
+BLOCK = 16
+
+
+def blocks(n):
+    """Consecutive slices of at most BLOCK of n samples."""
+    return [slice(start, start + BLOCK) for start in range(0, n, BLOCK)]
 
 
 def _distinct_rows(P, compute):
@@ -342,7 +349,7 @@ def calibrate_integrability(resolution, n_points=20, seed=0, amplitude=0.01):
     gen = ConformalGenerator(amplitude)
     field = StructureField(generator=gen, resolution=resolution)
     P = np.random.default_rng(seed).random((n_points, 7))
-    approx = _torsion_forms(field, P, field.h)[0]
+    approx = [a for b in blocks(n_points) for a in _torsion_forms(field, P[b], field.h)[0]]
     errors = [float(np.linalg.norm(a - gen.exact_drho(p).coeffs)) for p, a in zip(P, approx)]
     return 5.0 * max(0.0, *errors, 1e-14)
 
@@ -394,7 +401,8 @@ def christoffels(field, P, h=None):
         ginv = np.linalg.inv(field.metrics(C)[0])
         return 0.5 * np.einsum("nkl,nijl->nkij", ginv, terms)
 
-    return np.array(_distinct_rows(np.asarray(P, dtype=float), compute))
+    P = np.asarray(P, dtype=float)
+    return np.array(_distinct_rows(P, compute)).reshape(len(P), 7, 7, 7)
 
 
 def christoffel(field, p, h=None):
@@ -407,6 +415,8 @@ def levi_civitas(field, P, h=None):
     the centres and one per stencil side on their axis neighbours."""
     h = field.h if h is None else h
     P = np.asarray(P, dtype=float)
+    if not len(P):
+        return []
 
     def gammas(Q):
         return christoffels(field, Q.reshape(-1, 7), h).reshape(Q.shape[:-1] + (7, 7, 7))

@@ -77,26 +77,35 @@ def sort_with_sign(indices):
 
 
 def minors(A, k):
-    """k-th compound matrix of an n x m array: entry [p, q] = det(A[I_p, J_q])
-    for I_p, J_q the increasing k-multi-indices of rows and columns."""
+    """k-th compound matrices of stacked n x m arrays A (..., n, m): entry
+    [..., p, q] = det(A[..., I_p, J_q]) for I_p, J_q the increasing
+    k-multi-indices of rows and columns.  Each entry is formed elementwise
+    from its own matrix, and the result is C-ordered (a gather puts the
+    stack axis innermost), so a stacked call equals the per-matrix calls bit
+    for bit, layout included."""
     A = np.asarray(A, dtype=float)
     if k == 0:
-        return np.ones((1, 1))
+        return np.ones(A.shape[:-2] + (1, 1))
     if k == 1:
         return A
-    n, m = A.shape
+    n, m = A.shape[-2:]
     I = np.array(increasing_indices(n, k), dtype=int)
     J = np.array(increasing_indices(m, k), dtype=int)
-    sub = A[I[:, None, :, None], J[None, :, None, :]]
+
+    def sub(a, b):  # entry (a, b) of every k x k submatrix, gathered one at a time
+        return A[..., I[:, a, None], J[:, b]]
+
     if k == 2:
-        return sub[..., 0, 0] * sub[..., 1, 1] - sub[..., 0, 1] * sub[..., 1, 0]
-    if k == 3:
-        return (
-            sub[..., 0, 0] * (sub[..., 1, 1] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 1])
-            - sub[..., 0, 1] * (sub[..., 1, 0] * sub[..., 2, 2] - sub[..., 1, 2] * sub[..., 2, 0])
-            + sub[..., 0, 2] * (sub[..., 1, 0] * sub[..., 2, 1] - sub[..., 1, 1] * sub[..., 2, 0])
+        out = sub(0, 0) * sub(1, 1) - sub(0, 1) * sub(1, 0)
+    elif k == 3:
+        out = (
+            sub(0, 0) * (sub(1, 1) * sub(2, 2) - sub(1, 2) * sub(2, 1))
+            - sub(0, 1) * (sub(1, 0) * sub(2, 2) - sub(1, 2) * sub(2, 0))
+            + sub(0, 2) * (sub(1, 0) * sub(2, 1) - sub(1, 1) * sub(2, 0))
         )
-    return np.linalg.det(sub)
+    else:
+        out = np.linalg.det(A[..., I[:, None, :, None], J[None, :, None, :]])
+    return np.ascontiguousarray(out)
 
 
 @lru_cache(maxsize=None)
@@ -109,6 +118,15 @@ def _dense_table(dim, degree):
             dst.append(sum(i * dim ** (degree - 1 - r) for r, i in enumerate(perm)))
             sg.append(sort_with_sign(perm)[1])
     return np.array(src, dtype=int), np.array(dst, dtype=int), np.array(sg, dtype=float)
+
+
+def dense_stack(coeffs, dim, degree):
+    """Antisymmetric dense arrays (..., dim, ..., dim) of coefficient rows (..., C(dim, degree))."""
+    src, dst, sg = _dense_table(dim, degree)
+    lead = coeffs.shape[:-1]
+    out = np.zeros(lead + (dim**degree,), dtype=coeffs.dtype)
+    out[..., dst] = sg * coeffs[..., src]
+    return out.reshape(lead + (dim,) * degree)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +224,7 @@ class KForm:
 
     def dense(self):
         """Fully antisymmetric dense array of shape (dim,)*degree."""
-        src, dst, sg = _dense_table(self.dim, self.degree)
-        out = np.zeros(self.dim**self.degree)
-        out[dst] = sg * self.coeffs[src]
-        return out.reshape((self.dim,) * self.degree)
+        return dense_stack(self.coeffs, self.dim, self.degree)
 
     def as_matrix(self):
         """Antisymmetric matrix representation of a 2-form."""
@@ -330,6 +345,16 @@ def _contract_table(dim, degree):
     return comp, src, dst, sg
 
 
+def contract_stack(A, V, dim, degree):
+    """Interior products (N, C(dim, degree - 1)) of stacked degree-forms A
+    (N, C(dim, degree)) with the vectors V (N, dim), row by row; each entry
+    sums its terms in table order, as the one-form call does."""
+    comp, src, dst, sg = _contract_table(dim, degree)
+    out = np.zeros((len(A), comb(dim, degree - 1)))
+    np.add.at(out, (slice(None), dst), sg * V[:, comp] * A[:, src])
+    return out
+
+
 def contract(a, v):
     """Interior product (v in the first slot): (a . v)(x2..xk) = a(v, x2..xk)."""
     if a.degree == 0:
@@ -337,10 +362,7 @@ def contract(a, v):
     v = np.asarray(v, dtype=float)
     if v.shape != (a.dim,):
         raise DimensionMismatch("vector dimension mismatch")
-    comp, src, dst, sg = _contract_table(a.dim, a.degree)
-    out = np.zeros(comb(a.dim, a.degree - 1))
-    np.add.at(out, dst, sg * v[comp] * a.coeffs[src])
-    return KForm(a.dim, a.degree - 1, out)
+    return KForm(a.dim, a.degree - 1, contract_stack(a.coeffs[None], v[None], a.dim, a.degree)[0])
 
 
 def _complement_table(dim, degree):

@@ -12,11 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import central_difference
-from .forms import KForm, contract
-from .pointwise import hodge_type_on_complement
+from .forms import KForm, contract, minors
+from .pointwise import hodge_type_on_complement, lambda2_projectors
 from .twistor import _PAIR_I, _PAIR_J, _brackets, _extension_values
 
 AXES = np.eye(7)
+#: the increasing index pairs (i, j), the form index of a (21, r, r) curvature
+_PAIRS = np.triu_indices(7, 1)
 CONNECTION_FAMILIES = ("flat", "const-14", "const-7", "mixed")
 
 
@@ -56,13 +58,13 @@ class ConnectionData:
         dA = central_difference(
             lambda Q: np.array([self.potential(q) for q in Q], dtype=complex), (p,), (AXES,), h
         )
-        i, j = np.triu_indices(7, 1)  # the increasing pairs
+        i, j = _PAIRS
         return dA[i, j] - dA[j, i] + A[i] @ A[j] - A[j] @ A[i]
 
     def curvature_dense(self, p, h=1e-4):
         """Dense antisymmetric (7, 7, rank, rank) curvature array."""
         F = self.curvature(p, h)
-        i, j = np.triu_indices(7, 1)  # the increasing pairs of F
+        i, j = _PAIRS
         out = np.zeros((7, 7, self.rank, self.rank), dtype=complex)
         out[i, j], out[j, i] = F, -F
         return out
@@ -121,13 +123,23 @@ def make_connection(family, point, index=0, vector=0, mix=0.0):
 # instanton test
 
 
+def f7_residuals(points, F):
+    """Per G2 point, the norm of the 7-part of its (21, r, r) curvature, F
+    stacked (N, 21, r, r): metric Gram on the form index, Frobenius on the
+    bundle indices.  Row i equals the one-point call bit for bit."""
+    if not len(points):
+        return []
+    P7, _ = lambda2_projectors(points)
+    gram = minors(np.array([pt.ginv for pt in points]), 2)
+    F7 = np.einsum("nIJ,nJab->nIab", P7, F)
+    val = np.einsum("nIab,nIJ,nJab->n", np.conj(F7), gram, F7).real
+    return [float(np.sqrt(max(v, 0.0))) for v in val]
+
+
 def f7_residual(point, F):
-    """Norm of the 7-part of a (21, r, r) curvature F at a G2 point: metric
-    Gram on the form index, Frobenius on the bundle indices."""
-    P7, _ = point.lambda2_projectors
-    F7 = np.einsum("IJ,Jab->Iab", P7, F)
-    val = np.einsum("Iab,IJ,Jab->", np.conj(F7), point.metric.gram(2), F7).real
-    return float(np.sqrt(max(val, 0.0)))
+    """Norm of the 7-part of a (21, r, r) curvature F at a G2 point: the
+    N = 1 view of `f7_residuals`."""
+    return f7_residuals([point], np.asarray(F)[None])[0]
 
 
 def is_g2_instanton(field, conn, sample_points, tol=1e-8, h=None):
@@ -135,10 +147,8 @@ def is_g2_instanton(field, conn, sample_points, tol=1e-8, h=None):
     curvature at each sample; one `points_data` pass serves all samples."""
     h = field.h if h is None else h
     P = np.asarray(sample_points, dtype=float).reshape(-1, 7)
-    worst = max(
-        (f7_residual(point, conn.curvature(p, h)) for p, point in zip(P, field.points_data(P))),
-        default=0.0,
-    )
+    F = np.array([conn.curvature(p, h) for p in P])
+    worst = max(f7_residuals(field.points_data(P), F), default=0.0)
     return worst <= tol, worst
 
 
@@ -197,22 +207,31 @@ def _ext_tangent(field, tp, vec, m, x):
     return _extension_values(field, [tp], base0, vert0, m[None], x[None], "transport", "cr01")[0]
 
 
-def cr_holomorphicity_residual(field, conn, tp, h=None):
-    """Aggregated (0,2)-norm of the pulled-back curvature on the (0,1) basis:
-    sqrt(sum over pairs |F(b_i, b_j)|_Frob^2).
+def cr_holomorphicity_residuals(field, conn, tps, h=None):
+    """Per twistor point, the aggregated (0,2)-norm of the pulled-back
+    curvature on the (0,1) basis: sqrt(sum over pairs |F(b_i, b_j)|_Frob^2).
+    Row i equals the one-point call bit for bit.
 
     For a rank-1 curvature i*beta this equals the (0,2)-part norm
     |beta^{0,2}| of the restriction of beta to the fiber complement, i.e.
     the (2,0)+(0,2) output of hodge_type_on_complement divided by sqrt(2).
     """
+    if not tps:
+        return []
     h = field.h if h is None else h
-    F = conn.curvature_dense(tp.m, h)
-    wbar = tp.wbar
+    F = np.array([conn.curvature_dense(tp.m, h) for tp in tps])
+    wbar = np.array([tp.wbar for tp in tps])
     total = 0.0
     for i, j in zip(_PAIR_I, _PAIR_J):
-        val = np.einsum("ijab,i,j->ab", F, wbar[i], wbar[j])
-        total += float(np.sum(np.abs(val) ** 2))
-    return float(np.sqrt(total))
+        val = np.einsum("nijab,ni,nj->nab", F, wbar[:, i], wbar[:, j])
+        total = total + np.sum((np.abs(val) ** 2).reshape(len(tps), -1), axis=1)
+    return [float(v) for v in np.sqrt(total)]
+
+
+def cr_holomorphicity_residual(field, conn, tp, h=None):
+    """Aggregated (0,2)-norm of the pulled-back curvature on the (0,1) basis:
+    the N = 1 view of `cr_holomorphicity_residuals`."""
+    return cr_holomorphicity_residuals(field, conn, [tp], h)[0]
 
 
 def hodge_type_cr_residual(field, conn, tp, h=None):

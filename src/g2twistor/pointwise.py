@@ -27,13 +27,13 @@ from .forms import (
     _wedge_table,
     annihilator_basis,
     annihilator_dimension,
-    contract,
+    contract_stack,
+    dense_stack,
     hodge_star,
     hodge_star_coeffs,
     increasing_indices,
     minors,
-    transform,
-    wedge,
+    transform,  # unused here; campaign_bench/test_bench.py patches pointwise.transform
 )
 
 #: coefficients of the canonical 3-form (0-based index tuples)
@@ -256,14 +256,9 @@ class G2Point:
 
     @property
     def lambda2_projectors(self):
-        """(P7, P14) = ((I + T)/3, (2I - T)/3) for T(a) = *(rho ^ a), which is
-        2 on Lambda^2_7 and -1 on Lambda^2_14.  <Ta, b> vol = b ^ rho ^ a reads
-        T off the pairing gather M and the inverse Gram matrix minors(g, 2)."""
-        _, _, mi, ms = _pairing_gathers()
-        M = self.rho.coeffs[mi] * ms
-        T = minors(self.g, 2) @ M / (self.orientation * self.metric.sqrt_det)
-        I = np.eye(comb(7, 2))
-        return (I + T) / 3.0, (2.0 * I - T) / 3.0
+        """(P7, P14): the N = 1 view of `lambda2_projectors`."""
+        P7, P14 = lambda2_projectors([self])
+        return P7[0], P14[0]
 
     # -- point operations -----------------------------------------------------
 
@@ -273,6 +268,20 @@ class G2Point:
 
     def norm(self, x):
         return self.metric.norm(x)
+
+
+def lambda2_projectors(points):
+    """Stacks (P7, P14) (N, 21, 21) = ((I + T)/3, (2I - T)/3) for T(a) =
+    *(rho ^ a), which is 2 on Lambda^2_7 and -1 on Lambda^2_14, one per G2
+    point.  <Ta, b> vol = b ^ rho ^ a reads T off the pairing gather M and
+    the inverse Gram matrices minors(g, 2); row i equals the one-point call
+    bit for bit."""
+    _, _, mi, ms = _pairing_gathers()
+    M = np.take(np.array([pt.rho.coeffs for pt in points]), mi, axis=1) * ms  # C-ordered, unlike [:, mi]
+    scale = np.array([pt.orientation * pt.metric.sqrt_det for pt in points])
+    T = minors(np.array([pt.g for pt in points]), 2) @ M / scale[:, None, None]
+    I = np.eye(comb(7, 2))
+    return (I + T) / 3.0, (2.0 * I - T) / 3.0
 
 
 def standard_g2_point():
@@ -343,75 +352,113 @@ class Su3Frame:
         return np.conj(self.b10)
 
 
-def _complement_basis(point, v):
-    """Deterministic g-orthonormal basis of v-perp (pivoted Gram-Schmidt)."""
-    g = point.g
-    cand = np.eye(7) - np.outer(v, v @ g)  # g-projection of coordinate vectors
-    cols = []
-    remaining = list(range(7))
-    for _ in range(6):
-        norms = [cand[:, j] @ g @ cand[:, j] for j in remaining]
-        k = remaining[int(np.argmax(norms))]
-        u = cand[:, k] / np.sqrt(cand[:, k] @ g @ cand[:, k])
-        cols.append(u)
-        remaining.remove(k)
-        for j in remaining:
-            cand[:, j] = cand[:, j] - (cand[:, j] @ g @ u) * u
-    return np.column_stack(cols)
-
-
-def su3_structure(point, v, tol=UNIT_TOL):
-    """SU(3) frame on v-perp for a g-unit vector v.
+def su3_structures(points, V, tol=UNIT_TOL):
+    """SU(3) frames on v-perp, one per G2 point and g-unit row v of V (N, 7).
 
     omega is the restriction of rho . v; I w = v x w satisfies
     omega(x, y) = g(I x, y); Omega restricts rho and the contraction of
     the 4-form, with the sign of the imaginary part fixed so Omega is of
-    type (3,0) for I.
+    type (3,0) for I.  Every step runs over the whole block, and row i
+    equals the one-row call bit for bit: each stacked product sees, per
+    row, operands of the layout of the one-row expression (see
+    docs/CONVENTIONS.md, row independence).
     """
-    v = np.asarray(v, dtype=float)
-    if not abs(point.metric.inner(v, v) - 1.0) <= tol:  # a NaN v fails too
+    V = np.asarray(V, dtype=float)
+    if not len(points):
+        return []
+    G = np.array([pt.g for pt in points])
+    R = np.array([pt.rho.coeffs for pt in points])
+    vg = V[:, None] @ G  # (N, 1, 7)
+    if not (abs((vg @ V[:, :, None])[:, 0, 0] - 1.0) <= tol).all():  # a NaN v fails too
         raise NonUnitVectorError("v must be a g-unit vector")
-    W = _complement_basis(point, v)
-    omega7 = contract(point.rho, v)
-    omega = transform(omega7, W)
+    W = _complement_bases(G, V, vg)
+    omega = _pullbacks(minors(W, 2), contract_stack(R, V, 7, 3))
     # I in the W basis: I[a, b] = g(w_a, v x w_b)
-    cross_w = np.einsum("ijk,i,jb->kb", point.cross_tensor, v, W)
-    I6 = W.T @ point.g @ cross_w
-    if np.abs(I6 @ I6 + np.eye(6)).max() > UNIT_TOL:
+    cross = np.einsum("nijm,nkm->nijk", dense_stack(R, 7, 3), np.array([pt.ginv for pt in points]))
+    I6 = W.transpose(0, 2, 1) @ G @ np.einsum("nijk,ni,njb->nkb", cross, V, W)
+    if (np.abs(I6 @ I6 + np.eye(6)) > UNIT_TOL).any():
         raise G2StructureError("complex structure does not square to -Id")
-    # (1,0) candidates (e_a - i I e_a)/sqrt(2); a Hermitian Gram-Schmidt sweep
-    # keeps exactly one of each conjugate-parallel pair.
-    rows = []
+    b10 = _eigenrows(I6)
+    W3 = minors(W, 3)
+    Omega_re = _pullbacks(W3, R)
+    S = np.array([pt.rho_star.coeffs for pt in points])
+    Omega_im = -1.0 * _pullbacks(W3, contract_stack(S, V, 7, 4))
+    _check_su3_frames(omega, I6, b10, Omega_re, Omega_im)
+    return [
+        Su3Frame(W[n], KForm(6, 2, omega[n]), I6[n], b10[n], KForm(6, 3, re), KForm(6, 3, im))
+        for n, (re, im) in enumerate(zip(Omega_re, Omega_im))
+    ]
+
+
+def su3_structure(point, v, tol=UNIT_TOL):
+    """SU(3) frame on v-perp for a g-unit vector v: the N = 1 view of `su3_structures`."""
+    return su3_structures([point], np.asarray(v, dtype=float)[None], tol)[0]
+
+
+def _pullbacks(Wk, C):
+    """Pullbacks of the forms C (N, C(7, k)) by frames with compound matrices Wk, as `transform`."""
+    return (Wk.transpose(0, 2, 1) @ C[:, :, None])[..., 0]
+
+
+def _complement_bases(G, V, vg):
+    """Deterministic g-orthonormal bases (N, 7, 6) of the v-perps, by a
+    pivoted Gram-Schmidt that keeps each row's pivots.  cand[n, :, j] is the
+    g-projection of e_j; every product takes these columns as strided views,
+    the layout of the one-row sweep, and the taken columns are masked out."""
+    N = len(V)
+    cand = np.eye(7) - V[:, :, None] * vg
+    taken = np.zeros((N, 7), dtype=bool)
+    rows = np.arange(N)
+    W = np.empty((N, 7, 6))
+    for s in range(6):
+        cols = cand.transpose(0, 2, 1)[:, :, None]  # (N, 7, 1, 7): the columns as rows
+        cg = cols @ G[:, None]  # cand[:, j] @ g for every j
+        norms = (cg @ cols.transpose(0, 1, 3, 2))[..., 0, 0]
+        norms[taken] = -np.inf
+        k = np.argmax(norms, axis=1)
+        u = cand[rows, :, k] / np.sqrt(norms[rows, k])[:, None]
+        W[:, :, s] = u
+        taken[rows, k] = True
+        cand = cand - u[:, :, None] * (cg @ u[:, None, :, None])[..., 0, 0][:, None, :]
+    return W
+
+
+def _eigenrows(I6):
+    """Hermitian-orthonormal bases (N, 3, 6) of the i-eigenspaces of I6
+    (N, 6, 6): a Hermitian Gram-Schmidt sweep over the (1,0) candidates
+    (e_a - i I e_a)/sqrt(2) keeps exactly one of each conjugate-parallel
+    pair, each row its own kept rows."""
+    N = len(I6)
+    kept = np.zeros((N, 6, 6), dtype=complex)
+    count = np.zeros(N, dtype=int)
     for a in range(6):
-        c = (np.eye(6)[a] - 1j * I6[:, a]) / np.sqrt(2.0)
-        for r in rows:
-            c = c - (np.conj(r) @ c) * r
-        n = np.linalg.norm(c)
-        if n > 0.5:
-            rows.append(c / n)
-    if len(rows) != 3:
+        c = (np.eye(6)[a] - 1j * I6[:, :, a]) / np.sqrt(2.0)
+        for t in range(count.max()):
+            r = kept[:, t]
+            proj = np.conj(r)[:, None] @ c[:, :, None]
+            c = np.where((t < count)[:, None], c - proj[:, 0] * r, c)
+        re, im = c.real, c.imag  # the complex norm as np.linalg.norm forms it
+        n = np.sqrt(re[:, None] @ re[:, :, None] + im[:, None] @ im[:, :, None])[:, 0, 0]
+        keep = n > 0.5
+        kept[keep, count[keep]] = c[keep] / n[keep, None]
+        count += keep
+    if (count != 3).any():
         raise G2StructureError("eigenbasis extraction failed")
-    Omega_re = transform(point.rho, W)
-    Omega_im = -1.0 * transform(contract(point.rho_star, v), W)
-    frame = Su3Frame(
-        basis=W, omega=omega, I=I6, b10=np.array(rows), Omega_re=Omega_re, Omega_im=Omega_im
-    )
-    _check_su3_frame(frame)
-    return frame
+    return kept[:, :3]
 
 
-def _check_su3_frame(frame):
+def _check_su3_frames(omega, I, b10, Omega_re, Omega_im):
+    """The frame invariants of a block, each one array reduction."""
     # omega(x, y) = g(I x, y) in the orthonormal frame
-    if np.abs(frame.omega.as_matrix() - frame.I.T).max() > UNIT_TOL:
+    if (np.abs(dense_stack(omega, 6, 2) - I.transpose(0, 2, 1)) > UNIT_TOL).any():
         raise G2StructureError("omega and I are inconsistent")
     # (3,0): Omega(b01_r, ., .) = 0 for the (0,1) basis
-    re, im = frame.Omega_re, frame.Omega_im
-    Omega = re.dense() + 1j * im.dense()
-    if np.abs(np.einsum("ra,abc->rbc", frame.b01, Omega)).max() > UNIT_TOL:
+    Omega = dense_stack(Omega_re, 6, 3) + 1j * dense_stack(Omega_im, 6, 3)
+    if (np.abs(np.conj(b10) @ Omega.reshape(-1, 6, 36)) > UNIT_TOL).any():
         raise G2StructureError("Omega has a component of wrong type")
     # Omega ^ conj(Omega) = -2i Re ^ Im must be a nonzero multiple of vol
-    top = wedge(re, im).coeffs[0]
-    if abs(top) < 0.5:
+    ia, ib, _, sg = _wedge_table(6, 3, 3)
+    if (np.abs((Omega_re[:, ia] * Omega_im[:, ib]) @ sg) < 0.5).any():
         raise G2StructureError("Omega is degenerate")
 
 

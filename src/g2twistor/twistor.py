@@ -21,14 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CHUNK, central_difference, check_step, christoffel, christoffels, levi_civitas
-from .fields import make_field
+from .fields import BLOCK, CHUNK, blocks, central_difference, check_step, christoffel, christoffels
+from .fields import levi_civitas, make_field
 from .forms import KForm, contract, derivation_apply
-from .pointwise import su3_structure
+from .pointwise import su3_structures
 from .sampling import sphere_bundle_samples
 
-#: samples per batch pass of a campaign scan (bounds the stacks of a pass)
-BLOCK = 16
 WHICH = ("01", "10")
 CARRIERS = ("transport", "parallel")
 PROJECTIONS = ("none", "b", "cr01", "cr10")
@@ -45,11 +43,6 @@ class TwistorError(ValueError):
 def _check_option(name, value, allowed):
     if value not in allowed:
         raise TwistorError(f"{name} must be one of {allowed}, got {value!r}")
-
-
-def blocks(n):
-    """Consecutive slices of at most BLOCK of n samples."""
-    return [slice(start, start + BLOCK) for start in range(0, n, BLOCK)]
 
 
 def _hor_fibers(gamma, y, b):
@@ -104,7 +97,7 @@ def twistor_points(field, M, X):
         return []
     if not np.isfinite(X).all():
         raise TwistorError("fiber vector must be finite")
-    points = field.points_data(M)
+    points = field.points_data(M, star=True)
     G = np.array([pd.g for pd in points])
     # |x|_g as `MetricTensor.norm` forms it: contiguous x on the left, x as given on the right
     nrm = np.sqrt(np.maximum((np.ascontiguousarray(X)[:, None] @ G @ X[:, :, None])[:, 0, 0], 0.0))
@@ -113,7 +106,7 @@ def twistor_points(field, M, X):
     # the matrix products below see contiguous rows whatever the layout of the input
     X = np.ascontiguousarray(X / nrm[:, None])
     gamma = christoffels(field, M)
-    frames = [su3_structure(pd, x) for pd, x in zip(points, X)]
+    frames = su3_structures(points, X)
     W = np.array([frame.basis.T for frame in frames])  # (N, 6, 7): the rows w_a
     V = np.concatenate([X[:, None], W], axis=1)  # x, then w_1..w_6
     lifts = np.stack([V, -np.einsum("nkij,nai,nj->nak", gamma, V, X)], axis=2)

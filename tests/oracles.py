@@ -11,7 +11,8 @@ import itertools
 import numpy as np
 
 from g2twistor.fields import central_difference
-from g2twistor.forms import KForm, contract, increasing_indices
+from g2twistor.forms import KForm, contract, increasing_indices, minors, transform
+from g2twistor.pointwise import _pairing_gathers
 
 
 def inversion_sign(perm):
@@ -139,3 +140,52 @@ def curvature_by_axis_loop(conn, p, h):
     for a, (i, j) in enumerate(pairs):
         F[a] = dA[i][j] - dA[j][i] + A[i] @ A[j] - A[j] @ A[i]
     return F
+
+
+def su3_frame_by_rows(point, v):
+    """The arrays (basis, I, b10, omega, Omega_re, Omega_im) of the SU(3)
+    frame on v-perp, one column and one candidate at a time: a pivoted
+    Gram-Schmidt of the g-projected coordinate vectors, then a Hermitian
+    sweep over (e_a - i I e_a)/sqrt(2) keeping the rows of norm above 1/2."""
+    g = point.g
+    cand = np.eye(7) - np.outer(v, v @ g)
+    cols, remaining = [], list(range(7))
+    for _ in range(6):
+        k = remaining[int(np.argmax([cand[:, j] @ g @ cand[:, j] for j in remaining]))]
+        u = cand[:, k] / np.sqrt(cand[:, k] @ g @ cand[:, k])
+        cols.append(u)
+        remaining.remove(k)
+        for j in remaining:
+            cand[:, j] = cand[:, j] - (cand[:, j] @ g @ u) * u
+    W = np.column_stack(cols)
+    I6 = W.T @ g @ np.einsum("ijk,i,jb->kb", point.cross_tensor, v, W)
+    rows = []
+    for a in range(6):
+        c = (np.eye(6)[a] - 1j * I6[:, a]) / np.sqrt(2.0)
+        for r in rows:
+            c = c - (np.conj(r) @ c) * r
+        n = np.linalg.norm(c)
+        if n > 0.5:
+            rows.append(c / n)
+    omega = transform(contract(point.rho, v), W).coeffs
+    Omega_im = -1.0 * transform(contract(point.rho_star, v), W).coeffs
+    return W, I6, np.array(rows), omega, transform(point.rho, W).coeffs, Omega_im
+
+
+def cr_residual_by_pairs(conn, tp, h):
+    """sqrt(sum over (0,1) pairs of |F(b_i, b_j)|^2), one pair at a time."""
+    F = conn.curvature_dense(tp.m, h)
+    total = 0.0
+    for i, j in itertools.combinations(range(3), 2):
+        val = np.einsum("ijab,i,j->ab", F, tp.wbar[i], tp.wbar[j])
+        total += float(np.sum(np.abs(val) ** 2))
+    return float(np.sqrt(total))
+
+
+def f7_residual_by_point(point, F):
+    """|P7 F| with P7 = (I + T)/3 built from one point's own tensors."""
+    _, _, mi, ms = _pairing_gathers()
+    T = minors(point.g, 2) @ (point.rho.coeffs[mi] * ms) / (point.orientation * point.metric.sqrt_det)
+    F7 = np.einsum("IJ,Jab->Iab", (np.eye(21) + T) / 3.0, F)
+    val = np.einsum("Iab,IJ,Jab->", np.conj(F7), point.metric.gram(2), F7).real
+    return float(np.sqrt(max(val, 0.0)))

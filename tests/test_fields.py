@@ -17,12 +17,14 @@ from g2twistor.fields import (
     fit_convergence_order,
     integrability_verdict,
     levi_civita,
+    levi_civitas,
     make_field,
     torsion_residual,
     torsion_residuals,
 )
 from g2twistor.forms import KForm, hodge_star, wedge
-from g2twistor.pointwise import RHO_STD_TERMS, G2Point
+from g2twistor.instanton import cr_holomorphicity_residuals, f7_residuals
+from g2twistor.pointwise import RHO_STD_TERMS, G2Point, su3_structures
 from g2twistor.sampling import sphere_bundle_samples, torus_points
 from g2twistor.twistor import (
     BLOCK,
@@ -372,10 +374,17 @@ def test_calibration_matches_per_point_loop(resolution):
         ("omega_closure_residuals", []),
         ("torsion_residuals", []),
         ("fernandez_gray_residual", (0.0, 0.0)),
+        ("levi_civitas", []),
+        ("christoffels", (0, 7, 7, 7)),
+        ("su3_structures", []),
+        ("f7_residuals", []),
+        ("cr_holomorphicity_residuals", []),
     ],
 )
 def test_batches_accept_no_rows(flat, op, want):
-    """A batch of no rows gives no rows, and the Fernandez-Gray maxima start at zero."""
+    """A batch of no rows gives no rows (Christoffel symbols of shape
+    (0, 7, 7, 7)), and the Fernandez-Gray maxima start at zero."""
+    none = np.zeros((0, 7))
     calls = {
         "twistor_points": lambda: twistor_points(flat, [], []),
         "involutivity_residuals": lambda: involutivity_residuals(flat, []),
@@ -383,6 +392,11 @@ def test_batches_accept_no_rows(flat, op, want):
         "omega_closure_residuals": lambda: omega_closure_residuals(flat, [], []),
         "torsion_residuals": lambda: torsion_residuals(flat, []),
         "fernandez_gray_residual": lambda: fernandez_gray_residual(flat, []),
+        "levi_civitas": lambda: levi_civitas(flat, none),
+        "christoffels": lambda: christoffels(flat, none).shape,
+        "su3_structures": lambda: su3_structures([], none),
+        "f7_residuals": lambda: f7_residuals([], np.zeros((0, 21, 1, 1))),
+        "cr_holomorphicity_residuals": lambda: cr_holomorphicity_residuals(flat, None, []),
     }
     assert calls[op]() == want
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
@@ -11,16 +12,18 @@ from g2twistor.instanton import (
     ConnectionDataError,
     cr_dolbeault_on_functions,
     cr_holomorphicity_residual,
+    cr_holomorphicity_residuals,
     dolbeault_square_function_residual,
     dolbeault_square_section_residual,
     f7_residual,
+    f7_residuals,
     hodge_type_cr_residual,
     is_g2_instanton,
     make_connection,
 )
-from g2twistor.pointwise import standard_g2_point
+from g2twistor.pointwise import NonUnitVectorError, standard_g2_point, su3_structure, su3_structures
 from g2twistor.sampling import sphere_bundle_samples, torus_points
-from g2twistor.twistor import twistor_point, twistor_points
+from g2twistor.twistor import BLOCK, twistor_point, twistor_points
 
 RNG = np.random.default_rng(31)
 MS, XS = sphere_bundle_samples(12, 41)
@@ -70,6 +73,52 @@ def test_f7_residual_of_twistor_points_matches_instanton_scan(std):
         assert res == is_g2_instanton(field, conn, [m])[1]
         singles.append(res)
     assert is_g2_instanton(field, conn, ms)[1] == max(singles)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    family=st.sampled_from(["flat", "closed-perturbed", "generic-perturbed", "conformal"]),
+    epsilon=st.floats(0.0, 0.3),
+    n=st.integers(0, 2 * BLOCK + 1),
+    data=st.data(),
+)
+def test_batched_frames_and_residuals_match_one_row_calls(family, epsilon, n, data):
+    """Row i of su3_structures, cr_holomorphicity_residuals and f7_residuals
+    equals the one-row call bit for bit, whatever the block split and the
+    order of the rows, and the one-row call equals the row-at-a-time oracle
+    bit for bit; one non-unit or NaN row fails the whole batch as it fails
+    the one-row call."""
+    field = make_field(family, 16, epsilon, (1, 2, 0, 1, 0, 0, -1))
+    conn = make_connection("mixed", standard_g2_point(), index=3, vector=2, mix=0.5)
+    ms, xs = sphere_bundle_samples(n, data.draw(st.integers(0, 99), label="seed"))
+    order = data.draw(st.permutations(range(n)), label="order")
+    split = data.draw(st.integers(0, n), label="split")
+    tps = [twistor_point(field, ms[i], xs[i]) for i in order]
+    points = [tp.point for tp in tps]
+    V = np.array([tp.x for tp in tps]).reshape(-1, 7)
+    F = np.array([conn.curvature(tp.m, field.h) for tp in tps]).reshape(-1, 21, 1, 1)
+    parts = (slice(0, split), slice(split, n))
+    frames = [fr for b in parts for fr in su3_structures(points[b], V[b])]
+    crs = [r for b in parts for r in cr_holomorphicity_residuals(field, conn, tps[b])]
+    f7s = [r for b in parts for r in f7_residuals(points[b], F[b])]
+    names = ("basis", "I", "b10", "omega", "Omega_re", "Omega_im")
+    for tp, frame, cr, f7, f in zip(tps, frames, crs, f7s, F, strict=True):
+        want = oracles.su3_frame_by_rows(tp.point, tp.x)
+        for name, w in zip(names, want):
+            for fr in (frame, tp.su3):
+                got = getattr(fr, name)
+                assert np.array_equal(getattr(got, "coeffs", got), w), name
+        assert cr == cr_holomorphicity_residual(field, conn, tp)
+        assert cr == oracles.cr_residual_by_pairs(conn, tp, field.h)
+        assert f7 == f7_residual(tp.point, f) == oracles.f7_residual_by_point(tp.point, f)
+    if n:
+        row = data.draw(st.integers(0, n - 1), label="bad row")
+        bad = V.copy()
+        bad[row] *= data.draw(st.sampled_from([1.01, np.nan]), label="factor")
+        with pytest.raises(NonUnitVectorError):
+            su3_structure(points[row], bad[row])
+        with pytest.raises(NonUnitVectorError):
+            su3_structures(points, bad)
 
 
 @pytest.mark.parametrize("kw", [{"index": -1}, {"index": 14}, {"vector": -3}, {"vector": 7}])

@@ -23,7 +23,7 @@ from g2twistor.pointwise import (
     octonion_multiply,
     project_lambda2,
     standard_g2_point,
-    _check_su3_frame,
+    _check_su3_frames,
     su3_structure,
 )
 
@@ -431,15 +431,21 @@ def test_su3_volume_nondegenerate(std):
 def test_su3_check_rejects_broken_frames(std):
     """The frame check names each broken invariant: a flipped I against
     omega, the (0,3) variant Omega_re + i Omega_im, and a zero Omega."""
+
+    def check(fr):
+        forms = (fr.omega, fr.Omega_re, fr.Omega_im)
+        omega, re, im = (f.coeffs[None] for f in forms)
+        _check_su3_frames(omega, fr.I[None], fr.b10[None], re, im)
+
     fr = su3_structure(std, random_unit())
-    _check_su3_frame(fr)
+    check(fr)
     with pytest.raises(G2StructureError, match="inconsistent"):
-        _check_su3_frame(replace(fr, I=-fr.I))
+        check(replace(fr, I=-fr.I))
     with pytest.raises(G2StructureError, match="wrong type"):
-        _check_su3_frame(replace(fr, Omega_im=-1.0 * fr.Omega_im))
+        check(replace(fr, Omega_im=-1.0 * fr.Omega_im))
     zero = 0.0 * fr.Omega_re
     with pytest.raises(G2StructureError, match="degenerate"):
-        _check_su3_frame(replace(fr, Omega_re=zero, Omega_im=zero))
+        check(replace(fr, Omega_re=zero, Omega_im=zero))
 
 
 # ---------------------------------------------------------------------------
