@@ -16,7 +16,6 @@ from .forms import (
 from .pointwise import (
     G2Point,
     Su3Frame,
-    cross,
     hodge_type_on_complement,
     induced_metric,
     is_associative_subspace,

@@ -196,11 +196,12 @@ class StructureField:
         coeffs = getattr(self.generator, "coeffs", None)
         if coeffs is not None:
             return coeffs(P)
-        return np.array([self.generator(q).coeffs for q in P])
+        return np.array([self.generator(q).coeffs for q in P]).reshape(-1, 35)
 
     def metrics(self, P):
-        """Induced metrics (N, 7, 7) and orientations (N,) at stacked points."""
-        return induced_metrics(self.rho_coeffs(P))
+        """Induced metrics (N, 7, 7) and orientations (N,) at stacked points,
+        from induced-metric passes over the distinct 3-forms."""
+        return _distinct_rows(self.rho_coeffs(P), induced_metrics)
 
     def point_data(self, p):
         """Unvalidated G2 point at p: the N = 1 view of `points_data`; use
@@ -209,18 +210,19 @@ class StructureField:
 
     def points_data(self, P, star=False):
         """`point_data` at the rows of P (N, 7) from induced-metric passes over
-        the distinct rows, with ``star`` also Hodge-star passes that seed rho_star."""
+        the distinct 3-forms, with ``star`` also Hodge-star passes that seed
+        rho_star; rows with the same 3-form share one G2 point."""
 
-        def compute(C):
-            R = self.rho_coeffs(C)
+        def compute(R):
             g, o = induced_metrics(R)
             S = [KForm(7, 4, s) for s in rho_star_coeffs(R, g, o)] if star else [None] * len(R)
-            return [
+            points = (
                 G2Point(KForm(7, 3, r), MetricTensor.trusted(gi), s, int(oi), validate=False)
                 for r, gi, oi, s in zip(R, g, o, S)
-            ]
+            )
+            return np.fromiter(points, dtype=object, count=len(R))
 
-        return _distinct_rows(np.asarray(P, dtype=float), compute)
+        return list(_distinct_rows(self.rho_coeffs(P), compute))
 
     def metric(self, p):
         return self.point_data(p).metric
@@ -241,17 +243,18 @@ def blocks(n):
     return [slice(start, start + BLOCK) for start in range(0, n, BLOCK)]
 
 
-def _distinct_rows(P, compute):
-    """compute's value for each row of P, each distinct row (by its bytes)
-    computed once, CHUNK rows per call of compute."""
-    keys = [q.tobytes() for q in P]
-    rows = dict(zip(keys, P))
-    distinct = list(rows)
-    found = {}
-    for start in range(0, len(distinct), CHUNK):
-        part = distinct[start : start + CHUNK]
-        found.update(zip(part, compute(np.array([rows[key] for key in part]))))
-    return [found[key] for key in keys]
+def _distinct_rows(X, compute):
+    """compute(X) from calls of compute on the distinct rows of X only (rows
+    compare by their bytes), CHUNK rows per call and at least one call.
+    compute maps a stack of rows to a stack, or a tuple of stacks, with one
+    entry per row; each row of the result is gathered from its first copy."""
+    slot = {}
+    inverse = np.array([slot.setdefault(x.tobytes(), len(slot)) for x in X], dtype=np.intp)
+    D = X[np.unique(inverse, return_index=True)[1]]
+    parts = [compute(D[start : start + CHUNK]) for start in range(0, max(len(D), 1), CHUNK)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(stacks)[inverse] for stacks in zip(*parts))
+    return np.concatenate(parts)[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +316,8 @@ def _torsion_forms(field, P, h):
 
     def rho_and_star(Q):
         R = field.rho_coeffs(Q.reshape(-1, 7))
-        return np.concatenate([R, rho_star_coeffs(R)], axis=1).reshape(Q.shape[:-1] + (70,))
+        S = _distinct_rows(R, rho_star_coeffs)
+        return np.concatenate([R, S], axis=1).reshape(Q.shape[:-1] + (70,))
 
     partials = central_difference(rho_and_star, (P[:, None],), (AXES,), h)
     return _d_from_partials(partials[..., :35], 3), _d_from_partials(partials[..., 35:], 4)
@@ -401,8 +405,7 @@ def christoffels(field, P, h=None):
         ginv = np.linalg.inv(field.metrics(C)[0])
         return 0.5 * np.einsum("nkl,nijl->nkij", ginv, terms)
 
-    P = np.asarray(P, dtype=float)
-    return np.array(_distinct_rows(P, compute)).reshape(len(P), 7, 7, 7)
+    return _distinct_rows(np.asarray(P, dtype=float), compute)
 
 
 def christoffel(field, p, h=None):

@@ -198,16 +198,10 @@ class KForm:
         self._check_same_space(other)
         return KForm(self.dim, self.degree, self.coeffs - other.coeffs)
 
-    def __neg__(self):
-        return KForm(self.dim, self.degree, -self.coeffs)
-
     def __mul__(self, scalar):
         return KForm(self.dim, self.degree, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return KForm(self.dim, self.degree, self.coeffs / float(scalar))
 
     # -- evaluation ----------------------------------------------------------
 

@@ -289,10 +289,6 @@ def standard_g2_point():
     return G2Point.from_rho(KForm.from_terms(7, RHO_STD_TERMS))
 
 
-def cross(point, x, y):
-    return point.cross(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-
 def octonion_multiply(point, a, b, scalar_sign=-1.0):
     """Product on V + R:  (x, t)(y, t') = (t y + t' x + x*y, s g(x,y) + t t').
 

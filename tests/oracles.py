@@ -10,9 +10,9 @@ import itertools
 
 import numpy as np
 
-from g2twistor.fields import central_difference
+from g2twistor.fields import AXES, _d_from_partials, central_difference
 from g2twistor.forms import KForm, contract, increasing_indices, minors, transform
-from g2twistor.pointwise import _pairing_gathers
+from g2twistor.pointwise import _pairing_gathers, induced_metrics, rho_star_coeffs
 
 
 def inversion_sign(perm):
@@ -189,3 +189,44 @@ def f7_residual_by_point(point, F):
     F7 = np.einsum("IJ,Jab->Iab", (np.eye(21) + T) / 3.0, F)
     val = np.einsum("Iab,IJ,Jab->", np.conj(F7), point.metric.gram(2), F7).real
     return float(np.sqrt(max(val, 0.0)))
+
+
+def metrics_without_reuse(field, P):
+    """(g, orientation) at the rows of P from one induced-metric pass over all
+    of them, repeated 3-forms included."""
+    return induced_metrics(field.rho_coeffs(P))
+
+
+def points_data_without_reuse(field, P):
+    """Stacks (rho, g, orientation, rho_star) at the rows of P, every row
+    through its own induced-metric and Hodge-star rows."""
+    R = field.rho_coeffs(P)
+    g, orientation = induced_metrics(R)
+    return R, g, orientation, rho_star_coeffs(R, g, orientation)
+
+
+def christoffels_without_reuse(field, P, h):
+    """Christoffel symbols (N, 7, 7, 7) at the rows of P, every stencil row
+    through its own induced-metric row."""
+
+    def metrics(Q):
+        return metrics_without_reuse(field, Q.reshape(-1, 7))[0].reshape(Q.shape + (7,))
+
+    dg = central_difference(metrics, (P[:, None],), (AXES,), h)
+    terms = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    ginv = np.linalg.inv(metrics_without_reuse(field, P)[0])
+    return 0.5 * np.einsum("nkl,nijl->nkij", ginv, terms)
+
+
+def torsion_residuals_without_reuse(field, P, h):
+    """(|d rho|, |d *rho|) at the rows of P, the Hodge star taken on every
+    stencil row."""
+
+    def rho_and_star(Q):
+        R = field.rho_coeffs(Q.reshape(-1, 7))
+        return np.concatenate([R, rho_star_coeffs(R)], axis=1).reshape(Q.shape[:-1] + (70,))
+
+    partials = central_difference(rho_and_star, (P[:, None],), (AXES,), h)
+    d_rho = _d_from_partials(partials[..., :35], 3)
+    d_star = _d_from_partials(partials[..., 35:], 4)
+    return [(float(np.linalg.norm(a)), float(np.linalg.norm(b))) for a, b in zip(d_rho, d_star)]

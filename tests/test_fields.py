@@ -3,10 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import g2twistor.fields as fields_module
+import oracles
 from g2twistor.fields import (
     ConformalGenerator,
     StructureField,
     UnknownGeneratorError,
+    _distinct_rows,
     calibrate_integrability,
     central_difference,
     christoffel,
@@ -24,7 +27,13 @@ from g2twistor.fields import (
 )
 from g2twistor.forms import KForm, hodge_star, wedge
 from g2twistor.instanton import cr_holomorphicity_residuals, f7_residuals
-from g2twistor.pointwise import RHO_STD_TERMS, G2Point, su3_structures
+from g2twistor.pointwise import (
+    RHO_STD_TERMS,
+    DegenerateFormError,
+    G2Point,
+    SplitFormError,
+    su3_structures,
+)
 from g2twistor.sampling import sphere_bundle_samples, torus_points
 from g2twistor.twistor import (
     BLOCK,
@@ -199,6 +208,7 @@ def test_plain_callable_generator_through_batched_stencils():
     plain = StructureField(generator=lambda p: field.rho(p), resolution=16)
     ms, xs = sphere_bundle_samples(2, 3)
     assert np.array_equal(christoffels(plain, ms), christoffels(field, ms))
+    assert christoffels(plain, np.zeros((0, 7))).shape == (0, 7, 7, 7)
     residuals = [
         involutivity_residual(f, twistor_point(f, ms[1], xs[1])) for f in (plain, field)
     ]
@@ -616,3 +626,125 @@ def test_curvature_block_frame_invariant(points):
     a = curvature_g2_check(field, A @ p)
     b = curvature_g2_check(rot, p)
     assert a == pytest.approx(b, rel=1e-6, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# row reuse: rho-only work keyed on the 3-form's bytes
+
+# off-axis frequency with zero entries, so some axis neighbours share the 3-form
+OFF_AXIS = (1, 2, 0, 1, 0, 0, -1)
+REUSE_FAMILIES = [("flat", 0.0), ("generic-perturbed", 0.1), ("conformal", 0.05), ("closed-perturbed", 0.05)]
+
+
+def _rows_with_repeats(n, seed):
+    """n torus points whose last third repeats the first, a row moved along a
+    zero-frequency axis (same 3-form, new point), in a seeded permutation."""
+    P = torus_points(n, seed)
+    P[n - n // 3 :] = P[: n // 3]
+    if n > 1:
+        P[1, 2] = (P[1, 2] + 0.5) % 1.0
+    return P[np.random.default_rng(seed).permutation(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK + 1])
+@pytest.mark.parametrize("family, eps", REUSE_FAMILIES)
+def test_rho_keyed_rows_match_no_reuse_oracles(family, eps, n):
+    """Metrics, point data, Christoffel symbols and torsion residuals equal
+    references that compute every row, bit for bit; rows with the same
+    3-form share one G2 point."""
+    field = make_field(family, 16, epsilon=eps, frequency=OFF_AXIS)
+    P = _rows_with_repeats(n, 31)
+    g, orientation = field.metrics(P)
+    want_g, want_o = oracles.metrics_without_reuse(field, P)
+    assert g.shape == (n, 7, 7) and orientation.shape == (n,)
+    assert np.array_equal(g, want_g) and np.array_equal(orientation, want_o)
+
+    pts = field.points_data(P, star=True)
+    R, want_g, want_o, want_star = oracles.points_data_without_reuse(field, P)
+    assert len(pts) == n
+    for i, pt in enumerate(pts):
+        assert np.array_equal(pt.rho.coeffs, R[i]) and np.array_equal(pt.g, want_g[i])
+        assert pt.orientation == want_o[i]
+        assert np.array_equal(pt.rho_star.coeffs, want_star[i])
+        for j in range(i):
+            assert (pts[j] is pt) == (R[j].tobytes() == R[i].tobytes())
+
+    want = oracles.christoffels_without_reuse(field, P, field.h)
+    assert np.array_equal(christoffels(field, P), want)
+    assert torsion_residuals(field, P) == oracles.torsion_residuals_without_reuse(field, P, field.h)
+
+
+def test_distinct_keys_are_bytes():
+    """-0.0 and 0.0 rows stay apart and a NaN row is never merged into a
+    finite one: each row of the result comes from a row with its own bytes."""
+    X = np.array([[0.0, 1.0], [-0.0, 1.0], [np.nan, 1.0], [0.0, 1.0], [np.nan, 1.0]])
+    seen = []
+
+    def compute(C):
+        seen.append(C.copy())
+        return C.copy(), np.arange(len(C))
+
+    rows, slot = _distinct_rows(X, compute)
+    assert [len(C) for C in seen] == [3]
+    assert rows.tobytes() == X.tobytes()
+    assert list(slot) == [0, 1, 2, 0, 2]
+    empty = _distinct_rows(np.zeros((0, 2)), lambda C: 2.0 * C)
+    assert empty.shape == (0, 2)
+
+
+def _record_rows(monkeypatch, name, rows):
+    f = getattr(fields_module, name)
+
+    def recorded(R, *args):
+        rows.append((name, np.array(R)))
+        return f(R, *args)
+
+    monkeypatch.setattr(fields_module, name, recorded)
+
+
+def test_one_block_never_passes_a_3form_twice(monkeypatch):
+    """Within one twistor block and one integrability block, no induced-metric
+    or Hodge-star call receives two byte-identical 3-form rows."""
+    calls = []
+    for name in ("induced_metrics", "rho_star_coeffs"):
+        _record_rows(monkeypatch, name, calls)
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    ms, xs = sphere_bundle_samples(BLOCK, 5)
+    tps = twistor_points(field, ms, xs)
+    involutivity_residuals(field, tps)
+    vertical_curvature_obstructions(field, tps)
+    omega_closure_residuals(field, tps, range(BLOCK), max_combos=5)
+    torsion_residuals(make_field("closed-perturbed", 16, epsilon=0.05), torus_points(BLOCK, 0))
+    assert {name for name, _ in calls} == {"induced_metrics", "rho_star_coeffs"}
+    for name, R in calls:
+        assert len({r.tobytes() for r in R}) == len(R), name
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        (KForm.from_terms(7, {**RHO_STD_TERMS, (2, 4, 5): 1.0}).coeffs, SplitFormError),
+        (KForm.from_terms(7, {(0, 1, 2): 1.0, (3, 4, 5): 1.0}).coeffs, DegenerateFormError),
+        (np.full(35, np.nan), DegenerateFormError),
+    ],
+)
+def test_repeated_bad_row_raises_like_one_row(row, error):
+    """A batch holding a bad 3-form and its duplicates, after good rows,
+    raises the one-row call's error with its message."""
+    std = KForm.from_terms(7, RHO_STD_TERMS).coeffs
+    field = StructureField(generator=lambda p: KForm(7, 3, row if p[0] >= 0.5 else std), resolution=16)
+    P = torus_points(12, 3)
+    P[P[:, 0] >= 0.5, 1] = 0.25  # the bad rows repeat one 3-form at distinct points
+    bad = P[P[:, 0] >= 0.5][:1]
+    assert 1 < (P[:, 0] >= 0.5).sum() < len(P)
+    for op in (
+        lambda Q: field.metrics(Q),
+        lambda Q: field.points_data(Q, star=True),
+        lambda Q: christoffels(field, Q),
+        lambda Q: torsion_residuals(field, Q),
+    ):
+        with pytest.raises(error) as one:
+            op(bad)
+        with pytest.raises(error) as batch:
+            op(P)
+        assert str(batch.value) == str(one.value)
