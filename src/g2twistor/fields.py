@@ -200,7 +200,7 @@ class StructureField:
 
     def metrics(self, P):
         """Induced metrics (N, 7, 7) and orientations (N,) at stacked points,
-        from induced-metric passes over the distinct 3-forms."""
+        from one induced-metric pass over the distinct 3-forms."""
         return _distinct_rows(self.rho_coeffs(P), induced_metrics)
 
     def point_data(self, p):
@@ -210,8 +210,8 @@ class StructureField:
 
     def points_data(self, P, star=False):
         """`point_data` at the rows of P (N, 7) from induced-metric passes over
-        the distinct 3-forms, with ``star`` also Hodge-star passes that seed
-        rho_star; rows with the same 3-form share one G2 point."""
+        the distinct 3-forms, CHUNK at a time, with ``star`` also Hodge-star
+        passes that seed rho_star; rows with the same 3-form share one G2 point."""
 
         def compute(R):
             g, o = induced_metrics(R)
@@ -222,7 +222,7 @@ class StructureField:
             )
             return np.fromiter(points, dtype=object, count=len(R))
 
-        return list(_distinct_rows(self.rho_coeffs(P), compute))
+        return list(_distinct_rows(self.rho_coeffs(P), compute, CHUNK))
 
     def metric(self, p):
         return self.point_data(p).metric
@@ -243,15 +243,21 @@ def blocks(n):
     return [slice(start, start + BLOCK) for start in range(0, n, BLOCK)]
 
 
-def _distinct_rows(X, compute):
+def _distinct_rows(X, compute, chunk=None):
     """compute(X) from calls of compute on the distinct rows of X only (rows
-    compare by their bytes), CHUNK rows per call and at least one call.
-    compute maps a stack of rows to a stack, or a tuple of stacks, with one
-    entry per row; each row of the result is gathered from its first copy."""
-    slot = {}
-    inverse = np.array([slot.setdefault(x.tobytes(), len(slot)) for x in X], dtype=np.intp)
-    D = X[np.unique(inverse, return_index=True)[1]]
-    parts = [compute(D[start : start + CHUNK]) for start in range(0, max(len(D), 1), CHUNK)]
+    compare by their bytes), in order of first appearance: one call on all
+    of them, or calls of at most ``chunk`` rows; at least one call.  compute
+    maps a stack of rows to a stack, or a tuple of stacks, with one entry per
+    row; each row of the result is gathered from its first copy."""
+    slot, first, inverse = {}, [], []
+    for i, x in enumerate(X):
+        j = slot.setdefault(x.tobytes(), len(first))
+        if j == len(first):
+            first.append(i)
+        inverse.append(j)
+    D = X[first]
+    step = chunk or max(len(D), 1)
+    parts = [compute(D[start : start + step]) for start in range(0, max(len(D), 1), step)]
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(stacks)[inverse] for stacks in zip(*parts))
     return np.concatenate(parts)[inverse]
@@ -405,7 +411,7 @@ def christoffels(field, P, h=None):
         ginv = np.linalg.inv(field.metrics(C)[0])
         return 0.5 * np.einsum("nkl,nijl->nkij", ginv, terms)
 
-    return _distinct_rows(np.asarray(P, dtype=float), compute)
+    return _distinct_rows(np.asarray(P, dtype=float), compute, CHUNK)
 
 
 def christoffel(field, p, h=None):

@@ -6,6 +6,7 @@ import pytest
 import g2twistor.fields as fields_module
 import oracles
 from g2twistor.fields import (
+    CHUNK,
     ConformalGenerator,
     StructureField,
     UnknownGeneratorError,
@@ -688,6 +689,10 @@ def test_distinct_keys_are_bytes():
     assert [len(C) for C in seen] == [3]
     assert rows.tobytes() == X.tobytes()
     assert list(slot) == [0, 1, 2, 0, 2]
+    rows, slot = _distinct_rows(X, compute, 2)
+    assert [len(C) for C in seen[1:]] == [2, 1]
+    assert rows.tobytes() == X.tobytes()
+    assert list(slot) == [0, 1, 0, 0, 0]
     empty = _distinct_rows(np.zeros((0, 2)), lambda C: 2.0 * C)
     assert empty.shape == (0, 2)
 
@@ -748,3 +753,30 @@ def test_repeated_bad_row_raises_like_one_row(row, error):
         with pytest.raises(error) as batch:
             op(P)
         assert str(batch.value) == str(one.value)
+
+
+def test_two_kinds_of_bad_row_raise_like_one_pass():
+    """A split 3-form, then more than CHUNK distinct good ones, then a NaN
+    one: `metrics` and `torsion_residuals` raise what one pass over all rows
+    raises (not finite is checked before split), not the first chunk's error."""
+    std = KForm.from_terms(7, RHO_STD_TERMS).coeffs
+    split = KForm.from_terms(7, {**RHO_STD_TERMS, (2, 4, 5): 1.0}).coeffs
+
+    def rho(p):
+        if p[0] < 0.05:
+            return KForm(7, 3, split)
+        return KForm(7, 3, np.full(35, np.nan) if p[0] > 0.95 else (1.0 + p[0]) * std)
+
+    field = StructureField(generator=rho, resolution=16)
+    P = np.full((CHUNK + 6, 7), 0.5)
+    P[:, 0] = [0.01, *np.linspace(0.1, 0.9, CHUNK + 4), 0.99]
+    with pytest.raises(DegenerateFormError) as one:
+        oracles.metrics_without_reuse(field, P)
+    with pytest.raises(DegenerateFormError) as batch:
+        field.metrics(P)
+    assert str(batch.value) == str(one.value)
+    with pytest.raises(DegenerateFormError) as one:
+        oracles.torsion_residuals_without_reuse(field, P, field.h)
+    with pytest.raises(DegenerateFormError) as batch:
+        torsion_residuals(field, P)
+    assert str(batch.value) == str(one.value)
