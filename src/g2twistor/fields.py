@@ -209,9 +209,9 @@ class StructureField:
         return self.points_data(np.asarray(p, dtype=float)[None])[0]
 
     def points_data(self, P, star=False):
-        """`point_data` at the rows of P (N, 7) from induced-metric passes over
-        the distinct 3-forms, CHUNK at a time, with ``star`` also Hodge-star
-        passes that seed rho_star; rows with the same 3-form share one G2 point."""
+        """`point_data` at the rows of P (N, 7) from one induced-metric pass over
+        the distinct 3-forms, with ``star`` also one Hodge-star pass that seeds
+        rho_star; rows with the same 3-form share one G2 point."""
 
         def compute(R):
             g, o = induced_metrics(R)
@@ -222,7 +222,7 @@ class StructureField:
             )
             return np.fromiter(points, dtype=object, count=len(R))
 
-        return list(_distinct_rows(self.rho_coeffs(P), compute, CHUNK))
+        return list(_distinct_rows(self.rho_coeffs(P), compute))
 
     def metric(self, p):
         return self.point_data(p).metric
@@ -232,9 +232,8 @@ class StructureField:
         return G2Point.from_rho(self.rho(np.asarray(p, dtype=float)), validate=True)
 
 
-#: rows per call of a stacked row pass (bounds its stacks)
-CHUNK = 16
-#: samples per batch pass of a campaign scan (bounds the stacks of a pass)
+#: samples per batch pass of a campaign scan, and rows per dense rho/*rho
+#: stack of the Omega pass (bounds the stacks of a pass)
 BLOCK = 16
 
 
@@ -243,10 +242,9 @@ def blocks(n):
     return [slice(start, start + BLOCK) for start in range(0, n, BLOCK)]
 
 
-def _distinct_rows(X, compute, chunk=None):
-    """compute(X) from calls of compute on the distinct rows of X only (rows
-    compare by their bytes), in order of first appearance: one call on all
-    of them, or calls of at most ``chunk`` rows; at least one call.  compute
+def _distinct_rows(X, compute):
+    """compute(X) from one call of compute on the distinct rows of X only
+    (rows compare by their bytes), in order of first appearance.  compute
     maps a stack of rows to a stack, or a tuple of stacks, with one entry per
     row; each row of the result is gathered from its first copy."""
     slot, first, inverse = {}, [], []
@@ -255,12 +253,10 @@ def _distinct_rows(X, compute, chunk=None):
         if j == len(first):
             first.append(i)
         inverse.append(j)
-    D = X[first]
-    step = chunk or max(len(D), 1)
-    parts = [compute(D[start : start + step]) for start in range(0, max(len(D), 1), step)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(stacks)[inverse] for stacks in zip(*parts))
-    return np.concatenate(parts)[inverse]
+    out = compute(X[first])
+    if isinstance(out, tuple):
+        return tuple(stack[inverse] for stack in out)
+    return out[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +392,8 @@ class ConnectionSample:
 
 
 def christoffels(field, P, h=None):
-    """Christoffel symbols (N, 7, 7, 7) at the rows of P: the distinct rows take
-    one centre `metrics` call and one `metrics` call per stencil side."""
+    """Christoffel symbols (N, 7, 7, 7) at the rows of P: the distinct rows, all
+    in one pass, take one centre `metrics` call and one per stencil side."""
     h = field.h if h is None else h
     check_step(h)
 
@@ -411,7 +407,7 @@ def christoffels(field, P, h=None):
         ginv = np.linalg.inv(field.metrics(C)[0])
         return 0.5 * np.einsum("nkl,nijl->nkij", ginv, terms)
 
-    return _distinct_rows(np.asarray(P, dtype=float), compute, CHUNK)
+    return _distinct_rows(np.asarray(P, dtype=float), compute)
 
 
 def christoffel(field, p, h=None):
@@ -421,7 +417,8 @@ def christoffel(field, p, h=None):
 
 def levi_civitas(field, P, h=None):
     """Connection samples at the rows of P (N, 7): one `christoffels` call on
-    the centres and one per stencil side on their axis neighbours."""
+    the centres and one per stencil side on their axis neighbours, and the
+    centre metrics from one `metrics` call."""
     h = field.h if h is None else h
     P = np.asarray(P, dtype=float)
     if not len(P):
@@ -432,7 +429,7 @@ def levi_civitas(field, P, h=None):
 
     gamma = christoffels(field, P, h)
     dgamma = central_difference(gammas, (P[:, None],), (AXES,), h)  # dgamma[n, i] = d_i Gamma
-    metrics = [field.metric(p) for p in P]
+    g = field.metrics(P)[0]
     # R^k_{l i j} = d_i G^k_jl - d_j G^k_il + G^k_im G^m_jl - G^k_jm G^m_il
     mixed = (
         np.einsum("nikjl->nklij", dgamma)
@@ -440,11 +437,11 @@ def levi_civitas(field, P, h=None):
         + np.einsum("nkim,nmjl->nklij", gamma, gamma)
         - np.einsum("nkjm,nmil->nklij", gamma, gamma)
     )
-    low = np.einsum("nkm,nmlij->nijkl", np.array([mt.entries for mt in metrics]), mixed)
+    low = np.einsum("nkm,nmlij->nijkl", g, mixed)
     low = (low - np.einsum("nijlk->nijkl", low)) / 2.0
     return [
-        ConnectionSample(point=p, metric=mt, gamma=gm, riemann=r)
-        for p, mt, gm, r in zip(P, metrics, gamma, low)
+        ConnectionSample(point=p, metric=MetricTensor.trusted(gi), gamma=gm, riemann=r)
+        for p, gi, gm, r in zip(P, g, gamma, low)
     ]
 
 

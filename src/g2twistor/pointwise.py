@@ -176,7 +176,7 @@ class G2Point:
     """A validated G2 structure at one point: (rho, g, *rho, orientation).
 
     The 4-form may be passed as None and is then computed on first use
-    (connection stencils only ever touch the metric).
+    (`StructureField.points_data` seeds it only when asked for the star).
     """
 
     def __init__(self, rho, metric, rho_star=None, orientation=1, validate=True):
@@ -228,10 +228,6 @@ class G2Point:
     @cached_property
     def rho_dense(self):
         return self.rho.dense()
-
-    @cached_property
-    def rho_star_dense(self):
-        return self.rho_star.dense()
 
     @cached_property
     def cross_tensor(self):

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import BLOCK, CHUNK, blocks, central_difference, check_step, christoffel, christoffels
-from .fields import levi_civitas, make_field
-from .forms import KForm, contract, derivation_apply
-from .pointwise import su3_structures
+from .fields import BLOCK, _distinct_rows, blocks, central_difference, check_step, christoffel
+from .fields import christoffels, levi_civitas, make_field
+from .forms import KForm, contract, dense_stack, derivation_apply
+from .pointwise import rho_star_coeffs, su3_structures
 from .sampling import sphere_bundle_samples
 
 WHICH = ("01", "10")
@@ -147,8 +147,8 @@ def _extension_values(field, tps, base0, vert0, P, Y, carrier, projection):
                 (pointwise projection onto an eigenspace of the CR structure),
                 which turn the carrier into a section of the distribution.
     """
-    points = field.points_data(P)
-    yg = Y[:, None] @ np.array([pd.g for pd in points])  # (R, 1, 7)
+    g = field.metrics(P)[0]
+    yg = Y[:, None] @ g  # (R, 1, 7)
     yy = yg @ Y[:, :, None]  # (R, 1, 1)
     b = base0
     if carrier == "parallel":
@@ -158,7 +158,8 @@ def _extension_values(field, tps, base0, vert0, P, Y, carrier, projection):
         b = b - ((yg @ b[:, :, None]) / yy)[:, 0] * Y
         if projection in ("cr01", "cr10"):
             xhat = Y / np.sqrt(yy[:, 0])
-            cross = np.array([pd.cross_tensor for pd in points])
+            # cross[n, i, j, k] = k-th component of e_i x e_j at P[n]
+            cross = np.einsum("nijm,nkm->nijk", dense_stack(field.rho_coeffs(P), 7, 3), np.linalg.inv(g))
             Ib = np.einsum("nijk,ni,nj->nk", cross, xhat, b)
             b = 0.5 * (b + 1j * Ib) if projection == "cr01" else 0.5 * (b - 1j * Ib)
     vt = vert0 - ((yg @ vert0[:, :, None]) / yy)[:, 0] * Y
@@ -341,16 +342,15 @@ def canonical_form_horizontal_residual(field, k, n_samples=20, seed=0, h=None):
 def _omega_values(field, P, Y, B):
     """Omega = pullback(rho) - i (pullback(*rho) . theta) at the ambient points
     (P, Y), (R, 7) each, on the base parts B (R, 3, 7) of three tangents, row
-    by row; the dense rho and *rho stacks hold CHUNK rows at a time."""
-    points = field.points_data(P, star=True)
+    by row: rho of all rows and *rho of their distinct 3-forms in one pass
+    each, the dense rho and *rho stacks BLOCK rows at a time."""
+    R = field.rho_coeffs(P)
+    S = _distinct_rows(R, rho_star_coeffs)
     out = []
-    for start in range(0, len(P), CHUNK):
-        rows = slice(start, start + CHUNK)
+    for rows in blocks(len(P)):
         b1, b2, b3 = B[rows, 0], B[rows, 1], B[rows, 2]
-        rho = np.array([pd.rho_dense for pd in points[rows]])
-        star = np.array([pd.rho_star_dense for pd in points[rows]])
-        re = np.einsum("nijk,ni,nj,nk->n", rho, b1, b2, b3)
-        im = -np.einsum("nijkl,ni,nj,nk,nl->n", star, Y[rows], b1, b2, b3)
+        re = np.einsum("nijk,ni,nj,nk->n", dense_stack(R[rows], 7, 3), b1, b2, b3)
+        im = -np.einsum("nijkl,ni,nj,nk,nl->n", dense_stack(S[rows], 7, 4), Y[rows], b1, b2, b3)
         out.append(re + 1j * im)
     return np.concatenate(out)
 

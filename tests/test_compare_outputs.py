@@ -1,0 +1,62 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+compare_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_outputs)
+
+SAMPLES = "sample,residual\n0,0.125\n1,0.25\n"
+RESULTS = "[results]\nmax_residual: 0.25\nverdict: non-involutive\n"
+
+
+def write_run(run, stamp, samples=SAMPLES, config="seed: 0\n", results=RESULTS):
+    run.mkdir(parents=True)
+    (run / "samples.csv").write_text(f"# timestamp: {stamp}\n{samples}")
+    (run / "summary.txt").write_text(f"# timestamp: {stamp}\n[config]\n{config}{results}")
+
+
+def test_timestamps_and_config_echo_are_not_compared(tmp_path):
+    write_run(tmp_path / "parent", "2026-01-01T00:00:00")
+    write_run(tmp_path / "change", "2026-01-02T12:30:00", config="seed: 0\nworkers: 2\n")
+    assert compare_outputs.differing_files(tmp_path / "parent", tmp_path / "change") == []
+
+
+@pytest.mark.parametrize(
+    "change, names",
+    [
+        ({"samples": SAMPLES.replace("0.25", "0.25000000000000006")}, ["samples.csv"]),
+        ({"results": RESULTS.replace("non-involutive", "involutive")}, ["summary.txt"]),
+        ({"samples": SAMPLES + "2,0.5\n", "results": RESULTS + "samples: 3\n"}, ["samples.csv", "summary.txt"]),
+    ],
+    ids=["last-bit", "verdict", "both"],
+)
+def test_each_differing_report_is_named(tmp_path, change, names):
+    write_run(tmp_path / "parent", "2026-01-01T00:00:00")
+    write_run(tmp_path / "change", "2026-01-01T00:00:00", **change)
+    assert compare_outputs.differing_files(tmp_path / "parent", tmp_path / "change") == names
+
+
+def test_a_missing_report_differs(tmp_path):
+    write_run(tmp_path / "parent", "2026-01-01T00:00:00")
+    write_run(tmp_path / "change", "2026-01-01T00:00:00")
+    (tmp_path / "change" / "summary.txt").unlink()
+    assert compare_outputs.differing_files(tmp_path / "parent", tmp_path / "change") == ["summary.txt"]
+
+
+def test_frequency_line_is_replaced_once():
+    text = "campaign = twistor\nfrequency = 1 0 0 0 0 0 0\nseed = 0\n"
+    assert compare_outputs.with_frequency(text, (1, 2, 3, 4, 5, 6, 7)) == (
+        "campaign = twistor\nfrequency = 1 2 3 4 5 6 7\nseed = 0\n"
+    )
+    with pytest.raises(SystemExit):
+        compare_outputs.with_frequency("campaign = twistor\n", (1, 2, 3, 4, 5, 6, 7))
+
+
+def test_every_config_runs_at_three_seeds_and_two_off_axis():
+    labels = [label for label, *_ in compare_outputs.runs(["instanton", "twistor-perturbed"])]
+    assert labels[:3] == ["instanton-seed0", "instanton-seed5", "instanton-seed7"]
+    assert len(labels) == 2 * 3 + 2 * 3
+    assert "integrability-f1234567-seed5" in labels

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from g2twistor.fields import (
-    CHUNK,
     StructureField,
     christoffels,
     fit_convergence_order,
@@ -522,6 +521,23 @@ def test_xi_factorization_pushes_each_frame_vector_once(generic, monkeypatch):
     assert [len(rows) for rows in seen["_d_omegas"]] == [6, 6]
 
 
+def test_omega_pass_holds_at_most_block_rows_of_dense_star(generic, monkeypatch):
+    """The dense *rho stacks of the Omega pass, 7^4 entries a row, hold at
+    most BLOCK rows each, however many stencil rows one block of samples gives."""
+    rows = []
+    dense = twistor.dense_stack
+
+    def recording(coeffs, dim, degree):
+        if degree == 4:
+            rows.append(len(coeffs))
+        return dense(coeffs, dim, degree)
+
+    monkeypatch.setattr(twistor, "dense_stack", recording)
+    ms, xs = sphere_bundle_samples(BLOCK, 5)
+    omega_closure_residuals(generic, twistor_points(generic, ms, xs), range(BLOCK), max_combos=5)
+    assert max(rows) <= BLOCK < sum(rows)
+
+
 def test_omega_closure_residual_is_the_max_of_the_per_point_residuals(generic):
     """Point i of a sample draws its frames from default_rng(seed + i)."""
     tps = [twistor_point(generic, MS[k], XS[k]) for k in range(3)]
@@ -545,9 +561,9 @@ def test_noise_floor_reported(flat):
 )
 def test_batch_rows_equal_one_point_calls(family, eps):
     """Row i of every batched function equals the N = 1 call on a fresh field
-    bit for bit; the batch crosses the block and the row chunk, and the
-    sample arrays keep the sampler's memory layout."""
-    n = max(BLOCK, CHUNK) + 2
+    bit for bit; the batch crosses the block, and the sample arrays keep the
+    sampler's memory layout."""
+    n = BLOCK + 2
     ms, xs = sphere_bundle_samples(n, 31)
 
     def make():
