@@ -232,8 +232,7 @@ class StructureField:
         return G2Point.from_rho(self.rho(np.asarray(p, dtype=float)), validate=True)
 
 
-#: samples per batch pass of a campaign scan, and rows per dense rho/*rho
-#: stack of the Omega pass (bounds the stacks of a pass)
+#: samples per batch pass of a campaign scan (bounds the stacks of a pass)
 BLOCK = 16
 
 

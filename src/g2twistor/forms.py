@@ -82,8 +82,8 @@ def minors(A, k):
     k-multi-indices of rows and columns.  Each entry is formed elementwise
     from its own matrix, and the result is C-ordered (a gather puts the
     stack axis innermost), so a stacked call equals the per-matrix calls bit
-    for bit, layout included."""
-    A = np.asarray(A, dtype=float)
+    for bit, layout included.  A complex stack stays complex."""
+    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     if k == 0:
         return np.ones(A.shape[:-2] + (1, 1))
     if k == 1:

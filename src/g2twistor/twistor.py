@@ -23,7 +23,7 @@ import numpy as np
 
 from .fields import BLOCK, _distinct_rows, blocks, central_difference, check_step, christoffel
 from .fields import christoffels, levi_civitas, make_field
-from .forms import KForm, contract, dense_stack, derivation_apply
+from .forms import KForm, contract, contract_stack, dense_stack, derivation_apply, minors
 from .pointwise import rho_star_coeffs, su3_structures
 from .sampling import sphere_bundle_samples
 
@@ -342,17 +342,12 @@ def canonical_form_horizontal_residual(field, k, n_samples=20, seed=0, h=None):
 def _omega_values(field, P, Y, B):
     """Omega = pullback(rho) - i (pullback(*rho) . theta) at the ambient points
     (P, Y), (R, 7) each, on the base parts B (R, 3, 7) of three tangents, row
-    by row: rho of all rows and *rho of their distinct 3-forms in one pass
-    each, the dense rho and *rho stacks BLOCK rows at a time."""
+    by row: the complex 3-form coefficients rho - i (Y . *rho), with *rho of
+    the distinct 3-forms only, applied through the 3x3 minors of the base
+    parts as `KForm.evaluate` does, all rows in one pass."""
     R = field.rho_coeffs(P)
-    S = _distinct_rows(R, rho_star_coeffs)
-    out = []
-    for rows in blocks(len(P)):
-        b1, b2, b3 = B[rows, 0], B[rows, 1], B[rows, 2]
-        re = np.einsum("nijk,ni,nj,nk->n", dense_stack(R[rows], 7, 3), b1, b2, b3)
-        im = -np.einsum("nijkl,ni,nj,nk,nl->n", dense_stack(S[rows], 7, 4), Y[rows], b1, b2, b3)
-        out.append(re + 1j * im)
-    return np.concatenate(out)
+    C = R - 1j * contract_stack(_distinct_rows(R, rho_star_coeffs), Y, 7, 4)
+    return np.sum(C * minors(B.transpose(0, 2, 1), 3)[..., 0], axis=-1)
 
 
 #: the terms of d Omega on a 4-frame: the vector differenced along, then the other three

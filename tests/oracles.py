@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from g2twistor.fields import AXES, _d_from_partials, central_difference
-from g2twistor.forms import KForm, contract, increasing_indices, minors, transform
+from g2twistor.forms import KForm, contract, dense_stack, increasing_indices, minors, transform
 from g2twistor.pointwise import _pairing_gathers, induced_metrics, rho_star_coeffs
 
 
@@ -230,3 +230,14 @@ def torsion_residuals_without_reuse(field, P, h):
     d_rho = _d_from_partials(partials[..., :35], 3)
     d_star = _d_from_partials(partials[..., 35:], 4)
     return [(float(np.linalg.norm(a)), float(np.linalg.norm(b))) for a, b in zip(d_rho, d_star)]
+
+
+def omega_values_dense(field, P, Y, B):
+    """Omega at the ambient points (P, Y) on the base parts B (R, 3, 7), row
+    by row, as full contractions of the dense rho and *rho arrays (7^3 and
+    7^4 entries a row) with the vectors."""
+    R = field.rho_coeffs(P)
+    b1, b2, b3 = B[:, 0], B[:, 1], B[:, 2]
+    re = np.einsum("nijk,ni,nj,nk->n", dense_stack(R, 7, 3), b1, b2, b3)
+    im = -np.einsum("nijkl,ni,nj,nk,nl->n", dense_stack(rho_star_coeffs(R), 7, 4), Y, b1, b2, b3)
+    return re + 1j * im

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -48,8 +49,6 @@ def rho_std():
 
 
 def random_form(dim, degree, rng=RNG):
-    from math import comb
-
     return KForm(dim, degree, rng.standard_normal(comb(dim, degree)))
 
 
@@ -128,8 +127,6 @@ def test_wedge_errors():
     st.data(),
 )
 def test_wedge_graded_commutativity_exact_on_integers(dim, data):
-    from math import comb
-
     ka = data.draw(st.integers(0, dim))
     kb = data.draw(st.integers(0, dim - ka))
     a = KForm(dim, ka, np.array(data.draw(
@@ -218,8 +215,6 @@ def test_cartan_antiderivation_identity():
     st.data(),
 )
 def test_cartan_antiderivation_exact_on_integers(dim, data):
-    from math import comb
-
     ka = data.draw(st.integers(1, dim - 1))
     kb = data.draw(st.integers(1, dim - ka))
     ints = lambda k: st.lists(st.integers(-2, 2), min_size=comb(dim, k), max_size=comb(dim, k))
@@ -289,8 +284,6 @@ def test_hodge_matches_defining_equation_oracle():
 def test_stacked_hodge_star_matches_oracle(dim, degree):
     """Rows of the stacked star match the defining-equation oracle and the
     N = 1 call bit for bit."""
-    from math import comb
-
     rng = np.random.default_rng(100 * dim + degree)
     metrics = [random_spd(dim, rng) for _ in range(4)]
     a = rng.standard_normal((4, comb(dim, degree)))
@@ -457,6 +450,28 @@ def test_minors_match_permutation_oracle(shape):
         for p, I in enumerate(rows):
             for q, J in enumerate(cols):
                 assert _close(C[p, q], oracles.det_perm(A[np.ix_(I, J)]))
+
+
+def test_minors_keep_a_complex_stack_complex():
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((5, 7, 4)) + 1j * rng.standard_normal((5, 7, 4))
+    for k in (2, 3):
+        C = minors(A, k)
+        assert C.dtype == complex and C.shape == (5, comb(7, k), comb(4, k))
+        for n in range(5):
+            for p, I in enumerate(increasing_indices(7, k)):
+                for q, J in enumerate(increasing_indices(4, k)):
+                    want = oracles.det_perm(A[n][np.ix_(I, J)])
+                    assert abs(C[n, p, q] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_minors_of_a_real_stack_equal_those_of_its_float_cast():
+    A = np.random.default_rng(9).integers(-5, 6, size=(5, 7, 4))
+    for k in range(5):
+        want = minors(A.astype(float), k)
+        for real in (A, A.tolist()):
+            got = minors(real, k)
+            assert got.dtype == float and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("m", [6, 4])

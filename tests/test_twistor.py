@@ -11,8 +11,9 @@ from g2twistor.fields import (
     levi_civita,
     make_field,
 )
-from g2twistor import twistor
+from g2twistor import forms, pointwise, twistor
 from g2twistor.forms import KForm, contract
+from g2twistor.pointwise import rho_star_coeffs
 from g2twistor.sampling import sphere_bundle_samples
 from g2twistor.twistor import (
     BLOCK,
@@ -36,6 +37,8 @@ from g2twistor.twistor import (
     xi_factorization_residual,
     xi_value,
 )
+
+import oracles
 
 RNG = np.random.default_rng(23)
 NS = (8, 16, 32)
@@ -521,21 +524,53 @@ def test_xi_factorization_pushes_each_frame_vector_once(generic, monkeypatch):
     assert [len(rows) for rows in seen["_d_omegas"]] == [6, 6]
 
 
-def test_omega_pass_holds_at_most_block_rows_of_dense_star(generic, monkeypatch):
-    """The dense *rho stacks of the Omega pass, 7^4 entries a row, hold at
-    most BLOCK rows each, however many stencil rows one block of samples gives."""
-    rows = []
-    dense = twistor.dense_stack
+def test_omega_pass_builds_no_dense_form_stack(generic, monkeypatch):
+    """The Omega pass of a block of samples holds coefficient rows only: no
+    dense rho (7^3) or *rho (7^4) stack, however many stencil rows it has."""
+    degrees = []
+    for module in (twistor, forms, pointwise):
+        dense = module.dense_stack
 
-    def recording(coeffs, dim, degree):
-        if degree == 4:
-            rows.append(len(coeffs))
-        return dense(coeffs, dim, degree)
+        def recording(coeffs, dim, degree, dense=dense):
+            degrees.append(degree)
+            return dense(coeffs, dim, degree)
 
-    monkeypatch.setattr(twistor, "dense_stack", recording)
+        monkeypatch.setattr(module, "dense_stack", recording)
     ms, xs = sphere_bundle_samples(BLOCK, 5)
-    omega_closure_residuals(generic, twistor_points(generic, ms, xs), range(BLOCK), max_combos=5)
-    assert max(rows) <= BLOCK < sum(rows)
+    tps = twistor_points(generic, ms, xs)
+    degrees.clear()
+    omega_closure_residuals(generic, tps, range(BLOCK), max_combos=5)
+    assert 3 not in degrees and 4 not in degrees
+
+
+def test_omega_values_match_the_dense_route(generic, conformal, monkeypatch):
+    """Every row of the Omega passes, on real frames of three fields and on
+    the complex frames of the Cartan identity, agrees with the dense-array
+    contraction to rounding: relative to the row's scale
+    (|rho| + |*rho| |Y|) |b1| |b2| |b3|, since the complex frames give values
+    that cancel to rounding level."""
+    seen = []
+    omega_values = twistor._omega_values
+
+    def recording(field, P, Y, B):
+        seen.append((field, P, Y, B))
+        return omega_values(field, P, Y, B)
+
+    monkeypatch.setattr(twistor, "_omega_values", recording)
+    closed = make_field("closed-perturbed", 16, epsilon=0.05)
+    for field in (generic, closed, conformal):
+        tps = [twistor_point(field, MS[k], XS[k]) for k in range(2)]
+        omega_closure_residuals(field, tps, range(2), max_combos=3)
+    cartan_identity_residual(generic, twistor_point(generic, MS[3], XS[3]))
+    assert any(np.iscomplexobj(B) for *_, B in seen)
+    for field, P, Y, B in seen:
+        got, want = omega_values(field, P, Y, B), oracles.omega_values_dense(field, P, Y, B)
+        R = field.rho_coeffs(P)
+        norm = np.linalg.norm
+        scale = (norm(R, axis=1) + norm(rho_star_coeffs(R), axis=1) * norm(Y, axis=1)) * np.prod(
+            norm(B, axis=2), axis=1
+        )
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def test_omega_closure_residual_is_the_max_of_the_per_point_residuals(generic):
