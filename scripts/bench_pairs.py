@@ -9,9 +9,12 @@ list is touched), then, for each workload and each seed, runs
 once in each tree, with T the run_seconds of BENCHMARK.json.  The tree that runs first alternates from pair to pair,
 so drift of a shared machine falls on both sides alike.  For every
 end-to-end metric of BENCHMARK.json it reports the medians and quartiles of
-both sides, the pairs the change won and the difference of the medians
-against the parent's interquartile range, and writes all of it, with every
-run's value, to a JSON file.
+both sides, the pairs the change won, the difference of the medians
+against the parent's interquartile range and their relative change, and
+writes all of it, with every run's value, to a JSON file.  A metric whose
+change median is worse than the parent's by more than the metric's bound in
+BENCHMARK.json is printed with REGRESSION and written with
+"within_bound": false.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --workload twistor --seeds 21-30 --out BENCH_7.json
@@ -84,13 +87,15 @@ def run_once(tree, workload, seed, seconds):
     return values, counts
 
 
-def summarize(runs, better):
-    """Medians, quartiles, pair wins and the median difference of one metric."""
-    stats = {}
+def summarize(runs, better, bound):
+    """Medians, quartiles, pair wins, the median difference and its relative
+    change of one metric, and whether the change's median is worse than the
+    parent's by at most the relative bound."""
+    stats, medians = {}, {}
     for side in SIDES:
         values = np.array(runs[side])
-        q1, median, q3 = np.percentile(values, [25, 50, 75])
-        stats[side] = {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6), "runs": runs[side]}
+        q1, medians[side], q3 = np.percentile(values, [25, 50, 75])
+        stats[side] = {"median": round(medians[side], 6), "q1": round(q1, 6), "q3": round(q3, 6), "runs": runs[side]}
     sign = 1.0 if better == "higher" else -1.0
     gains = [sign * (c - p) for p, c in zip(runs["parent"], runs["change"])]
     stats["change_wins"] = sum(g > 0 for g in gains)
@@ -98,7 +103,23 @@ def summarize(runs, better):
     stats["pairs"] = len(gains)
     stats["median_diff"] = round(stats["change"]["median"] - stats["parent"]["median"], 6)
     stats["parent_iqr"] = round(stats["parent"]["q3"] - stats["parent"]["q1"], 6)
+    parent, diff = medians["parent"], medians["change"] - medians["parent"]
+    # a parent median of 0 has no relative change; then any worsening is beyond the bound
+    stats["relative_change"] = round(diff / abs(parent), 6) if parent else None
+    stats["within_bound"] = bool(-sign * diff <= bound * abs(parent))
     return stats
+
+
+def metric_line(workload, name, m, bound):
+    """One printed line per metric: the medians, their relative change, the
+    parent's IQR, the pairs won, and REGRESSION when beyond the bound."""
+    rel = "n/a" if m["relative_change"] is None else f"{m['relative_change']:+.1%}"
+    line = (
+        f"{workload} {name}: parent {m['parent']['median']:.4g} -> change "
+        f"{m['change']['median']:.4g} ({rel}; parent IQR {m['parent_iqr']:.3g}, "
+        f"change better in {m['change_wins']}/{m['pairs']})"
+    )
+    return line if m["within_bound"] else f"{line} REGRESSION (bound {bound:.0%})"
 
 
 def main(argv=None):
@@ -114,6 +135,7 @@ def main(argv=None):
     spec = json.loads(Path("BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     report = {
         "change": args.note,
@@ -148,7 +170,7 @@ def main(argv=None):
             metrics = {}
             for name in better:
                 metrics[name] = {"unit": units[name], "better": better[name]}
-                metrics[name].update(summarize(runs[name], better[name]))
+                metrics[name].update(summarize(runs[name], better[name], bounds[name]))
             report["workloads"][workload] = {
                 "seeds": args.seeds,
                 "first_in_pair": first,
@@ -157,12 +179,7 @@ def main(argv=None):
                 "metrics": metrics,
             }
             for name, m in metrics.items():
-                print(
-                    f"{workload} {name}: parent {m['parent']['median']:.4g} -> change "
-                    f"{m['change']['median']:.4g} (parent IQR {m['parent_iqr']:.3g}, "
-                    f"change better in {m['change_wins']}/{m['pairs']})",
-                    flush=True,
-                )
+                print(metric_line(workload, name, m, bounds[name]), flush=True)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
 
 

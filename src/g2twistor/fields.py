@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, inf
+from math import inf
 
 import numpy as np
 
-from .forms import KForm, MetricTensor, _wedge_table, wedge
+from .forms import KForm, MetricTensor, _wedge1_groups, sum_terms, wedge
 from .pointwise import G2Point, RHO_STD_TERMS, induced_metrics, rho_star_coeffs
 
 AXES = np.eye(7)
@@ -275,28 +275,35 @@ def central_difference(f, at, direction, h):
     ``direction`` holds one array per base array.  A complex direction
     u + i v gives D_u f + i D_v f.  A stacked direction such as (AXES,)
     differences along all of its rows in one call of f on stacked points.
-    The step must be positive and finite.
+
+    Stacked bases (a row axis first, as every batch caller has) take one
+    call of f per part of the direction: f receives the n rows of the
+    a + h d side followed by the n rows of the a - h d side, and the
+    result is (v[:n] - v[n:]) / 2h.  A one-point base of shape (7,) takes
+    one call per side.  The step must be positive and finite.
     """
     check_step(h)
     direction = np.asarray(direction)
 
     def diff(d):
-        plus = f(*(a + h * di for a, di in zip(at, d)))
-        minus = f(*(a - h * di for a, di in zip(at, d)))
-        return (plus - minus) / (2.0 * h)
+        plus = [a + h * di for a, di in zip(at, d)]
+        minus = [a - h * di for a, di in zip(at, d)]
+        if np.ndim(at[0]) == 1:
+            return (f(*plus) - f(*minus)) / (2.0 * h)
+        n = len(plus[0])
+        v = f(*(np.concatenate(side) for side in zip(plus, minus)))
+        return (v[:n] - v[n:]) / (2.0 * h)
 
     out = diff(direction.real)
-    if np.iscomplexobj(direction) and np.abs(direction.imag).max() > 0.0:
+    if np.iscomplexobj(direction) and direction.imag.any():
         out = out + 1j * diff(direction.imag)
     return out
 
 
 def _d_from_partials(partials, degree):
     """Coefficients (N, C(7, k+1)) of d(a) = sum_i e^i ^ d_i a from partials (N, 7, C(7, k))."""
-    ia, ib, io, sg = _wedge_table(7, 1, degree)
-    out = np.zeros((len(partials), comb(7, degree + 1)))
-    np.add.at(out, (slice(None), io), sg * partials[:, ia, ib])
-    return out
+    ia, ib, sg = _wedge1_groups(7, degree)
+    return sum_terms(sg * partials[:, ia, ib])
 
 
 def exterior_derivative(form_at, p, h):

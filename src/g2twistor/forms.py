@@ -339,14 +339,45 @@ def _contract_table(dim, degree):
     return comp, src, dst, sg
 
 
+def _grouped(key, n, columns):
+    """The table columns gathered into (n, m) arrays: row e holds the m
+    entries with key e, in table order (every key has m entries)."""
+    order = np.argsort(key, kind="stable")
+    out = tuple(c[order].reshape(n, -1) for c in columns)
+    for c in out:
+        c.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _contract_groups(dim, degree):
+    """(comp, src, sign) of `_contract_table`, grouped by dst."""
+    comp, src, dst, sg = _contract_table(dim, degree)
+    return _grouped(dst, comb(dim, degree - 1), (comp, src, sg))
+
+
+@lru_cache(maxsize=None)
+def _wedge1_groups(dim, degree):
+    """(ia, ib, sign) of `_wedge_table(dim, 1, degree)`, grouped by io."""
+    ia, ib, io, sg = _wedge_table(dim, 1, degree)
+    return _grouped(io, comb(dim, degree + 1), (ia, ib, sg))
+
+
+def sum_terms(T):
+    """T (..., m) summed over its last axis one term at a time, starting from
+    0.0: the sums, and signs of zero, that `np.add.at` into zeros gives."""
+    out = np.zeros(T.shape[:-1], dtype=T.dtype)
+    for k in range(T.shape[-1]):
+        out += T[..., k]
+    return out
+
+
 def contract_stack(A, V, dim, degree):
     """Interior products (N, C(dim, degree - 1)) of stacked degree-forms A
     (N, C(dim, degree)) with the vectors V (N, dim), row by row; each entry
     sums its terms in table order, as the one-form call does."""
-    comp, src, dst, sg = _contract_table(dim, degree)
-    out = np.zeros((len(A), comb(dim, degree - 1)))
-    np.add.at(out, (slice(None), dst), sg * V[:, comp] * A[:, src])
-    return out
+    comp, src, sg = _contract_groups(dim, degree)
+    return sum_terms(sg * V[:, comp] * A[:, src])
 
 
 def contract(a, v):

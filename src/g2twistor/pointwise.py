@@ -100,8 +100,11 @@ def _pairing_gathers():
 def _pairing_matrices(R):
     """B[n, i, j]: top coefficient of (rho_n . e_i) ^ (rho_n . e_j) ^ rho_n."""
     wi, ws, mi, ms = _pairing_gathers()
-    W = R[:, wi] * ws
-    B = W @ (R[:, mi] * ms) @ W.transpose(0, 2, 1)
+    W = np.take(R, wi, axis=1)
+    W *= ws
+    M = np.take(R, mi, axis=1)  # the one (N, 21, 21) temporary, scaled in place
+    M *= ms
+    B = W @ M @ W.transpose(0, 2, 1)
     return (B + B.transpose(0, 2, 1)) / 2.0
 
 

@@ -169,8 +169,8 @@ def _extension_values(field, tps, base0, vert0, P, Y, carrier, projection):
 def _brackets(field, tps, X, Y, h, carrier, projection):
     """[X_n, Y_n] at tps[n] of the locally extended fields, for stacked
     tangents X and Y (N, 2, 7): the stencils of all N brackets go through one
-    `central_difference`, one extension pass per stencil side (and per part
-    of a complex direction)."""
+    `central_difference`, one extension pass over both stencil sides per part
+    of a complex direction."""
     _check_option("carrier", carrier, CARRIERS)
     _check_option("projection", projection, PROJECTIONS)
     h = field.h if h is None else h
@@ -182,8 +182,11 @@ def _brackets(field, tps, X, Y, h, carrier, projection):
     base0 = extended[:, 0]
     vert0 = extended[:, 1] - _hor_fibers(_stack(rows, "gamma"), x, base0)
 
+    # f sees the + side rows, then the - side rows: the per-row data once per side
+    rows2, base2, vert2 = rows * 2, np.concatenate([base0, base0]), np.concatenate([vert0, vert0])
+
     def ext(P, Yp):
-        return _extension_values(field, rows, base0, vert0, P, Yp, carrier, projection)
+        return _extension_values(field, rows2, base2, vert2, P, Yp, carrier, projection)
 
     d = central_difference(ext, (m, x), along.transpose(1, 0, 2), h)
     return d[: len(X)] - d[len(X) :]
@@ -358,12 +361,13 @@ def _d_omegas(field, M, X, frames, h):
     """d Omega on the 4-frames frames (Q, 4, 2, 7) at the points (M, X), (Q, 7)
     each, through constant ambient extensions (whose mutual brackets vanish):
     every (frame, term, side) row of the stencils in one `central_difference`
-    of `_omega_values`."""
+    of `_omega_values`, both sides in one pass per part of the direction."""
     D = frames[:, _D_TERMS[:, 0]].reshape(-1, 2, 7)
     B = frames[:, _D_TERMS[:, 1:], 0].reshape(-1, 3, 7)
+    B2 = np.concatenate([B, B])  # the base parts of the + side rows, then of the - side rows
     rep = np.repeat(np.arange(len(frames)), 4)
     vals = central_difference(
-        lambda P, Y: _omega_values(field, P, Y, B), (M[rep], X[rep]), D.transpose(1, 0, 2), h
+        lambda P, Y: _omega_values(field, P, Y, B2), (M[rep], X[rep]), D.transpose(1, 0, 2), h
     ).reshape(-1, 4)
     total = 0.0 + 0.0j
     for j in range(4):

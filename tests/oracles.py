@@ -7,11 +7,21 @@ different algorithm rather than against themselves.
 
 import functools
 import itertools
+from math import comb
 
 import numpy as np
 
-from g2twistor.fields import AXES, _d_from_partials, central_difference
-from g2twistor.forms import KForm, contract, dense_stack, increasing_indices, minors, transform
+from g2twistor.fields import AXES, _d_from_partials, central_difference, check_step
+from g2twistor.forms import (
+    KForm,
+    _contract_table,
+    _wedge_table,
+    contract,
+    dense_stack,
+    increasing_indices,
+    minors,
+    transform,
+)
 from g2twistor.pointwise import _pairing_gathers, induced_metrics, rho_star_coeffs
 
 
@@ -241,3 +251,38 @@ def omega_values_dense(field, P, Y, B):
     re = np.einsum("nijk,ni,nj,nk->n", dense_stack(R, 7, 3), b1, b2, b3)
     im = -np.einsum("nijkl,ni,nj,nk,nl->n", dense_stack(rho_star_coeffs(R), 7, 4), Y, b1, b2, b3)
     return re + 1j * im
+
+
+def central_difference_two_calls(f, at, direction, h):
+    """(f(*(a + h d)) - f(*(a - h d))) / 2h with one call of f per stencil
+    side and per part of a complex direction, whatever the shape of the bases."""
+    check_step(h)
+    direction = np.asarray(direction)
+
+    def diff(d):
+        plus = f(*(a + h * di for a, di in zip(at, d)))
+        minus = f(*(a - h * di for a, di in zip(at, d)))
+        return (plus - minus) / (2.0 * h)
+
+    out = diff(direction.real)
+    if np.iscomplexobj(direction) and np.abs(direction.imag).max() > 0.0:
+        out = out + 1j * diff(direction.imag)
+    return out
+
+
+def contract_stack_add_at(A, V, dim, degree):
+    """Interior products of stacked forms A with the vectors V, row by row,
+    the terms of each entry added into zeros by `np.add.at` in table order."""
+    comp, src, dst, sg = _contract_table(dim, degree)
+    out = np.zeros((len(A), comb(dim, degree - 1)))
+    np.add.at(out, (slice(None), dst), sg * V[:, comp] * A[:, src])
+    return out
+
+
+def d_from_partials_add_at(partials, degree):
+    """sum_i e^i ^ d_i a from stacked partials (N, 7, C(7, k)), the terms of
+    each entry added into zeros by `np.add.at` in table order."""
+    ia, ib, io, sg = _wedge_table(7, 1, degree)
+    out = np.zeros((len(partials), comb(7, degree + 1)))
+    np.add.at(out, (slice(None), io), sg * partials[:, ia, ib])
+    return out

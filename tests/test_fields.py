@@ -1,8 +1,10 @@
 import dataclasses
 from functools import partial
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import g2twistor.fields as fields_module
 import oracles
@@ -10,6 +12,7 @@ from g2twistor.fields import (
     ConformalGenerator,
     StructureField,
     UnknownGeneratorError,
+    _d_from_partials,
     _distinct_rows,
     calibrate_integrability,
     central_difference,
@@ -254,6 +257,51 @@ def test_central_difference_exact_on_quadratic():
     np.testing.assert_allclose(got, dg(u) + 1j * dg(v), rtol=0.0, atol=1e-12)
     # a complex direction with zero imaginary part gives a real result
     assert np.isrealobj(central_difference(g, (m, x), u.astype(complex), h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=st.sampled_from(["axes", "per-row", "one-point"]),
+    n=st.integers(0, 2 * BLOCK + 1),
+    two=st.booleans(),
+    kind=st.sampled_from(["real", "complex", "zero-imag"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_central_difference_matches_the_two_call_route(layout, n, two, kind, seed):
+    """Equal bit for bit to one call of f per stencil side, on one or two base
+    arrays and real, complex and zero-imaginary directions.  Stacked bases take
+    one call per part of the direction, on the + rows then the - rows; a
+    one-point base takes one call per side and part."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((7, 7))
+    k = 2 if two else 1
+    if layout == "axes":  # (p[:, None],) along a stacked direction, as the torsion stencils
+        at, shape = [rng.random((n, 1, 7)) for _ in range(k)], (k, 3, 7)
+    elif layout == "per-row":  # one direction per row, as the bracket and Omega stencils
+        at, shape = [rng.random((n, 7)) for _ in range(k)], (k, n, 7)
+    else:
+        at, shape = [rng.random(7) for _ in range(k)], (k, 7)
+    d = rng.standard_normal(shape)
+    if kind == "complex":
+        d = d + 1j * rng.standard_normal(shape)
+    elif kind == "zero-imag":
+        d = d.astype(complex)
+    calls = []
+
+    def f(*Q):
+        calls.append(Q[0].shape)
+        return np.sin(Q[0]) @ A + Q[0] * Q[-1] ** 2
+
+    got = central_difference(f, tuple(at), d, 1.0 / 16)
+    parts = 2 if kind == "complex" and d.size else 1
+    assert len(calls) == (2 * parts if layout == "one-point" else parts)
+    if layout != "one-point":  # the n rows of the + side, then the n rows of the - side
+        assert all(rows == 2 * n for rows, *_ in calls)
+    calls.clear()
+    # an empty complex direction has no imaginary part to difference
+    want = oracles.central_difference_two_calls(f, tuple(at), d if d.size else d.real, 1.0 / 16)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.iscomplexobj(got) == (kind == "complex" and d.size > 0)
 
 
 def test_exterior_derivative_constant_field_exact(flat, points):
@@ -693,6 +741,20 @@ def test_distinct_keys_are_bytes():
     assert empty.shape == (0, 2)
 
 
+@pytest.mark.parametrize("degree", range(7))
+def test_d_from_partials_equals_the_add_at_route_bit_for_bit(degree):
+    """Each coefficient adds its terms in table order from 0.0, as `np.add.at`
+    into zeros does, signs of zero included."""
+    rng = np.random.default_rng(degree)
+    for n in (0, 1, 16):
+        partials = rng.standard_normal((n, 7, comb(7, degree)))
+        partials[rng.random(partials.shape) < 0.35] = 0.0
+        partials[rng.random(partials.shape) < 0.5] *= -1.0
+        got, want = _d_from_partials(partials, degree), oracles.d_from_partials_add_at(partials, degree)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _record_rows(monkeypatch, name, rows):
     f = getattr(fields_module, name)
 
@@ -705,7 +767,9 @@ def _record_rows(monkeypatch, name, rows):
 
 def test_one_block_never_passes_a_3form_twice(monkeypatch):
     """Within one twistor block and one integrability block, no induced-metric
-    or Hodge-star call receives two byte-identical 3-form rows."""
+    or Hodge-star call receives two byte-identical 3-form rows, and the Hodge
+    duals of one integrability block take no 3-form twice across both
+    stencil sides."""
     calls = []
     for name in ("induced_metrics", "rho_star_coeffs"):
         _record_rows(monkeypatch, name, calls)
@@ -715,10 +779,13 @@ def test_one_block_never_passes_a_3form_twice(monkeypatch):
     involutivity_residuals(field, tps)
     vertical_curvature_obstructions(field, tps)
     omega_closure_residuals(field, tps, range(BLOCK), max_combos=5)
+    start = len(calls)
     torsion_residuals(make_field("closed-perturbed", 16, epsilon=0.05), torus_points(BLOCK, 0))
     assert {name for name, _ in calls} == {"induced_metrics", "rho_star_coeffs"}
     for name, R in calls:
         assert len({r.tobytes() for r in R}) == len(R), name
+    star = np.concatenate([R for name, R in calls[start:] if name == "rho_star_coeffs"])
+    assert len({r.tobytes() for r in star}) == len(star)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from g2twistor.forms import (
     annihilator_basis,
     annihilator_dimension,
     contract,
+    contract_stack,
     derivation_apply,
     flat,
     form_norm,
@@ -507,6 +508,28 @@ def test_contract_table_entries_per_output_in_ascending_component(dim):
             assert sort_with_sign((c,) + J) == (increasing_indices(dim, k)[p], s)
         for J in np.unique(dst):
             assert np.all(np.diff(comp[dst == J]) > 0)
+
+
+def signed_zeros(shape, rng):
+    """Random normals with about a third of the entries +0.0 or -0.0."""
+    X = rng.standard_normal(shape)
+    X[rng.random(shape) < 0.35] = 0.0
+    X[rng.random(shape) < 0.5] *= -1.0
+    return X
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_contract_stack_equals_the_add_at_route_bit_for_bit(dim):
+    """Each entry adds its terms in table order from 0.0, as `np.add.at` into
+    zeros does: the same values and the same signs of zero, on stacks that
+    hold +0.0 and -0.0."""
+    rng = np.random.default_rng(dim)
+    for k in range(1, dim + 1):
+        for n in (0, 1, 240):
+            A, V = signed_zeros((n, comb(dim, k)), rng), signed_zeros((n, dim), rng)
+            got, want = contract_stack(A, V, dim, k), oracles.contract_stack_add_at(A, V, dim, k)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
