@@ -14,7 +14,7 @@ from math import inf
 
 import numpy as np
 
-from .forms import KForm, MetricTensor, _wedge1_groups, sum_terms, wedge
+from .forms import KForm, MetricTensor, _sum_terms, _wedge1_groups, wedge
 from .pointwise import G2Point, RHO_STD_TERMS, induced_metrics, rho_star_coeffs
 
 AXES = np.eye(7)
@@ -303,7 +303,7 @@ def central_difference(f, at, direction, h):
 def _d_from_partials(partials, degree):
     """Coefficients (N, C(7, k+1)) of d(a) = sum_i e^i ^ d_i a from partials (N, 7, C(7, k))."""
     ia, ib, sg = _wedge1_groups(7, degree)
-    return sum_terms(sg * partials[:, ia, ib])
+    return _sum_terms(sg * partials[:, ia, ib])
 
 
 def exterior_derivative(form_at, p, h):

@@ -343,10 +343,7 @@ def _grouped(key, n, columns):
     """The table columns gathered into (n, m) arrays: row e holds the m
     entries with key e, in table order (every key has m entries)."""
     order = np.argsort(key, kind="stable")
-    out = tuple(c[order].reshape(n, -1) for c in columns)
-    for c in out:
-        c.setflags(write=False)
-    return out
+    return tuple(c[order].reshape(n, -1) for c in columns)
 
 
 @lru_cache(maxsize=None)
@@ -363,7 +360,7 @@ def _wedge1_groups(dim, degree):
     return _grouped(io, comb(dim, degree + 1), (ia, ib, sg))
 
 
-def sum_terms(T):
+def _sum_terms(T):
     """T (..., m) summed over its last axis one term at a time, starting from
     0.0: the sums, and signs of zero, that `np.add.at` into zeros gives."""
     out = np.zeros(T.shape[:-1], dtype=T.dtype)
@@ -377,7 +374,7 @@ def contract_stack(A, V, dim, degree):
     (N, C(dim, degree)) with the vectors V (N, dim), row by row; each entry
     sums its terms in table order, as the one-form call does."""
     comp, src, sg = _contract_groups(dim, degree)
-    return sum_terms(sg * V[:, comp] * A[:, src])
+    return _sum_terms(sg * V[:, comp] * A[:, src])
 
 
 def contract(a, v):
