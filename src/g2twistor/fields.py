@@ -320,7 +320,8 @@ def exterior_derivative(form_at, p, h):
 
 def _torsion_forms(field, P, h):
     """(d rho, d *rho) coefficients (N, 35) each at the rows of P (N, 7): the
-    stencils of all rows in one `central_difference` along (AXES,)."""
+    stencils of all rows in one `central_difference` along (AXES,), both
+    sides in one `rho_and_star` call."""
 
     def rho_and_star(Q):
         R = field.rho_coeffs(Q.reshape(-1, 7))
@@ -399,7 +400,7 @@ class ConnectionSample:
 
 def christoffels(field, P, h=None):
     """Christoffel symbols (N, 7, 7, 7) at the rows of P: the distinct rows, all
-    in one pass, take one centre `metrics` call and one per stencil side."""
+    in one pass, take one centre `metrics` call and one on both stencil sides."""
     h = field.h if h is None else h
     check_step(h)
 
@@ -423,8 +424,8 @@ def christoffel(field, p, h=None):
 
 def levi_civitas(field, P, h=None):
     """Connection samples at the rows of P (N, 7): one `christoffels` call on
-    the centres and one per stencil side on their axis neighbours, and the
-    centre metrics from one `metrics` call."""
+    the centres and one on both stencil sides of their axis neighbours, and
+    the centre metrics from one `metrics` call."""
     h = field.h if h is None else h
     P = np.asarray(P, dtype=float)
     if not len(P):

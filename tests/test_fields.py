@@ -288,9 +288,9 @@ def test_central_difference_matches_the_two_call_route(layout, n, two, kind, see
         d = d.astype(complex)
     calls = []
 
-    def f(*Q):
+    def f(*Q):  # row-independent, as every batch caller's f: one (1, 7) @ (7, 7) product a row
         calls.append(Q[0].shape)
-        return np.sin(Q[0]) @ A + Q[0] * Q[-1] ** 2
+        return (np.sin(Q[0])[..., None, :] @ A)[..., 0, :] + Q[0] * Q[-1] ** 2
 
     got = central_difference(f, tuple(at), d, 1.0 / 16)
     parts = 2 if kind == "complex" and d.size else 1
