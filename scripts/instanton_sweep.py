@@ -13,11 +13,7 @@ import sys
 import numpy as np
 
 from g2twistor.fields import make_field
-from g2twistor.instanton import (
-    cr_holomorphicity_residual,
-    is_g2_instanton,
-    make_connection,
-)
+from g2twistor.instanton import cr_holomorphicity_residuals, is_g2_instanton, make_connection
 from g2twistor.pointwise import standard_g2_point
 from g2twistor.sampling import sphere_bundle_samples, torus_points
 from g2twistor.twistor import twistor_points
@@ -42,11 +38,11 @@ def main():
     for s in np.linspace(0.0, 1.0, args.steps):
         conn = make_connection("mixed", std, index=args.index, vector=args.vector, mix=float(s))
         _, f7 = is_g2_instanton(field, conn, base_pts)
-        vals = [cr_holomorphicity_residual(field, conn, tp) for tp in tps]
+        vals = cr_holomorphicity_residuals(field, conn, tps)
         print(f"{s:6.2f} {f7:14.6f} {max(vals):16.6f} {min(vals):16.6f}")
     print(
         "\nnote: the CR residual of the pure 14-part connection is nonzero at"
-        "\ngeneric fiber directions; see notes/decisions.md for the analysis."
+        "\ngeneric fiber directions; see docs/DECISIONS.md for the analysis."
     )
     return 0
 

@@ -34,6 +34,7 @@ from .fields import (
 )
 from .twistor import (
     TwistorPoint,
+    TwistorPoints,
     frobenius_bracket,
     involutivity_residual,
     tautological_forms,

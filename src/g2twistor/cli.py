@@ -311,7 +311,7 @@ def run_twistor(cfg):
             tw.vertical_curvature_obstructions(field, tps),
             tw.omega_closure_residuals(field, tps, seeds, max_combos=5),
         )
-        results += [tuple(tp.m) + tuple(tp.x) + r for tp, r in zip(tps, columns)]
+        results += [tuple(m) + tuple(x) + r for m, x, r in zip(tps.m, tps.x, columns)]
     invols = [r[14] for r in results]
     threshold = max(10.0 * tw.FLAT_FLOOR, cfg.tol_involutive)
     verdict = "involutive" if max(invols) <= threshold else "non-involutive"
@@ -331,12 +331,12 @@ def run_twistor(cfg):
 def _instanton_rows(field, conn, M, X):
     """(m, x, cr, f7) rows of one block; its frames are freed before the next block."""
     tps = tw.twistor_points(field, M, X)
-    F = np.array([conn.curvature(tp.m, field.h) for tp in tps])
+    F = np.array([conn.curvature(m, field.h) for m in tps.m])
     columns = zip(
         inst.cr_holomorphicity_residuals(field, conn, tps),
-        inst.f7_residuals([tp.point for tp in tps], F),
+        inst.f7_residuals(tps.rho, tps.g, tps.ginv, tps.vol, F),
     )
-    return [tuple(tp.m) + tuple(tp.x) + r for tp, r in zip(tps, columns)]
+    return [tuple(m) + tuple(x) + r for m, x, r in zip(tps.m, tps.x, columns)]
 
 
 def run_instanton(cfg):
@@ -431,6 +431,10 @@ def main(argv=None):
     except (ConfigError, G2StructureError, NotPositiveDefinite) as exc:
         # a generator that leaves the G2 stratum is a bad config, not a verdict
         sys.stderr.write(f"config error: {exc}\n")
+        return USAGE_ERROR
+    except OSError as exc:
+        # an --out that names a file, or lies below one, cannot hold the reports
+        sys.stderr.write(f"output error: {exc}\n")
         return USAGE_ERROR
 
 

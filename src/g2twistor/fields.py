@@ -15,7 +15,7 @@ from math import inf
 import numpy as np
 
 from .forms import KForm, MetricTensor, _sum_terms, _wedge1_groups, wedge
-from .pointwise import G2Point, RHO_STD_TERMS, induced_metrics, rho_star_coeffs
+from .pointwise import G2Point, RHO_STD_TERMS, induced_metrics, rho_star_coeffs, structure_stacks
 
 AXES = np.eye(7)
 
@@ -204,25 +204,16 @@ class StructureField:
         return _distinct_rows(self.rho_coeffs(P), induced_metrics)
 
     def point_data(self, p):
-        """Unvalidated G2 point at p: the N = 1 view of `points_data`; use
-        validate_at for the checks."""
-        return self.points_data(np.asarray(p, dtype=float)[None])[0]
+        """Unvalidated G2 point at p; use validate_at for the checks."""
+        R = self.rho_coeffs(np.asarray(p, dtype=float)[None])
+        g, orientation = induced_metrics(R)
+        return G2Point(KForm(7, 3, R[0]), MetricTensor.trusted(g[0]), int(orientation[0]), validate=False)
 
-    def points_data(self, P, star=False):
-        """`point_data` at the rows of P (N, 7) from one induced-metric pass over
-        the distinct 3-forms, with ``star`` also one Hodge-star pass that seeds
-        rho_star; rows with the same 3-form share one G2 point."""
-
-        def compute(R):
-            g, o = induced_metrics(R)
-            S = [KForm(7, 4, s) for s in rho_star_coeffs(R, g, o)] if star else [None] * len(R)
-            points = (
-                G2Point(KForm(7, 3, r), MetricTensor.trusted(gi), s, int(oi), validate=False)
-                for r, gi, oi, s in zip(R, g, o, S)
-            )
-            return np.fromiter(points, dtype=object, count=len(R))
-
-        return list(_distinct_rows(self.rho_coeffs(P), compute))
+    def point_stacks(self, P):
+        """Stacks (rho, g, g^-1, orientation * sqrt(det g), *rho) at the rows of P
+        (N, 7): one `structure_stacks` pass over the distinct 3-forms."""
+        R = self.rho_coeffs(P)
+        return (R, *_distinct_rows(R, structure_stacks))
 
     def metric(self, p):
         return self.point_data(p).metric
@@ -423,13 +414,12 @@ def christoffel(field, p, h=None):
 
 
 def levi_civitas(field, P, h=None):
-    """Connection samples at the rows of P (N, 7): one `christoffels` call on
-    the centres and one on both stencil sides of their axis neighbours, and
-    the centre metrics from one `metrics` call."""
+    """Stacks (gamma, riemann) of the `ConnectionSample`s at the rows of P
+    (N, 7): one `christoffels` call on the centres and one on both stencil
+    sides of their axis neighbours, and the centre metrics from one
+    `metrics` call."""
     h = field.h if h is None else h
     P = np.asarray(P, dtype=float)
-    if not len(P):
-        return []
 
     def gammas(Q):
         return christoffels(field, Q.reshape(-1, 7), h).reshape(Q.shape[:-1] + (7, 7, 7))
@@ -445,16 +435,15 @@ def levi_civitas(field, P, h=None):
         - np.einsum("nkjm,nmil->nklij", gamma, gamma)
     )
     low = np.einsum("nkm,nmlij->nijkl", g, mixed)
-    low = (low - np.einsum("nijlk->nijkl", low)) / 2.0
-    return [
-        ConnectionSample(point=p, metric=MetricTensor.trusted(gi), gamma=gm, riemann=r)
-        for p, gi, gm, r in zip(P, g, gamma, low)
-    ]
+    return gamma, (low - np.einsum("nijlk->nijkl", low)) / 2.0
 
 
 def levi_civita(field, p, h=None):
     """Connection sample at p: the N = 1 view of `levi_civitas`."""
-    return levi_civitas(field, np.asarray(p, dtype=float)[None], h)[0]
+    P = np.asarray(p, dtype=float)[None]
+    gamma, riemann = levi_civitas(field, P, h)
+    metric = MetricTensor.trusted(field.metrics(P)[0][0])
+    return ConnectionSample(point=P[0], metric=metric, gamma=gamma[0], riemann=riemann[0])
 
 
 def curvature_g2_check(field, p, h=None):

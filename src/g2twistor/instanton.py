@@ -123,14 +123,16 @@ def make_connection(family, point, index=0, vector=0, mix=0.0):
 # instanton test
 
 
-def f7_residuals(points, F):
-    """Per G2 point, the norm of the 7-part of its (21, r, r) curvature, F
-    stacked (N, 21, r, r): metric Gram on the form index, Frobenius on the
-    bundle indices.  Row i equals the one-point call bit for bit."""
-    if not len(points):
+def f7_residuals(R, g, ginv, vol, F):
+    """Per row of the 3-forms R, metrics g, their inverses ginv and vol =
+    orientation * sqrt(det g), the norm of the 7-part of its (21, r, r)
+    curvature, F stacked (N, 21, r, r): metric Gram on the form index,
+    Frobenius on the bundle indices.  Row i equals the one-point call bit
+    for bit."""
+    if not len(R):
         return []
-    P7, _ = lambda2_projectors(points)
-    gram = minors(np.array([pt.ginv for pt in points]), 2)
+    P7, _ = lambda2_projectors(R, g, vol)
+    gram = minors(ginv, 2)
     F7 = np.einsum("nIJ,nJab->nIab", P7, F)
     val = np.einsum("nIab,nIJ,nJab->n", np.conj(F7), gram, F7).real
     return [float(np.sqrt(max(v, 0.0))) for v in val]
@@ -139,16 +141,19 @@ def f7_residuals(points, F):
 def f7_residual(point, F):
     """Norm of the 7-part of a (21, r, r) curvature F at a G2 point: the
     N = 1 view of `f7_residuals`."""
-    return f7_residuals([point], np.asarray(F)[None])[0]
+    vol = np.array([point.orientation * point.metric.sqrt_det])
+    rows = (np.array([a]) for a in (point.rho.coeffs, point.g, point.ginv))
+    return f7_residuals(*rows, vol, np.asarray(F)[None])[0]
 
 
 def is_g2_instanton(field, conn, sample_points, tol=1e-8, h=None):
     """(verdict, max residual): residual is the norm of the 7-part of the
-    curvature at each sample; one `points_data` pass serves all samples."""
+    curvature at each sample; one `point_stacks` pass serves all samples."""
     h = field.h if h is None else h
     P = np.asarray(sample_points, dtype=float).reshape(-1, 7)
     F = np.array([conn.curvature(p, h) for p in P])
-    worst = max(f7_residuals(field.points_data(P), F), default=0.0)
+    R, g, ginv, vol, _ = field.point_stacks(P)
+    worst = max(f7_residuals(R, g, ginv, vol, F), default=0.0)
     return worst <= tol, worst
 
 
@@ -174,7 +179,7 @@ def _dbar_squared(field, tp, sections, potential, h):
     tangents = tp.tangents_01
     at = (tp.m, tp.x)
     pairs = (tangents[list(_PAIR_I)], tangents[list(_PAIR_J)])
-    brackets = _brackets(field, [tp] * 3, *pairs, h, "transport", "cr01")
+    brackets = _brackets(field, np.zeros(3, int), tp.rows, *pairs, h, "transport", "cr01")
 
     def nabla(s, vec, m, x):
         der = central_difference(s, (m, x), vec, h)
@@ -202,25 +207,25 @@ def dolbeault_square_function_residual(field, tp, f, h=None):
 
 
 def _ext_tangent(field, tp, vec, m, x):
-    """The cr01 section extension of vec, evaluated at ambient (m, x)."""
+    """The cr01 section extension of vec from tp, evaluated at ambient (m, x)."""
     base0, vert0 = np.asarray(vec[0])[None], tp.vertical_part(vec)[None]
-    return _extension_values(field, [tp], base0, vert0, m[None], x[None], "transport", "cr01")[0]
+    return _extension_values(field, np.zeros(1, int), tp.rows, base0, vert0, m[None], x[None], "transport", "cr01")[0]
 
 
 def cr_holomorphicity_residuals(field, conn, tps, h=None):
-    """Per twistor point, the aggregated (0,2)-norm of the pulled-back
-    curvature on the (0,1) basis: sqrt(sum over pairs |F(b_i, b_j)|_Frob^2).
+    """Per twistor point of the record tps, the aggregated (0,2)-norm of the
+    pulled-back curvature on the (0,1) basis: sqrt(sum over pairs |F(b_i, b_j)|_Frob^2).
     Row i equals the one-point call bit for bit.
 
     For a rank-1 curvature i*beta this equals the (0,2)-part norm
     |beta^{0,2}| of the restriction of beta to the fiber complement, i.e.
     the (2,0)+(0,2) output of hodge_type_on_complement divided by sqrt(2).
     """
-    if not tps:
+    if not len(tps):
         return []
     h = field.h if h is None else h
-    F = np.array([conn.curvature_dense(tp.m, h) for tp in tps])
-    wbar = np.array([tp.wbar for tp in tps])
+    F = np.array([conn.curvature_dense(m, h) for m in tps.m])
+    wbar = tps.wbar
     total = 0.0
     for i, j in zip(_PAIR_I, _PAIR_J):
         val = np.einsum("nijab,ni,nj->nab", F, wbar[:, i], wbar[:, j])
@@ -231,7 +236,7 @@ def cr_holomorphicity_residuals(field, conn, tps, h=None):
 def cr_holomorphicity_residual(field, conn, tp, h=None):
     """Aggregated (0,2)-norm of the pulled-back curvature on the (0,1) basis:
     the N = 1 view of `cr_holomorphicity_residuals`."""
-    return cr_holomorphicity_residuals(field, conn, [tp], h)[0]
+    return cr_holomorphicity_residuals(field, conn, tp.rows, h)[0]
 
 
 def hodge_type_cr_residual(field, conn, tp, h=None):

@@ -157,13 +157,17 @@ def induced_metric(rho, check_nondegenerate=True):
     return MetricTensor.trusted(g[0]), int(orientation[0])
 
 
-def rho_star_coeffs(R, g=None, orientation=None):
-    """Hodge duals (N, 35) of stacked 3-forms R (N, 35) under their induced
-    metrics; pass (g, orientation) when `induced_metrics` already gave them."""
-    if g is None:
-        g, orientation = induced_metrics(R)
-    vol = np.sqrt(np.linalg.det(g)) * orientation
-    return hodge_star_coeffs(R, np.linalg.inv(g), vol, 3)
+def structure_stacks(R):
+    """Stacks (g, g^-1, orientation * sqrt(det g), *rho) of the G2 structures
+    of stacked 3-forms R (N, 35), each row through its own calls."""
+    g, orientation = induced_metrics(R)
+    ginv, vol = np.linalg.inv(g), np.sqrt(np.linalg.det(g)) * orientation
+    return g, ginv, vol, hodge_star_coeffs(R, ginv, vol, 3)
+
+
+def rho_star_coeffs(R):
+    """Hodge duals (N, 35) of stacked 3-forms R (N, 35) under their induced metrics."""
+    return structure_stacks(R)[3]
 
 
 def _gram_orthonormal_columns(S, gram):
@@ -176,17 +180,12 @@ def _gram_orthonormal_columns(S, gram):
 
 
 class G2Point:
-    """A validated G2 structure at one point: (rho, g, *rho, orientation).
+    """A validated G2 structure at one point: (rho, g, *rho, orientation);
+    the 4-form is computed on first use."""
 
-    The 4-form may be passed as None and is then computed on first use
-    (`StructureField.points_data` seeds it only when asked for the star).
-    """
-
-    def __init__(self, rho, metric, rho_star=None, orientation=1, validate=True):
+    def __init__(self, rho, metric, orientation=1, validate=True):
         self.rho = rho
         self.metric = metric
-        if rho_star is not None:
-            self.rho_star = rho_star  # seeds the cached_property
         self.orientation = orientation
         if validate:
             self._validate()
@@ -199,7 +198,7 @@ class G2Point:
     def from_rho(cls, rho, validate=True):
         # with validate, _validate checks the stabilizer dimension
         metric, orientation = induced_metric(rho, check_nondegenerate=False)
-        return cls(rho, metric, None, orientation, validate=validate)
+        return cls(rho, metric, orientation, validate=validate)
 
     def _validate(self):
         if annihilator_dimension(self.rho) != 14:
@@ -214,9 +213,6 @@ class G2Point:
         scale = max(np.abs(B).max(), 1.0)
         if np.abs(B - want).max() > 1e-9 * scale:
             raise G2StructureError("metric does not reproduce the pairing")
-        star = hodge_star(self.rho, self.metric, self.orientation)
-        if np.abs(star.coeffs - self.rho_star.coeffs).max() > 1e-9:
-            raise G2StructureError("stored 4-form is not the Hodge dual")
 
     # -- cached tensors -----------------------------------------------------
 
@@ -229,13 +225,9 @@ class G2Point:
         return self.metric.inverse
 
     @cached_property
-    def rho_dense(self):
-        return self.rho.dense()
-
-    @cached_property
     def cross_tensor(self):
         """T[i, j, k] = k-th component of e_i x e_j."""
-        return np.einsum("ijm,km->ijk", self.rho_dense, self.ginv)
+        return np.einsum("ijm,km->ijk", self.rho.dense(), self.ginv)
 
     @cached_property
     def stabilizer_algebra(self):
@@ -256,7 +248,8 @@ class G2Point:
     @property
     def lambda2_projectors(self):
         """(P7, P14): the N = 1 view of `lambda2_projectors`."""
-        P7, P14 = lambda2_projectors([self])
+        vol = np.array([self.orientation * self.metric.sqrt_det])
+        P7, P14 = lambda2_projectors(np.array([self.rho.coeffs]), np.array([self.g]), vol)
         return P7[0], P14[0]
 
     # -- point operations -----------------------------------------------------
@@ -269,16 +262,16 @@ class G2Point:
         return self.metric.norm(x)
 
 
-def lambda2_projectors(points):
+def lambda2_projectors(R, g, vol):
     """Stacks (P7, P14) (N, 21, 21) = ((I + T)/3, (2I - T)/3) for T(a) =
-    *(rho ^ a), which is 2 on Lambda^2_7 and -1 on Lambda^2_14, one per G2
-    point.  <Ta, b> vol = b ^ rho ^ a reads T off the pairing gather M and
-    the inverse Gram matrices minors(g, 2); row i equals the one-point call
-    bit for bit."""
+    *(rho ^ a), which is 2 on Lambda^2_7 and -1 on Lambda^2_14, one per row
+    of the 3-forms R, metrics g and vol = orientation * sqrt(det g).
+    <Ta, b> vol = b ^ rho ^ a reads T off the pairing gather M and the
+    inverse Gram matrices minors(g, 2); row i equals the one-point call bit
+    for bit."""
     _, _, mi, ms = _pairing_gathers()
-    M = np.take(np.array([pt.rho.coeffs for pt in points]), mi, axis=1) * ms  # C-ordered, unlike [:, mi]
-    scale = np.array([pt.orientation * pt.metric.sqrt_det for pt in points])
-    T = minors(np.array([pt.g for pt in points]), 2) @ M / scale[:, None, None]
+    M = np.take(R, mi, axis=1) * ms  # C-ordered, unlike [:, mi]
+    T = minors(g, 2) @ M / vol[:, None, None]
     I = np.eye(comb(7, 2))
     return (I + T) / 3.0, (2.0 * I - T) / 3.0
 
@@ -346,9 +339,16 @@ class Su3Frame:
     def b01(self):
         return np.conj(self.b10)
 
+    @classmethod
+    def of_row(cls, W, I, b10, omega, Omega_re, Omega_im):
+        """The frame of one row of the `su3_structures` stacks."""
+        return cls(W, KForm(6, 2, omega), I, b10, KForm(6, 3, Omega_re), KForm(6, 3, Omega_im))
 
-def su3_structures(points, V, tol=UNIT_TOL):
-    """SU(3) frames on v-perp, one per G2 point and g-unit row v of V (N, 7).
+
+def su3_structures(G, Ginv, R, S, V, tol=UNIT_TOL):
+    """SU(3) frames on v-perp, one per row of the metrics G, their inverses
+    Ginv, the 3-forms R, their Hodge duals S and the g-unit vectors V, as
+    the stacks (W, I, b10, omega, Omega_re, Omega_im) of `Su3Frame`'s fields.
 
     omega is the restriction of rho . v; I w = v x w satisfies
     omega(x, y) = g(I x, y); Omega restricts rho and the contraction of
@@ -359,35 +359,29 @@ def su3_structures(points, V, tol=UNIT_TOL):
     docs/CONVENTIONS.md, row independence).
     """
     V = np.asarray(V, dtype=float)
-    if not len(points):
-        return []
-    G = np.array([pt.g for pt in points])
-    R = np.array([pt.rho.coeffs for pt in points])
     vg = V[:, None] @ G  # (N, 1, 7)
     if not (abs((vg @ V[:, :, None])[:, 0, 0] - 1.0) <= tol).all():  # a NaN v fails too
         raise NonUnitVectorError("v must be a g-unit vector")
     W = _complement_bases(G, V, vg)
     omega = _pullbacks(minors(W, 2), contract_stack(R, V, 7, 3))
     # I in the W basis: I[a, b] = g(w_a, v x w_b)
-    cross = np.einsum("nijm,nkm->nijk", dense_stack(R, 7, 3), np.array([pt.ginv for pt in points]))
+    cross = np.einsum("nijm,nkm->nijk", dense_stack(R, 7, 3), Ginv)
     I6 = W.transpose(0, 2, 1) @ G @ np.einsum("nijk,ni,njb->nkb", cross, V, W)
     if (np.abs(I6 @ I6 + np.eye(6)) > UNIT_TOL).any():
         raise G2StructureError("complex structure does not square to -Id")
     b10 = _eigenrows(I6)
     W3 = minors(W, 3)
     Omega_re = _pullbacks(W3, R)
-    S = np.array([pt.rho_star.coeffs for pt in points])
     Omega_im = -1.0 * _pullbacks(W3, contract_stack(S, V, 7, 4))
     _check_su3_frames(omega, I6, b10, Omega_re, Omega_im)
-    return [
-        Su3Frame(W[n], KForm(6, 2, omega[n]), I6[n], b10[n], KForm(6, 3, re), KForm(6, 3, im))
-        for n, (re, im) in enumerate(zip(Omega_re, Omega_im))
-    ]
+    return W, I6, b10, omega, Omega_re, Omega_im
 
 
 def su3_structure(point, v, tol=UNIT_TOL):
     """SU(3) frame on v-perp for a g-unit vector v: the N = 1 view of `su3_structures`."""
-    return su3_structures([point], np.asarray(v, dtype=float)[None], tol)[0]
+    stacks = (np.array([a]) for a in (point.g, point.ginv, point.rho.coeffs, point.rho_star.coeffs))
+    V = np.asarray(v, dtype=float)[None]
+    return Su3Frame.of_row(*(s[0] for s in su3_structures(*stacks, V, tol)))
 
 
 def _pullbacks(Wk, C):
@@ -428,7 +422,7 @@ def _eigenrows(I6):
     count = np.zeros(N, dtype=int)
     for a in range(6):
         c = (np.eye(6)[a] - 1j * I6[:, :, a]) / np.sqrt(2.0)
-        for t in range(count.max()):
+        for t in range(count.max(initial=0)):
             r = kept[:, t]
             proj = np.conj(r)[:, None] @ c[:, :, None]
             c = np.where((t < count)[:, None], c - proj[:, 0] * r, c)

@@ -24,6 +24,8 @@ A g2point record nests three kform/matrix blocks:
     rho_star
     <kform block>
     end
+
+A validated load checks rho_star against the Hodge dual of rho and metric.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from math import comb
 import numpy as np
 
 from .forms import KForm, MetricTensor, increasing_indices, index_position
-from .pointwise import G2Point
+from .pointwise import G2Point, G2StructureError
 
 
 class FormatError(ValueError):
@@ -120,4 +122,7 @@ def g2point_from_text(text, validate=True):
     if lines[i].strip() != "rho_star":
         raise FormatError("expected 'rho_star' block")
     rho_star, i = _parse_kform(lines, i + 1)
-    return G2Point(rho, MetricTensor(entries), rho_star, orientation, validate=validate)
+    point = G2Point(rho, MetricTensor(entries), orientation, validate=validate)
+    if validate and np.abs(point.rho_star.coeffs - rho_star.coeffs).max() > 1e-9:
+        raise G2StructureError("stored 4-form is not the Hodge dual")
+    return point

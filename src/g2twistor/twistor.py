@@ -17,14 +17,15 @@ for bit, and each singular function is the N = 1 view of its plural.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dc_fields
+from functools import cached_property
 
 import numpy as np
 
 from .fields import BLOCK, _distinct_rows, blocks, central_difference, check_step, christoffel
 from .fields import christoffels, levi_civitas, make_field
-from .forms import KForm, contract, contract_stack, dense_stack, derivation_apply, minors
-from .pointwise import rho_star_coeffs, su3_structures
+from .forms import KForm, MetricTensor, contract, contract_stack, dense_stack, derivation_apply, minors
+from .pointwise import G2Point, Su3Frame, rho_star_coeffs, su3_structures
 from .sampling import sphere_bundle_samples
 
 WHICH = ("01", "10")
@@ -50,37 +51,78 @@ def _hor_fibers(gamma, y, b):
     return -np.einsum("nkij,ni,nj->nk", gamma, b, y)
 
 
-@dataclass(eq=False)
-class TwistorPoint:
-    """A point (m, x) of the unit sphere bundle with its adapted frame.
-
-    theta is the horizontal lift of x; the six b_lifts are horizontal lifts
-    of a g-orthonormal basis of x-perp; the vert_basis spans the fiber
-    tangent space (same orthonormal basis of x-perp).
-    """
+@dataclass(frozen=True, eq=False)
+class TwistorPoints:
+    """Points (m, x) of the unit sphere bundle with their adapted frames, one
+    (N, ...) array per field (docs/CONVENTIONS.md lists them).  ``len`` is N;
+    a slice or an integer row array selects a record of those rows, an
+    integer i the one-point view `TwistorPoint` of row i."""
 
     m: np.ndarray
     x: np.ndarray
-    point: object  # G2Point at m
+    rho: np.ndarray
+    star: np.ndarray
+    g: np.ndarray
+    ginv: np.ndarray
+    vol: np.ndarray
     gamma: np.ndarray
-    su3: object
-    theta: np.ndarray
-    b_lifts: np.ndarray  # (6, 2, 7)
-    vert_basis: np.ndarray  # (6, 2, 7)
+    W: np.ndarray
+    I: np.ndarray
+    b10: np.ndarray
+    omega: np.ndarray
+    Omega_re: np.ndarray
+    Omega_im: np.ndarray
+    lifts: np.ndarray
 
-    @property
-    def w_basis(self):
-        return self.su3.basis
+    def __len__(self):
+        return len(self.m)
+
+    def __getitem__(self, rows):
+        if isinstance(rows, (int, np.integer)):
+            i = range(len(self))[rows]
+            return TwistorPoint(self[i : i + 1])
+        return TwistorPoints(*(getattr(self, f.name)[rows] for f in dc_fields(self)))
 
     @property
     def tangents_01(self):
-        """The (0,1) basis of the frame carried to B: (3, 2, 7) complex tangents."""
-        return np.einsum("ra,aij->rij", self.su3.b01, self.b_lifts.astype(complex))
+        """The (0,1) basis of each frame carried to B: (N, 3, 2, 7) complex tangents."""
+        return np.einsum("nra,naij->nrij", np.conj(self.b10), self.lifts[:, 1:].astype(complex))
 
     @property
     def wbar(self):
-        """The (0,1) basis of the frame in torus coordinates: (3, 7) complex rows."""
-        return np.einsum("ra,ia->ri", self.su3.b01, self.w_basis)
+        """The (0,1) basis of each frame in torus coordinates: (N, 3, 7) complex rows."""
+        return np.einsum("nra,nia->nri", np.conj(self.b10), self.W)
+
+
+def _row(field, *index):
+    return property(lambda self: getattr(self.rows, field)[(0, *index)])
+
+
+class TwistorPoint:
+    """The point (m, x) of a one-row `TwistorPoints` record ``rows`` with its
+    adapted frame: theta (2, 7) is the horizontal lift of x, the b_lifts
+    (6, 2, 7) those of a g-orthonormal basis w_basis (7, 6) of x-perp, and
+    the vert_basis (6, 2, 7) spans the fiber tangent space with that basis."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    m, x, gamma, w_basis = _row("m"), _row("x"), _row("gamma"), _row("W")
+    theta, b_lifts = _row("lifts", 0), _row("lifts", slice(1, None))
+    tangents_01, wbar = _row("tangents_01"), _row("wbar")
+
+    vert_basis = property(lambda self: np.stack([np.zeros((6, 7)), self.w_basis.T], axis=1))
+
+    @cached_property
+    def point(self):
+        """The G2 point at m."""
+        r = self.rows
+        return G2Point(KForm(7, 3, r.rho[0]), MetricTensor.trusted(r.g[0]), 1 if r.vol[0] > 0 else -1, False)
+
+    @cached_property
+    def su3(self):
+        """The SU(3) frame on x-perp."""
+        return Su3Frame.of_row(*(getattr(self.rows, k)[0] for k in ("W", "I", "b10", "omega", "Omega_re", "Omega_im")))
 
     def vertical_part(self, vec):
         """Fiber component minus the horizontal-lift fiber of the base part."""
@@ -88,17 +130,15 @@ class TwistorPoint:
 
 
 def twistor_points(field, M, X):
-    """Adapted frames at the rows (m, x) of M and X, (N, 7) each; each x is
-    normalized against g(m).  One point-data and one Christoffel batch serve
-    all rows, and row i equals the one-row call bit for bit."""
-    M = np.asarray(M, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if not len(M):
-        return []
+    """Adapted frames at the rows (m, x) of M and X, (N, 7) each, as one
+    `TwistorPoints` record; each x is normalized against g(m).  One
+    point-stack, one Christoffel and one SU(3) pass serve all rows, and row i
+    equals the one-row call bit for bit."""
+    M = np.asarray(M, dtype=float).reshape(-1, 7)
+    X = np.asarray(X, dtype=float).reshape(-1, 7)
     if not np.isfinite(X).all():
         raise TwistorError("fiber vector must be finite")
-    points = field.points_data(M, star=True)
-    G = np.array([pd.g for pd in points])
+    R, G, Ginv, vol, S = field.point_stacks(M)
     # |x|_g as `MetricTensor.norm` forms it: contiguous x on the left, x as given on the right
     nrm = np.sqrt(np.maximum((np.ascontiguousarray(X)[:, None] @ G @ X[:, :, None])[:, 0, 0], 0.0))
     if (nrm < 1e-12).any():
@@ -106,15 +146,11 @@ def twistor_points(field, M, X):
     # the matrix products below see contiguous rows whatever the layout of the input
     X = np.ascontiguousarray(X / nrm[:, None])
     gamma = christoffels(field, M)
-    frames = su3_structures(points, X)
-    W = np.array([frame.basis.T for frame in frames])  # (N, 6, 7): the rows w_a
-    V = np.concatenate([X[:, None], W], axis=1)  # x, then w_1..w_6
+    frames = su3_structures(G, Ginv, R, S, X)
+    # x, then w_1..w_6, C-ordered: a strided V changes the rounding of the lift einsum
+    V = np.ascontiguousarray(np.concatenate([X[:, None], frames[0].transpose(0, 2, 1)], axis=1))
     lifts = np.stack([V, -np.einsum("nkij,nai,nj->nak", gamma, V, X)], axis=2)
-    verts = np.stack([np.zeros_like(W), W], axis=2)
-    return [
-        TwistorPoint(m, x, pd, gm, frame, lift[0], lift[1:], vert)
-        for m, x, pd, gm, frame, lift, vert in zip(M, X, points, gamma, frames, lifts, verts)
-    ]
+    return TwistorPoints(np.ascontiguousarray(M), X, R, S, G, Ginv, vol, gamma, *frames, lifts)
 
 
 def twistor_point(field, m, x):
@@ -126,18 +162,9 @@ def twistor_point(field, m, x):
 # local extensions and Frobenius brackets
 
 
-def _stack(tps, name):
-    return np.array([getattr(tp, name) for tp in tps])
-
-
-def _frames(tps):
-    """The seven horizontal frame vectors theta, b_1..b_6 of each point: (N, 7, 2, 7)."""
-    return np.array([np.concatenate([tp.theta[None], tp.b_lifts]) for tp in tps])
-
-
-def _extension_values(field, tps, base0, vert0, P, Y, carrier, projection):
+def _extension_values(field, rows, tps, base0, vert0, P, Y, carrier, projection):
     """Values (R, 2, 7) at ambient points (P, Y) of the local fields extending
-    (base0, vert0) from tps, one twistor point and one row of each per row.
+    (base0, vert0) from the twistor points tps[rows], one row of each per row.
 
     carrier:    base-component scheme before any projection --
                 'transport' keeps coordinate-constant base components,
@@ -152,8 +179,7 @@ def _extension_values(field, tps, base0, vert0, P, Y, carrier, projection):
     yy = yg @ Y[:, :, None]  # (R, 1, 1)
     b = base0
     if carrier == "parallel":
-        disp = P - _stack(tps, "m")
-        b = b - np.einsum("nkij,ni,nj->nk", _stack(tps, "gamma"), disp, b)
+        b = b - np.einsum("nkij,ni,nj->nk", tps.gamma[rows], P - tps.m[rows], b)
     if projection != "none":
         b = b - ((yg @ b[:, :, None]) / yy)[:, 0] * Y
         if projection in ("cr01", "cr10"):
@@ -166,27 +192,27 @@ def _extension_values(field, tps, base0, vert0, P, Y, carrier, projection):
     return np.stack([b, _hor_fibers(christoffels(field, P), Y, b) + vt], axis=1)
 
 
-def _brackets(field, tps, X, Y, h, carrier, projection):
-    """[X_n, Y_n] at tps[n] of the locally extended fields, for stacked
-    tangents X and Y (N, 2, 7): the stencils of all N brackets go through one
+def _brackets(field, rows, tps, X, Y, h, carrier, projection):
+    """[X_r, Y_r] at tps[rows[r]] of the locally extended fields, for stacked
+    tangents X and Y (R, 2, 7): the stencils of all R brackets go through one
     `central_difference`, one extension pass over both stencil sides per part
     of a complex direction."""
     _check_option("carrier", carrier, CARRIERS)
     _check_option("projection", projection, PROJECTIONS)
     h = field.h if h is None else h
-    rows = list(tps) * 2
-    # row n differences the extension of Y_n along X_n, row N + n that of X_n along Y_n;
+    # row r differences the extension of Y_r along X_r, row R + r that of X_r along Y_r;
     # the concatenations give both a common dtype
+    rows = np.concatenate([rows, rows])
     along, extended = np.concatenate([X, Y]), np.concatenate([Y, X])
-    m, x = _stack(rows, "m"), _stack(rows, "x")
+    m, x = tps.m[rows], tps.x[rows]
     base0 = extended[:, 0]
-    vert0 = extended[:, 1] - _hor_fibers(_stack(rows, "gamma"), x, base0)
+    vert0 = extended[:, 1] - _hor_fibers(tps.gamma[rows], x, base0)
 
     # f sees the + side rows, then the - side rows: the per-row data once per side
-    rows2, base2, vert2 = rows * 2, np.concatenate([base0, base0]), np.concatenate([vert0, vert0])
+    rows2, base2, vert2 = np.concatenate([rows, rows]), np.concatenate([base0, base0]), np.concatenate([vert0, vert0])
 
     def ext(P, Yp):
-        return _extension_values(field, rows2, base2, vert2, P, Yp, carrier, projection)
+        return _extension_values(field, rows2, tps, base2, vert2, P, Yp, carrier, projection)
 
     d = central_difference(ext, (m, x), along.transpose(1, 0, 2), h)
     return d[: len(X)] - d[len(X) :]
@@ -200,34 +226,35 @@ def frobenius_bracket(field, tp, X, Y, h=None, carrier="transport", projection="
     honest sections of the distribution, so that class is the Frobenius
     obstruction up to O(h).  The N = 1 view of the stacked bracket kernel.
     """
-    return _brackets(field, [tp], np.array([X]), np.array([Y]), h, carrier, projection)[0]
+    return _brackets(field, np.zeros(1, int), tp.rows, np.array([X]), np.array([Y]), h, carrier, projection)[0]
 
 
 def involutivity_residuals(field, tps, h=None, which="01", carrier="transport"):
-    """Per twistor point, the max norm over eigenbasis pairs of the bracket
-    component outside the chosen eigenspace (theta, vertical, and
-    opposite-type parts); the brackets of all points in one kernel pass."""
+    """Per twistor point of the record tps, the max norm over eigenbasis
+    pairs of the bracket component outside the chosen eigenspace (theta,
+    vertical, and opposite-type parts); the brackets of all points in one
+    kernel pass."""
     h = field.h if h is None else h
     check_step(h)
     _check_option("which", which, WHICH)
     _check_option("carrier", carrier, CARRIERS)
-    if not tps:
+    if not len(tps):
         return []
-    tangents = np.array([tp.tangents_01 for tp in tps]).reshape(-1, 3, 2, 7)
+    tangents = tps.tangents_01
     if which == "10":  # b10 = conj(b01) and the lifts are real
         tangents = np.conj(tangents)
-    rows = [tp for tp in tps for _ in _PAIR_I]
+    rows = np.repeat(np.arange(len(tps)), len(_PAIR_I))  # one row per pair
     X, Y = tangents[:, _PAIR_I].reshape(-1, 2, 7), tangents[:, _PAIR_J].reshape(-1, 2, 7)
-    br = _brackets(field, rows, X, Y, h, carrier, "cr" + which)
+    br = _brackets(field, rows, tps, X, Y, h, carrier, "cr" + which)
     # theta, B and vertical coordinates of each bracket, each product taken
     # in the order of the one-point expressions x @ g @ b and W.T @ g @ b
-    x, g, W = _stack(rows, "x"), np.array([tp.point.g for tp in rows]), _stack(rows, "w_basis")
+    x, g, W = tps.x[rows], tps.g[rows], tps.W[rows]
     theta_c = (x[:, None] @ g @ br[:, 0, :, None])[:, 0, 0]
     Wg = W.transpose(0, 2, 1) @ g
     b_c = Wg @ br[:, 0, :, None]
-    vert = br[:, 1] - _hor_fibers(_stack(rows, "gamma"), x, br[:, 0])
+    vert = br[:, 1] - _hor_fibers(tps.gamma[rows], x, br[:, 0])
     vert_c = (Wg @ vert[:, :, None])[..., 0]
-    Ib = (np.array([tp.su3.I for tp in rows]) @ b_c)[..., 0]
+    Ib = (tps.I[rows] @ b_c)[..., 0]
     b_c = b_c[..., 0]
     outside = 0.5 * (b_c - 1j * Ib) if which == "01" else 0.5 * (b_c + 1j * Ib)  # the other type
     out_sq = np.sum(np.abs(outside) ** 2, axis=-1)
@@ -239,7 +266,7 @@ def involutivity_residuals(field, tps, h=None, which="01", carrier="transport"):
 def involutivity_residual(field, tp, h=None, which="01", carrier="transport"):
     """Max norm over eigenbasis pairs of the bracket component outside the
     chosen eigenspace: the N = 1 view of `involutivity_residuals`."""
-    return involutivity_residuals(field, [tp], h, which, carrier)[0]
+    return involutivity_residuals(field, tp.rows, h, which, carrier)[0]
 
 
 def vertical_curvature_obstructions(field, tps, curvature=None, h=None):
@@ -250,18 +277,15 @@ def vertical_curvature_obstructions(field, tps, curvature=None, h=None):
     `curvature` may override the Levi-Civita curvature with a synthetic
     lowered tensor of shape (7, 7, 7, 7).
     """
-    if not tps:
+    if not len(tps):
         return []
-    if curvature is None:
-        riemann = np.array([conn.riemann for conn in levi_civitas(field, _stack(tps, "m"), h)])
-    else:
-        riemann = np.array([curvature] * len(tps))
-    wbar = np.array([tp.wbar for tp in tps])
-    rep = np.repeat(np.arange(len(tps)), 3)  # one row per pair
+    riemann = levi_civitas(field, tps.m, h)[1] if curvature is None else np.array([curvature] * len(tps))
+    wbar = tps.wbar
+    rows = np.repeat(np.arange(len(tps)), 3)  # one row per pair
     wi, wj = wbar[:, _PAIR_I].reshape(-1, 7), wbar[:, _PAIR_J].reshape(-1, 7)
-    low = np.einsum("nijkl,ni,nj,nl->nk", riemann[rep], wi, wj, _stack(tps, "x")[rep])
-    v = np.array([tp.point.ginv for tp in tps])[rep] @ low[:, :, None]  # (3N, 7, 1)
-    g = np.array([tp.point.g for tp in tps])[rep]
+    low = np.einsum("nijkl,ni,nj,nl->nk", riemann[rows], wi, wj, tps.x[rows])
+    v = tps.ginv[rows] @ low[:, :, None]  # (3N, 7, 1)
+    g = tps.g[rows]
     norms = np.sqrt(np.maximum(np.real(np.conj(v).transpose(0, 2, 1) @ g @ v)[:, 0, 0], 0.0))
     return [max(0.0, *norms[k : k + 3]) for k in range(0, len(norms), 3)]
 
@@ -269,7 +293,7 @@ def vertical_curvature_obstructions(field, tps, curvature=None, h=None):
 def vertical_curvature_obstruction(field, tp, curvature=None, h=None):
     """Max over (0,1)-pairs of |R(b, b') x|: the N = 1 view of
     `vertical_curvature_obstructions`."""
-    return vertical_curvature_obstructions(field, [tp], curvature, h)[0]
+    return vertical_curvature_obstructions(field, tp.rows, curvature, h)[0]
 
 
 def flat_noise_floor(resolution, n_samples=32, seed=0):
@@ -394,11 +418,11 @@ def omega_closure_residuals(field, tps, seeds, h=None, max_combos=None):
     combos = [_draw_combos(np.random.default_rng(seed), max_combos) for seed in seeds]
     h = field.h if h is None else h
     check_step(h)
-    if not tps:
+    if not len(tps):
         return []
     n_of = np.repeat(np.arange(len(tps)), [len(c) for c in combos])
-    frame4 = _frames(tps)[n_of[:, None], np.array([c for cs in combos for c in cs])]  # (Q, 4, 2, 7)
-    d_omega = _d_omegas(field, _stack(tps, "m")[n_of], _stack(tps, "x")[n_of], frame4, h)
+    frame4 = tps.lifts[n_of[:, None], np.array([c for cs in combos for c in cs])]  # (Q, 4, 2, 7)
+    d_omega = _d_omegas(field, tps.m[n_of], tps.x[n_of], frame4, h)
     size = np.hypot(d_omega.real, d_omega.imag)  # abs of each value, as the scalar abs rounds it
     ends = np.cumsum([len(c) for c in combos])
     return [max(0.0, *size[end - len(c) : end]) for c, end in zip(combos, ends)]
@@ -409,7 +433,7 @@ def omega_closure_residual(field, tps, h=None, max_combos=None, seed=0):
     points, point i drawing its frames from default_rng(seed + i): the max of
     `omega_closure_residuals`."""
     seeds = range(seed, seed + len(tps))
-    return max(0.0, *omega_closure_residuals(field, tps, seeds, h, max_combos)) if tps else 0.0
+    return max(0.0, *omega_closure_residuals(field, tps, seeds, h, max_combos)) if len(tps) else 0.0
 
 
 def _pushforward_to_form_bundle(field, tp, vec, h):
@@ -428,7 +452,7 @@ def xi_factorization_residual(field, tps, h=None, max_combos=10, seed=0):
     h = field.h if h is None else h
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for tp, frame in zip(tps, _frames(tps)):
+    for tp, frame in zip(tps, tps.lifts):
         lam = contract(tp.point.rho_star, tp.x)
         pushed = [_pushforward_to_form_bundle(field, tp, v, h) for v in frame]
         combos = _draw_combos(rng, max_combos)
@@ -450,7 +474,7 @@ def cartan_identity_residual(field, tp, h=None):
     """
     h = field.h if h is None else h
     zt = tp.tangents_01
-    br = _brackets(field, [tp] * 3, zt[list(_PAIR_I)], zt[list(_PAIR_J)], h, "transport", "cr01")
+    br = _brackets(field, np.zeros(3, int), tp.rows, zt[list(_PAIR_I)], zt[list(_PAIR_J)], h, "transport", "cr01")
     xy = tp.b_lifts.reshape(3, 2, 2, 7).astype(complex)  # the pairs (X, Y) = (0, 1), (2, 3), (4, 5)
     frames = np.array([[X, Y, zt[z], zt[t]] for z, t in zip(_PAIR_I, _PAIR_J) for X, Y in xy])
     B = np.array([[X[0], Y[0], b[0]] for b in br for X, Y in xy])

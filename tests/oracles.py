@@ -22,7 +22,7 @@ from g2twistor.forms import (
     minors,
     transform,
 )
-from g2twistor.pointwise import _pairing_gathers, induced_metrics, rho_star_coeffs
+from g2twistor.pointwise import _pairing_gathers, induced_metrics, rho_star_coeffs, structure_stacks
 
 
 def inversion_sign(perm):
@@ -207,12 +207,11 @@ def metrics_without_reuse(field, P):
     return induced_metrics(field.rho_coeffs(P))
 
 
-def points_data_without_reuse(field, P):
-    """Stacks (rho, g, orientation, rho_star) at the rows of P, every row
-    through its own induced-metric and Hodge-star rows."""
+def point_stacks_without_reuse(field, P):
+    """Stacks (rho, g, g^-1, orientation * sqrt(det g), rho_star) at the rows
+    of P, every row through its own induced-metric and Hodge-star rows."""
     R = field.rho_coeffs(P)
-    g, orientation = induced_metrics(R)
-    return R, g, orientation, rho_star_coeffs(R, g, orientation)
+    return (R, *structure_stacks(R))
 
 
 def christoffels_without_reuse(field, P, h):

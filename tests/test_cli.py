@@ -111,6 +111,20 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, lines, flags):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "below-file"])
+def test_unwritable_out_is_one_line_usage_error(tmp_path, capsys, out):
+    """An --out that is an existing file, or lies below one, ends in one
+    output error line and the usage exit code, not a traceback and not the
+    verdict-mismatch code."""
+    (tmp_path / "afile").write_text("keep\n")
+    args = ["--campaign", "integrability", "--samples", "3", "--out", str(tmp_path / out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ")
+    assert err.count("\n") == 1
+    assert (tmp_path / "afile").read_text() == "keep\n"
+
+
 def test_overflowing_generator_prints_one_line(tmp_path):
     """The module entry point, numpy's warning printer included, writes
     exactly the one config error line."""

@@ -48,15 +48,26 @@ def test_a_missing_report_differs(tmp_path):
 
 def test_frequency_line_is_replaced_once():
     text = "campaign = twistor\nfrequency = 1 0 0 0 0 0 0\nseed = 0\n"
-    assert compare_outputs.with_frequency(text, (1, 2, 3, 4, 5, 6, 7)) == (
+    assert compare_outputs.with_settings(text, {"frequency": "1 2 3 4 5 6 7"}) == (
         "campaign = twistor\nfrequency = 1 2 3 4 5 6 7\nseed = 0\n"
     )
     with pytest.raises(SystemExit):
-        compare_outputs.with_frequency("campaign = twistor\n", (1, 2, 3, 4, 5, 6, 7))
+        compare_outputs.with_settings("frequency = 1\nfrequency = 2\n", {"frequency": "1 2 3 4 5 6 7"})
+
+
+def test_missing_settings_are_appended():
+    """The instanton config has no frequency line: the key is appended, after
+    a newline the text may lack, and keys it has are replaced in place."""
+    settings = {"generator": "generic-perturbed", "epsilon": "0.1", "frequency": "1 2 3 4 5 6 7"}
+    text = "campaign = instanton\ngenerator = flat\nseed = 0"
+    assert compare_outputs.with_settings(text, settings) == (
+        "campaign = instanton\ngenerator = generic-perturbed\nseed = 0\nepsilon = 0.1\nfrequency = 1 2 3 4 5 6 7\n"
+    )
 
 
 def test_every_config_runs_at_three_seeds_and_two_off_axis():
     labels = [label for label, *_ in compare_outputs.runs(["instanton", "twistor-perturbed"])]
     assert labels[:3] == ["instanton-seed0", "instanton-seed5", "instanton-seed7"]
-    assert len(labels) == 2 * 3 + 2 * 3
+    assert len(labels) == 2 * 3 + 3 * 3
     assert "integrability-f1234567-seed5" in labels
+    assert "instanton-generic-f1234567-seed7" in labels

@@ -157,17 +157,21 @@ def test_closed_multi_frequency_keeps_d_rho_zero(points):
 
 @pytest.mark.parametrize("n", [1, 14, 50])
 def test_batched_field_rows_match_point_data(n):
-    """Batch rows equal the one-point G2 point bit for bit, the seeded Hodge star included."""
+    """Batch rows equal the one-point G2 point bit for bit, the stacked
+    inverse, volume factor and Hodge star included."""
     field = make_field("generic-perturbed", 16, epsilon=0.1)
     P = torus_points(n, 8)
     g, orientation = field.metrics(P)
-    for i, (p, pd) in enumerate(zip(P, field.points_data(P, star=True))):
-        assert "rho_star" in vars(pd)  # seeded by the batch, not computed on access
+    R, stacked_g, ginv, vol, stacked_star = field.point_stacks(P)
+    for i, p in enumerate(P):
+        pd = field.point_data(p)
         want = G2Point.from_rho(field.rho(p), validate=False)
         assert np.array_equal(g[i], want.g) and np.array_equal(pd.g, want.g)
+        assert np.array_equal(R[i], want.rho.coeffs) and np.array_equal(stacked_g[i], want.g)
         assert orientation[i] == pd.orientation == want.orientation
+        assert np.array_equal(ginv[i], want.ginv) and vol[i] == want.orientation * want.metric.sqrt_det
         star = hodge_star(want.rho, want.metric, want.orientation)
-        assert np.array_equal(pd.rho_star.coeffs, star.coeffs)
+        assert np.array_equal(pd.rho_star.coeffs, star.coeffs) and np.array_equal(stacked_star[i], star.coeffs)
 
 
 def test_structure_field_holds_no_state():
@@ -433,29 +437,32 @@ def test_calibration_matches_per_point_loop(resolution):
         ("omega_closure_residuals", []),
         ("torsion_residuals", []),
         ("fernandez_gray_residual", (0.0, 0.0)),
-        ("levi_civitas", []),
+        ("levi_civitas", [(0, 7, 7, 7), (0, 7, 7, 7, 7)]),
         ("christoffels", (0, 7, 7, 7)),
-        ("su3_structures", []),
+        ("su3_structures", [(0, 7, 6), (0, 6, 6), (0, 3, 6), (0, 15), (0, 20), (0, 20)]),
         ("f7_residuals", []),
         ("cr_holomorphicity_residuals", []),
     ],
 )
 def test_batches_accept_no_rows(flat, op, want):
-    """A batch of no rows gives no rows (Christoffel symbols of shape
-    (0, 7, 7, 7)), and the Fernandez-Gray maxima start at zero."""
+    """A batch of no rows gives no rows (stacks of no rows: Christoffel
+    symbols of shape (0, 7, 7, 7), the connection and SU(3) stacks), and the
+    Fernandez-Gray maxima start at zero."""
     none = np.zeros((0, 7))
+    no_tps = twistor_points(flat, none, none)
+    no_points = (np.zeros((0, 7, 7)), np.zeros((0, 7, 7)), np.zeros((0, 35)), np.zeros((0, 35)))
     calls = {
-        "twistor_points": lambda: twistor_points(flat, [], []),
-        "involutivity_residuals": lambda: involutivity_residuals(flat, []),
-        "vertical_curvature_obstructions": lambda: vertical_curvature_obstructions(flat, []),
-        "omega_closure_residuals": lambda: omega_closure_residuals(flat, [], []),
+        "twistor_points": lambda: list(twistor_points(flat, [], [])),
+        "involutivity_residuals": lambda: involutivity_residuals(flat, no_tps),
+        "vertical_curvature_obstructions": lambda: vertical_curvature_obstructions(flat, no_tps),
+        "omega_closure_residuals": lambda: omega_closure_residuals(flat, no_tps, []),
         "torsion_residuals": lambda: torsion_residuals(flat, []),
         "fernandez_gray_residual": lambda: fernandez_gray_residual(flat, []),
-        "levi_civitas": lambda: levi_civitas(flat, none),
+        "levi_civitas": lambda: [s.shape for s in levi_civitas(flat, none)],
         "christoffels": lambda: christoffels(flat, none).shape,
-        "su3_structures": lambda: su3_structures([], none),
-        "f7_residuals": lambda: f7_residuals([], np.zeros((0, 21, 1, 1))),
-        "cr_holomorphicity_residuals": lambda: cr_holomorphicity_residuals(flat, None, []),
+        "su3_structures": lambda: [s.shape for s in su3_structures(*no_points, none)],
+        "f7_residuals": lambda: f7_residuals(np.zeros((0, 35)), *no_points[:2], np.zeros(0), np.zeros((0, 21, 1, 1))),
+        "cr_holomorphicity_residuals": lambda: cr_holomorphicity_residuals(flat, None, no_tps),
     }
     assert calls[op]() == want
 
@@ -698,9 +705,8 @@ def _rows_with_repeats(n, seed):
 @pytest.mark.parametrize("n", [0, 1, BLOCK + 1])
 @pytest.mark.parametrize("family, eps", REUSE_FAMILIES)
 def test_rho_keyed_rows_match_no_reuse_oracles(family, eps, n):
-    """Metrics, point data, Christoffel symbols and torsion residuals equal
-    references that compute every row, bit for bit; rows with the same
-    3-form share one G2 point."""
+    """Metrics, point stacks, Christoffel symbols and torsion residuals equal
+    references that compute every row, bit for bit."""
     field = make_field(family, 16, epsilon=eps, frequency=OFF_AXIS)
     P = _rows_with_repeats(n, 31)
     g, orientation = field.metrics(P)
@@ -708,15 +714,9 @@ def test_rho_keyed_rows_match_no_reuse_oracles(family, eps, n):
     assert g.shape == (n, 7, 7) and orientation.shape == (n,)
     assert np.array_equal(g, want_g) and np.array_equal(orientation, want_o)
 
-    pts = field.points_data(P, star=True)
-    R, want_g, want_o, want_star = oracles.points_data_without_reuse(field, P)
-    assert len(pts) == n
-    for i, pt in enumerate(pts):
-        assert np.array_equal(pt.rho.coeffs, R[i]) and np.array_equal(pt.g, want_g[i])
-        assert pt.orientation == want_o[i]
-        assert np.array_equal(pt.rho_star.coeffs, want_star[i])
-        for j in range(i):
-            assert (pts[j] is pt) == (R[j].tobytes() == R[i].tobytes())
+    stacks = field.point_stacks(P)
+    for got, want in zip(stacks, oracles.point_stacks_without_reuse(field, P), strict=True):
+        assert got.shape[0] == n and np.array_equal(got, want)
 
     want = oracles.christoffels_without_reuse(field, P, field.h)
     assert np.array_equal(christoffels(field, P), want)
@@ -771,7 +771,7 @@ def test_one_block_never_passes_a_3form_twice(monkeypatch):
     duals of one integrability block take no 3-form twice across both
     stencil sides."""
     calls = []
-    for name in ("induced_metrics", "rho_star_coeffs"):
+    for name in ("induced_metrics", "rho_star_coeffs", "structure_stacks"):
         _record_rows(monkeypatch, name, calls)
     field = make_field("generic-perturbed", 16, epsilon=0.1)
     ms, xs = sphere_bundle_samples(BLOCK, 5)
@@ -781,7 +781,7 @@ def test_one_block_never_passes_a_3form_twice(monkeypatch):
     omega_closure_residuals(field, tps, range(BLOCK), max_combos=5)
     start = len(calls)
     torsion_residuals(make_field("closed-perturbed", 16, epsilon=0.05), torus_points(BLOCK, 0))
-    assert {name for name, _ in calls} == {"induced_metrics", "rho_star_coeffs"}
+    assert {name for name, _ in calls} == {"induced_metrics", "rho_star_coeffs", "structure_stacks"}
     for name, R in calls:
         assert len({r.tobytes() for r in R}) == len(R), name
     star = np.concatenate([R for name, R in calls[start:] if name == "rho_star_coeffs"])
@@ -807,7 +807,7 @@ def test_repeated_bad_row_raises_like_one_row(row, error):
     assert 1 < (P[:, 0] >= 0.5).sum() < len(P)
     for op in (
         lambda Q: field.metrics(Q),
-        lambda Q: field.points_data(Q, star=True),
+        lambda Q: field.point_stacks(Q),
         lambda Q: christoffels(field, Q),
         lambda Q: torsion_residuals(field, Q),
     ):
@@ -835,7 +835,7 @@ def test_two_kinds_of_bad_row_raise_like_one_pass():
     P[:, 0] = [0.01, *np.linspace(0.1, 0.9, BLOCK + 4), 0.99]
     for oracle, op in (
         (oracles.metrics_without_reuse, field.metrics),
-        (oracles.points_data_without_reuse, field.points_data),
+        (oracles.point_stacks_without_reuse, field.point_stacks),
         (partial(oracles.christoffels_without_reuse, h=field.h), partial(christoffels, field)),
         (partial(oracles.torsion_residuals_without_reuse, h=field.h), partial(torsion_residuals, field)),
     ):

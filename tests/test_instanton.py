@@ -21,7 +21,7 @@ from g2twistor.instanton import (
     is_g2_instanton,
     make_connection,
 )
-from g2twistor.pointwise import NonUnitVectorError, standard_g2_point, su3_structure, su3_structures
+from g2twistor.pointwise import NonUnitVectorError, Su3Frame, standard_g2_point, su3_structure, su3_structures
 from g2twistor.sampling import sphere_bundle_samples, torus_points
 from g2twistor.twistor import BLOCK, twistor_point, twistor_points
 
@@ -93,19 +93,22 @@ def test_batched_frames_and_residuals_match_one_row_calls(family, epsilon, n, da
     ms, xs = sphere_bundle_samples(n, data.draw(st.integers(0, 99), label="seed"))
     order = data.draw(st.permutations(range(n)), label="order")
     split = data.draw(st.integers(0, n), label="split")
-    tps = [twistor_point(field, ms[i], xs[i]) for i in order]
-    points = [tp.point for tp in tps]
-    V = np.array([tp.x for tp in tps]).reshape(-1, 7)
-    F = np.array([conn.curvature(tp.m, field.h) for tp in tps]).reshape(-1, 21, 1, 1)
+    tps = twistor_points(field, ms[order], xs[order])
+    V = tps.x
+    F = np.array([conn.curvature(m, field.h) for m in tps.m]).reshape(-1, 21, 1, 1)
     parts = (slice(0, split), slice(split, n))
-    frames = [fr for b in parts for fr in su3_structures(points[b], V[b])]
+    frames = [
+        Su3Frame.of_row(*row)
+        for b in parts
+        for row in zip(*su3_structures(tps.g[b], tps.ginv[b], tps.rho[b], tps.star[b], V[b]))
+    ]
     crs = [r for b in parts for r in cr_holomorphicity_residuals(field, conn, tps[b])]
-    f7s = [r for b in parts for r in f7_residuals(points[b], F[b])]
+    f7s = [r for b in parts for r in f7_residuals(tps.rho[b], tps.g[b], tps.ginv[b], tps.vol[b], F[b])]
     names = ("basis", "I", "b10", "omega", "Omega_re", "Omega_im")
     for tp, frame, cr, f7, f in zip(tps, frames, crs, f7s, F, strict=True):
         want = oracles.su3_frame_by_rows(tp.point, tp.x)
         for name, w in zip(names, want):
-            for fr in (frame, tp.su3):
+            for fr in (frame, tp.su3, su3_structure(tp.point, tp.x)):
                 got = getattr(fr, name)
                 assert np.array_equal(getattr(got, "coeffs", got), w), name
         assert cr == cr_holomorphicity_residual(field, conn, tp)
@@ -116,9 +119,9 @@ def test_batched_frames_and_residuals_match_one_row_calls(family, epsilon, n, da
         bad = V.copy()
         bad[row] *= data.draw(st.sampled_from([1.01, np.nan]), label="factor")
         with pytest.raises(NonUnitVectorError):
-            su3_structure(points[row], bad[row])
+            su3_structure(tps[row].point, bad[row])
         with pytest.raises(NonUnitVectorError):
-            su3_structures(points, bad)
+            su3_structures(tps.g, tps.ginv, tps.rho, tps.star, bad)
 
 
 @pytest.mark.parametrize("kw", [{"index": -1}, {"index": 14}, {"vector": -3}, {"vector": 7}])

@@ -221,10 +221,9 @@ def test_near_split_and_degenerate_forms_raise_form_errors(case, direction, size
 
 
 def test_pairing_self_consistency_enforced(std):
-    # the stored metric must reproduce the volume-valued pairing
-    bad = G2Point.__new__(G2Point)
-    with pytest.raises(Exception):
-        G2Point(std.rho, std.metric, -1.0 * std.rho_star, std.orientation)
+    # the stored metric and orientation must reproduce the volume-valued pairing
+    with pytest.raises(G2StructureError, match="pairing"):
+        G2Point(std.rho, std.metric, -std.orientation)
 
 
 def test_orientation_reversal():

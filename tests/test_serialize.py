@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2twistor.forms import KForm, transform
-from g2twistor.pointwise import standard_g2_point, G2Point
+from g2twistor.pointwise import G2StructureError, standard_g2_point, G2Point
 from g2twistor.serialize import (
     FormatError,
     g2point_from_text,
@@ -77,6 +77,17 @@ def test_malformed_inputs_rejected():
     good = g2point_to_text(standard_g2_point())
     with pytest.raises(FormatError):
         g2point_from_text(good.replace("metric", "meh", 1))
+
+
+def test_stored_4form_checked_on_load():
+    """A validated load rejects a rho_star block that is not the Hodge dual
+    of the stored rho and metric; an unvalidated one computes its own."""
+    std = standard_g2_point()
+    head, _ = g2point_to_text(std).split("rho_star\n")
+    text = head + "rho_star\n" + kform_to_text(-1.0 * std.rho_star) + "end\n"
+    with pytest.raises(G2StructureError, match="Hodge dual"):
+        g2point_from_text(text)
+    assert np.array_equal(g2point_from_text(text, validate=False).rho_star.coeffs, std.rho_star.coeffs)
 
 
 def test_comments_and_blank_lines_ignored():

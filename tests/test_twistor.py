@@ -433,7 +433,7 @@ def test_form_bundle_lift_parallel_transport(conformal):
 
 
 def test_omega_closure_flat_zero(flat):
-    tps = [twistor_point(flat, MS[k], XS[k]) for k in range(3)]
+    tps = twistor_points(flat, MS[:3], XS[:3])
     assert omega_closure_residual(flat, tps, max_combos=10) <= 1e-12
 
 
@@ -457,7 +457,7 @@ def test_omega_closure_detects_coclosed_failure():
     """A closed perturbation keeps d(rho) = 0 but not d(*rho); the closure
     residual sees it through the imaginary part."""
     field = make_field("closed-perturbed", 16, epsilon=0.05)
-    tps = [twistor_point(field, MS[k], XS[k]) for k in range(3)]
+    tps = twistor_points(field, MS[:3], XS[:3])
     assert omega_closure_residual(field, tps, max_combos=10) > 0.01
 
 
@@ -467,7 +467,7 @@ def test_xi_factorization_two_paths(conformal):
     errs = []
     for n in NS:
         field = make_field("conformal", n, epsilon=0.05)
-        tps = [twistor_point(field, MS[0], XS[0])]
+        tps = twistor_points(field, MS[:1], XS[:1])
         errs.append(xi_factorization_residual(field, tps, max_combos=6))
     assert fit_convergence_order(HS, errs) > 1.8
 
@@ -517,10 +517,11 @@ def test_cartan_identity_one_bracket_and_one_d_omega_pass(generic, monkeypatch):
 def test_xi_factorization_pushes_each_frame_vector_once(generic, monkeypatch):
     """Per point, each of the seven frame vectors is pushed forward once, and
     the d Omega of all its 4-frames come from one `_d_omegas` pass."""
-    tps = [twistor_point(generic, MS[k], XS[k]) for k in range(2)]
+    tps = twistor_points(generic, MS[:2], XS[:2])
     seen = recording_kernels(monkeypatch, "_pushforward_to_form_bundle", "_d_omegas")
     xi_factorization_residual(generic, tps, max_combos=6)
-    assert seen["_pushforward_to_form_bundle"] == [tps[0]] * 7 + [tps[1]] * 7
+    pushed = np.array([tp.m for tp in seen["_pushforward_to_form_bundle"]])
+    assert np.array_equal(pushed, np.repeat(tps.m, 7, axis=0))
     assert [len(rows) for rows in seen["_d_omegas"]] == [6, 6]
 
 
@@ -559,7 +560,7 @@ def test_omega_values_match_the_dense_route(generic, conformal, monkeypatch):
     monkeypatch.setattr(twistor, "_omega_values", recording)
     closed = make_field("closed-perturbed", 16, epsilon=0.05)
     for field in (generic, closed, conformal):
-        tps = [twistor_point(field, MS[k], XS[k]) for k in range(2)]
+        tps = twistor_points(field, MS[:2], XS[:2])
         omega_closure_residuals(field, tps, range(2), max_combos=3)
     cartan_identity_residual(generic, twistor_point(generic, MS[3], XS[3]))
     assert any(np.iscomplexobj(B) for *_, B in seen)
@@ -575,10 +576,10 @@ def test_omega_values_match_the_dense_route(generic, conformal, monkeypatch):
 
 def test_omega_closure_residual_is_the_max_of_the_per_point_residuals(generic):
     """Point i of a sample draws its frames from default_rng(seed + i)."""
-    tps = [twistor_point(generic, MS[k], XS[k]) for k in range(3)]
+    tps = twistor_points(generic, MS[:3], XS[:3])
     per_point = omega_closure_residuals(generic, tps, range(4, 7), max_combos=3)
     assert omega_closure_residual(generic, tps, max_combos=3, seed=4) == max(per_point)
-    assert omega_closure_residual(generic, [], max_combos=3) == 0.0
+    assert omega_closure_residual(generic, tps[:0], max_combos=3) == 0.0
 
 
 def test_noise_floor_reported(flat):
@@ -620,7 +621,7 @@ def test_batch_rows_equal_one_point_calls(family, eps):
         for w, c in options:
             assert involutivity_residual(fresh, tp, which=w, carrier=c) == invol[w, c][i]
         assert vertical_curvature_obstruction(fresh, tp) == vert[i]
-        assert omega_closure_residual(fresh, [tp], max_combos=3, seed=7 + i) == omega[i]
+        assert omega_closure_residual(fresh, tp.rows, max_combos=3, seed=7 + i) == omega[i]
 
 
 def test_fiber_vectors_normalized_as_metric_norm():
@@ -647,9 +648,9 @@ def test_noise_floor_is_max_of_one_point_residuals():
         lambda f, tp: involutivity_residual(f, tp, carrier="paralel"),
         lambda f, tp: frobenius_bracket(f, tp, tp.b_lifts[0], tp.b_lifts[1], carrier="paralel"),
         lambda f, tp: frobenius_bracket(f, tp, tp.b_lifts[0], tp.b_lifts[1], projection="cr0l"),
-        lambda f, tp: omega_closure_residual(f, [tp], max_combos=0),
-        lambda f, tp: omega_closure_residual(f, [tp], max_combos=-2),
-        lambda f, tp: omega_closure_residuals(f, [tp], [0], max_combos=0),
+        lambda f, tp: omega_closure_residual(f, tp.rows, max_combos=0),
+        lambda f, tp: omega_closure_residual(f, tp.rows, max_combos=-2),
+        lambda f, tp: omega_closure_residuals(f, tp.rows, [0], max_combos=0),
     ],
     ids=["which", "carrier", "bracket-carrier", "projection", "combos-0", "combos-neg", "batch"],
 )
