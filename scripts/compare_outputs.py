@@ -45,7 +45,7 @@ REPORTS = ("samples.csv", "summary.txt")
 def runs(configs):
     """(label, config stem, settings, seed) of every compared run."""
     out = [(f"{stem}-seed{seed}", stem, {}, seed) for stem in configs for seed in SEEDS]
-    out += [(f"{stem}-{part}-seed{seed}", stem, settings, seed) for part, stem, settings in VARIANTS for seed in SEEDS]
+    out += [(f"{stem}-{part}-seed{seed}", stem, kv, seed) for part, stem, kv in VARIANTS for seed in SEEDS]
     return out
 
 

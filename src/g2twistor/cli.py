@@ -16,6 +16,7 @@ is byte-reproducible for a fixed config and seed).  Samples run on one
 thread; the integrability, twistor and instanton scans take them in blocks
 of ``twistor.BLOCK``, each block in batched array passes whose rows equal
 the one-sample computation bit for bit, so no output byte depends on the block.
+A twistor or instanton block is one `TwistorPoints` record of arrays.
 ``workers`` is validated and echoed in summary.txt but changes neither the
 output nor the code path.
 """

@@ -207,7 +207,8 @@ class StructureField:
         """Unvalidated G2 point at p; use validate_at for the checks."""
         R = self.rho_coeffs(np.asarray(p, dtype=float)[None])
         g, orientation = induced_metrics(R)
-        return G2Point(KForm(7, 3, R[0]), MetricTensor.trusted(g[0]), int(orientation[0]), validate=False)
+        metric = MetricTensor.trusted(g[0])
+        return G2Point(KForm(7, 3, R[0]), metric, int(orientation[0]), validate=False)
 
     def point_stacks(self, P):
         """Stacks (rho, g, g^-1, orientation * sqrt(det g), *rho) at the rows of P

@@ -209,7 +209,8 @@ def dolbeault_square_function_residual(field, tp, f, h=None):
 def _ext_tangent(field, tp, vec, m, x):
     """The cr01 section extension of vec from tp, evaluated at ambient (m, x)."""
     base0, vert0 = np.asarray(vec[0])[None], tp.vertical_part(vec)[None]
-    return _extension_values(field, np.zeros(1, int), tp.rows, base0, vert0, m[None], x[None], "transport", "cr01")[0]
+    P, Y = m[None], x[None]
+    return _extension_values(field, np.zeros(1, int), tp.rows, base0, vert0, P, Y, "transport", "cr01")[0]
 
 
 def cr_holomorphicity_residuals(field, conn, tps, h=None):

@@ -9,9 +9,11 @@ in the ambient fiber chart.  The vertical part of a vector is its fiber
 component minus the horizontal-lift fiber of its base component; residual
 norms use the product metric (g on the base, g restricted to the fiber).
 
-The plural functions (`twistor_points`, `involutivity_residuals`, ...) take
-many samples in stacked array passes; row i equals the one-sample call bit
-for bit, and each singular function is the N = 1 view of its plural.
+A scan holds its samples in one `TwistorPoints` record of (N, ...) arrays,
+and the plural functions (`involutivity_residuals`, ...) index its fields
+in stacked array passes; row i equals the one-sample call bit for bit, and
+each singular function is the N = 1 view of its plural on the one-row
+record of its `TwistorPoint`.
 """
 
 from __future__ import annotations
@@ -79,8 +81,7 @@ class TwistorPoints:
 
     def __getitem__(self, rows):
         if isinstance(rows, (int, np.integer)):
-            i = range(len(self))[rows]
-            return TwistorPoint(self[i : i + 1])
+            return TwistorPoint(self[[rows]])
         return TwistorPoints(*(getattr(self, f.name)[rows] for f in dc_fields(self)))
 
     @property
@@ -95,6 +96,7 @@ class TwistorPoints:
 
 
 def _row(field, *index):
+    """The property reading `field` of a view's one-row record at row 0, then at index."""
     return property(lambda self: getattr(self.rows, field)[(0, *index)])
 
 
@@ -117,12 +119,14 @@ class TwistorPoint:
     def point(self):
         """The G2 point at m."""
         r = self.rows
-        return G2Point(KForm(7, 3, r.rho[0]), MetricTensor.trusted(r.g[0]), 1 if r.vol[0] > 0 else -1, False)
+        orientation = 1 if r.vol[0] > 0 else -1
+        return G2Point(KForm(7, 3, r.rho[0]), MetricTensor.trusted(r.g[0]), orientation, validate=False)
 
     @cached_property
     def su3(self):
         """The SU(3) frame on x-perp."""
-        return Su3Frame.of_row(*(getattr(self.rows, k)[0] for k in ("W", "I", "b10", "omega", "Omega_re", "Omega_im")))
+        r = self.rows
+        return Su3Frame.of_row(r.W[0], r.I[0], r.b10[0], r.omega[0], r.Omega_re[0], r.Omega_im[0])
 
     def vertical_part(self, vec):
         """Fiber component minus the horizontal-lift fiber of the base part."""
@@ -209,7 +213,7 @@ def _brackets(field, rows, tps, X, Y, h, carrier, projection):
     vert0 = extended[:, 1] - _hor_fibers(tps.gamma[rows], x, base0)
 
     # f sees the + side rows, then the - side rows: the per-row data once per side
-    rows2, base2, vert2 = np.concatenate([rows, rows]), np.concatenate([base0, base0]), np.concatenate([vert0, vert0])
+    rows2, base2, vert2 = (np.concatenate([a, a]) for a in (rows, base0, vert0))
 
     def ext(P, Yp):
         return _extension_values(field, rows2, tps, base2, vert2, P, Yp, carrier, projection)
@@ -226,7 +230,8 @@ def frobenius_bracket(field, tp, X, Y, h=None, carrier="transport", projection="
     honest sections of the distribution, so that class is the Frobenius
     obstruction up to O(h).  The N = 1 view of the stacked bracket kernel.
     """
-    return _brackets(field, np.zeros(1, int), tp.rows, np.array([X]), np.array([Y]), h, carrier, projection)[0]
+    X, Y = np.array([X]), np.array([Y])
+    return _brackets(field, np.zeros(1, int), tp.rows, X, Y, h, carrier, projection)[0]
 
 
 def involutivity_residuals(field, tps, h=None, which="01", carrier="transport"):
@@ -474,7 +479,8 @@ def cartan_identity_residual(field, tp, h=None):
     """
     h = field.h if h is None else h
     zt = tp.tangents_01
-    br = _brackets(field, np.zeros(3, int), tp.rows, zt[list(_PAIR_I)], zt[list(_PAIR_J)], h, "transport", "cr01")
+    pairs = (zt[list(_PAIR_I)], zt[list(_PAIR_J)])
+    br = _brackets(field, np.zeros(3, int), tp.rows, *pairs, h, "transport", "cr01")
     xy = tp.b_lifts.reshape(3, 2, 2, 7).astype(complex)  # the pairs (X, Y) = (0, 1), (2, 3), (4, 5)
     frames = np.array([[X, Y, zt[z], zt[t]] for z, t in zip(_PAIR_I, _PAIR_J) for X, Y in xy])
     B = np.array([[X[0], Y[0], b[0]] for b in br for X, Y in xy])

@@ -4,7 +4,7 @@ Two assertions are expected to fail and are left red on purpose: the
 direction-blind (1,1)-restriction property of 14-part 2-forms and its
 connection-level counterpart.  Both encode a claim that is false for the
 compact stabilizer algebra (a hand-checkable counterexample lives in
-tests/test_pointwise.py and the analysis in notes/decisions.md); every
+tests/test_pointwise.py and the analysis in docs/DECISIONS.md); every
 direction-adapted or one-sided part of those criteria is verified green in
 the module suites.
 """
@@ -148,7 +148,7 @@ def test_criterion_04_restriction_type_equivalence(rng):
         4,
         "restriction-type-equivalence",
         ok,
-        f"(2,0)+(0,2) {worst_2002:.2e} [expected red: see notes/decisions.md], "
+        f"(2,0)+(0,2) {worst_2002:.2e} [expected red: see docs/DECISIONS.md], "
         f"omega {worst_omega:.2e}, converse witnesses {converse_ok}, {elapsed:.1f}s",
     )
 
@@ -305,7 +305,7 @@ def test_criterion_11_instanton_cr_equivalence():
         "instanton-cr-equivalence",
         ok,
         f"14-part curvature residual {f7:.1e} (instanton: {inst_ok}), "
-        f"CR residual {worst14:.2e} [expected red: see notes/decisions.md], "
+        f"CR residual {worst14:.2e} [expected red: see docs/DECISIONS.md], "
         f"7-part witness {best7:.2f}, two-path {two_path:.1e}",
     )
 

@@ -61,7 +61,8 @@ def test_missing_settings_are_appended():
     settings = {"generator": "generic-perturbed", "epsilon": "0.1", "frequency": "1 2 3 4 5 6 7"}
     text = "campaign = instanton\ngenerator = flat\nseed = 0"
     assert compare_outputs.with_settings(text, settings) == (
-        "campaign = instanton\ngenerator = generic-perturbed\nseed = 0\nepsilon = 0.1\nfrequency = 1 2 3 4 5 6 7\n"
+        "campaign = instanton\ngenerator = generic-perturbed\nseed = 0\n"
+        "epsilon = 0.1\nfrequency = 1 2 3 4 5 6 7\n"
     )
 
 

@@ -171,7 +171,8 @@ def test_batched_field_rows_match_point_data(n):
         assert orientation[i] == pd.orientation == want.orientation
         assert np.array_equal(ginv[i], want.ginv) and vol[i] == want.orientation * want.metric.sqrt_det
         star = hodge_star(want.rho, want.metric, want.orientation)
-        assert np.array_equal(pd.rho_star.coeffs, star.coeffs) and np.array_equal(stacked_star[i], star.coeffs)
+        assert np.array_equal(pd.rho_star.coeffs, star.coeffs)
+        assert np.array_equal(stacked_star[i], star.coeffs)
 
 
 def test_structure_field_holds_no_state():
@@ -461,7 +462,9 @@ def test_batches_accept_no_rows(flat, op, want):
         "levi_civitas": lambda: [s.shape for s in levi_civitas(flat, none)],
         "christoffels": lambda: christoffels(flat, none).shape,
         "su3_structures": lambda: [s.shape for s in su3_structures(*no_points, none)],
-        "f7_residuals": lambda: f7_residuals(np.zeros((0, 35)), *no_points[:2], np.zeros(0), np.zeros((0, 21, 1, 1))),
+        "f7_residuals": lambda: f7_residuals(
+            np.zeros((0, 35)), *no_points[:2], np.zeros(0), np.zeros((0, 21, 1, 1))
+        ),
         "cr_holomorphicity_residuals": lambda: cr_holomorphicity_residuals(flat, None, no_tps),
     }
     assert calls[op]() == want

@@ -21,7 +21,13 @@ from g2twistor.instanton import (
     is_g2_instanton,
     make_connection,
 )
-from g2twistor.pointwise import NonUnitVectorError, Su3Frame, standard_g2_point, su3_structure, su3_structures
+from g2twistor.pointwise import (
+    NonUnitVectorError,
+    Su3Frame,
+    standard_g2_point,
+    su3_structure,
+    su3_structures,
+)
 from g2twistor.sampling import sphere_bundle_samples, torus_points
 from g2twistor.twistor import BLOCK, twistor_point, twistor_points
 
@@ -274,7 +280,7 @@ def test_fourteen_part_vanishes_at_kernel_directions(flat, std):
 def test_fourteen_part_obstructs_generically(flat, std):
     """Pinned counterexample at connection level: a constant 14-part
     curvature (an honest instanton) has a nonzero (0,2) part at generic
-    fiber directions; see notes/decisions.md."""
+    fiber directions; see docs/DECISIONS.md."""
     conn = make_connection("const-14", std, index=3)
     vals = [
         cr_holomorphicity_residual(flat, conn, twistor_point(flat, MS[k], XS[k]))

@@ -564,9 +564,9 @@ def test_fourteen_part_primitive_oneone_at_annihilator_vectors(std):
 
 def test_fourteen_part_not_oneone_at_generic_complement(std):
     """Pinned counterexample: e23 - e45 annihilates the 3-form, yet its
-    restriction to the complement of e2 has a (2,0)+(0,2) part of norm 1.
-    The direction-blind (1,1) claim for 14-part forms is false; see
-    notes/decisions.md for the consequences."""
+    restriction to the complement of e2 has a (2,0)+(0,2) part of norm
+    1/sqrt(2).  The direction-blind (1,1) claim for 14-part forms is false;
+    see docs/DECISIONS.md for the consequences."""
     from g2twistor.forms import derivation_apply
 
     alpha = KForm.from_terms(7, {(1, 2): 1.0, (3, 4): -1.0})
