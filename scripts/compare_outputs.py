@@ -73,10 +73,17 @@ def run(tree, stem, settings, seed, out):
     cmd = [sys.executable, "-m", "g2twistor.cli", "--config", str(config), "--seed", str(seed), "--out", str(out)]
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    # exit 1 is a verdict other than the config expects; the reports are written all the same
-    if proc.returncode not in (0, 1):
+    if failed(proc.returncode, proc.stderr):
         last = (proc.stderr.strip().splitlines() or ["no output"])[-1]
         raise SystemExit(f"{tree.name} {out.name} failed (exit {proc.returncode}): {last}")
+
+
+def failed(returncode, stderr):
+    """Whether a campaign run failed.  Exit 1 with the verdict-mismatch report
+    is a verdict other than the config expects, and the reports are written
+    all the same; exit 1 without it is an uncaught error, which Python also
+    ends with 1."""
+    return returncode != 0 and not (returncode == 1 and "verdict mismatch:" in stderr)
 
 
 def compared_part(path):

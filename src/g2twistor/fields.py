@@ -205,10 +205,7 @@ class StructureField:
 
     def point_data(self, p):
         """Unvalidated G2 point at p; use validate_at for the checks."""
-        R = self.rho_coeffs(np.asarray(p, dtype=float)[None])
-        g, orientation = induced_metrics(R)
-        metric = MetricTensor.trusted(g[0])
-        return G2Point(KForm(7, 3, R[0]), metric, int(orientation[0]), validate=False)
+        return G2Point.from_rho(self.rho(np.asarray(p, dtype=float)), validate=False)
 
     def point_stacks(self, P):
         """Stacks (rho, g, g^-1, orientation * sqrt(det g), *rho) at the rows of P
@@ -443,8 +440,7 @@ def levi_civita(field, p, h=None):
     """Connection sample at p: the N = 1 view of `levi_civitas`."""
     P = np.asarray(p, dtype=float)[None]
     gamma, riemann = levi_civitas(field, P, h)
-    metric = MetricTensor.trusted(field.metrics(P)[0][0])
-    return ConnectionSample(point=P[0], metric=metric, gamma=gamma[0], riemann=riemann[0])
+    return ConnectionSample(point=P[0], metric=field.metric(P[0]), gamma=gamma[0], riemann=riemann[0])
 
 
 def curvature_g2_check(field, p, h=None):

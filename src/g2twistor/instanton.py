@@ -222,7 +222,7 @@ def cr_holomorphicity_residuals(field, conn, tps, h=None):
     |beta^{0,2}| of the restriction of beta to the fiber complement, i.e.
     the (2,0)+(0,2) output of hodge_type_on_complement divided by sqrt(2).
     """
-    if not len(tps):
+    if not tps:
         return []
     h = field.h if h is None else h
     F = np.array([conn.curvature_dense(m, h) for m in tps.m])

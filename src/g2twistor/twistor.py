@@ -243,7 +243,7 @@ def involutivity_residuals(field, tps, h=None, which="01", carrier="transport"):
     check_step(h)
     _check_option("which", which, WHICH)
     _check_option("carrier", carrier, CARRIERS)
-    if not len(tps):
+    if not tps:
         return []
     tangents = tps.tangents_01
     if which == "10":  # b10 = conj(b01) and the lifts are real
@@ -282,15 +282,15 @@ def vertical_curvature_obstructions(field, tps, curvature=None, h=None):
     `curvature` may override the Levi-Civita curvature with a synthetic
     lowered tensor of shape (7, 7, 7, 7).
     """
-    if not len(tps):
+    if not tps:
         return []
     riemann = levi_civitas(field, tps.m, h)[1] if curvature is None else np.array([curvature] * len(tps))
     wbar = tps.wbar
-    rows = np.repeat(np.arange(len(tps)), 3)  # one row per pair
+    rep = np.repeat(np.arange(len(tps)), 3)  # one row per pair
     wi, wj = wbar[:, _PAIR_I].reshape(-1, 7), wbar[:, _PAIR_J].reshape(-1, 7)
-    low = np.einsum("nijkl,ni,nj,nl->nk", riemann[rows], wi, wj, tps.x[rows])
-    v = tps.ginv[rows] @ low[:, :, None]  # (3N, 7, 1)
-    g = tps.g[rows]
+    low = np.einsum("nijkl,ni,nj,nl->nk", riemann[rep], wi, wj, tps.x[rep])
+    v = tps.ginv[rep] @ low[:, :, None]  # (3N, 7, 1)
+    g = tps.g[rep]
     norms = np.sqrt(np.maximum(np.real(np.conj(v).transpose(0, 2, 1) @ g @ v)[:, 0, 0], 0.0))
     return [max(0.0, *norms[k : k + 3]) for k in range(0, len(norms), 3)]
 
@@ -423,7 +423,7 @@ def omega_closure_residuals(field, tps, seeds, h=None, max_combos=None):
     combos = [_draw_combos(np.random.default_rng(seed), max_combos) for seed in seeds]
     h = field.h if h is None else h
     check_step(h)
-    if not len(tps):
+    if not tps:
         return []
     n_of = np.repeat(np.arange(len(tps)), [len(c) for c in combos])
     frame4 = tps.lifts[n_of[:, None], np.array([c for cs in combos for c in cs])]  # (Q, 4, 2, 7)
@@ -438,7 +438,7 @@ def omega_closure_residual(field, tps, h=None, max_combos=None, seed=0):
     points, point i drawing its frames from default_rng(seed + i): the max of
     `omega_closure_residuals`."""
     seeds = range(seed, seed + len(tps))
-    return max(0.0, *omega_closure_residuals(field, tps, seeds, h, max_combos)) if len(tps) else 0.0
+    return max(0.0, *omega_closure_residuals(field, tps, seeds, h, max_combos)) if tps else 0.0
 
 
 def _pushforward_to_form_bundle(field, tp, vec, h):

@@ -72,3 +72,18 @@ def test_every_config_runs_at_three_seeds_and_two_off_axis():
     assert len(labels) == 2 * 3 + 3 * 3
     assert "integrability-f1234567-seed5" in labels
     assert "instanton-generic-f1234567-seed7" in labels
+
+
+@pytest.mark.parametrize(
+    "returncode, stderr, want",
+    [
+        (0, "", False),
+        (1, "verdict mismatch:\n- expected instanton = no\n+ got      instanton = yes\n", False),
+        (1, "Traceback (most recent call last):\n  ...\nValueError: boom\n", True),
+        (2, "config error: unknown campaign 'x'\n", True),
+    ],
+    ids=["pass", "verdict-mismatch", "traceback", "usage-error"],
+)
+def test_only_a_verdict_mismatch_counts_as_a_run(returncode, stderr, want):
+    """An uncaught error also exits 1; only the verdict-mismatch exit is a run whose reports compare."""
+    assert compare_outputs.failed(returncode, stderr) is want
