@@ -225,9 +225,13 @@ class G2Point:
         return self.metric.inverse
 
     @cached_property
+    def rho_dense(self):
+        return self.rho.dense()
+
+    @cached_property
     def cross_tensor(self):
         """T[i, j, k] = k-th component of e_i x e_j."""
-        return np.einsum("ijm,km->ijk", self.rho.dense(), self.ginv)
+        return np.einsum("ijm,km->ijk", self.rho_dense, self.ginv)
 
     @cached_property
     def stabilizer_algebra(self):
