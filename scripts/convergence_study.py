@@ -24,6 +24,7 @@ from g2twistor.twistor import (
     canonical_form_horizontal_residual,
     cartan_identity_residual,
     twistor_point,
+    twistor_points,
     xi_factorization_residual,
 )
 
@@ -69,7 +70,7 @@ def main():
     measure(
         "canonical-form factorization two-path",
         lambda f: xi_factorization_residual(
-            f, [twistor_point(f, ms[0], xs[0])], max_combos=6
+            f, twistor_points(f, ms[:1], xs[:1]), max_combos=6
         ),
     )
     measure(

@@ -33,7 +33,6 @@ from .fields import (
     make_field,
 )
 from .twistor import (
-    TwistorPoint,
     TwistorPoints,
     frobenius_bracket,
     involutivity_residual,

@@ -412,10 +412,9 @@ def christoffel(field, p, h=None):
 
 
 def levi_civitas(field, P, h=None):
-    """Stacks (gamma, riemann) of the `ConnectionSample`s at the rows of P
-    (N, 7): one `christoffels` call on the centres and one on both stencil
-    sides of their axis neighbours, and the centre metrics from one
-    `metrics` call."""
+    """Stacks (gamma, riemann) at the rows of P (N, 7): one `christoffels` call
+    on the centres and one on both stencil sides of their axis neighbours,
+    and the centre metrics from one `metrics` call."""
     h = field.h if h is None else h
     P = np.asarray(P, dtype=float)
 
@@ -438,9 +437,9 @@ def levi_civitas(field, P, h=None):
 
 def levi_civita(field, p, h=None):
     """Connection sample at p: the N = 1 view of `levi_civitas`."""
-    P = np.asarray(p, dtype=float)[None]
-    gamma, riemann = levi_civitas(field, P, h)
-    return ConnectionSample(point=P[0], metric=field.metric(P[0]), gamma=gamma[0], riemann=riemann[0])
+    p = np.asarray(p, dtype=float)
+    (gamma,), (riemann,) = levi_civitas(field, p[None], h)
+    return ConnectionSample(point=p, metric=field.metric(p), gamma=gamma, riemann=riemann)
 
 
 def curvature_g2_check(field, p, h=None):

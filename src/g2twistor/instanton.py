@@ -124,11 +124,10 @@ def make_connection(family, point, index=0, vector=0, mix=0.0):
 
 
 def f7_residuals(R, g, ginv, vol, F):
-    """Per row of the 3-forms R, metrics g, their inverses ginv and vol =
-    orientation * sqrt(det g), the norm of the 7-part of its (21, r, r)
-    curvature, F stacked (N, 21, r, r): metric Gram on the form index,
-    Frobenius on the bundle indices.  Row i equals the one-point call bit
-    for bit."""
+    """Per row of the stacks (R, g, ginv, vol) of `StructureField.point_stacks`,
+    the norm of the 7-part of its (21, r, r) curvature, F stacked (N, 21, r, r):
+    metric Gram on the form index, Frobenius on the bundle indices.  Row i
+    equals the one-point call bit for bit."""
     if not len(R):
         return []
     P7, _ = lambda2_projectors(R, g, vol)
@@ -141,9 +140,7 @@ def f7_residuals(R, g, ginv, vol, F):
 def f7_residual(point, F):
     """Norm of the 7-part of a (21, r, r) curvature F at a G2 point: the
     N = 1 view of `f7_residuals`."""
-    vol = np.array([point.orientation * point.metric.sqrt_det])
-    rows = (np.array([a]) for a in (point.rho.coeffs, point.g, point.ginv))
-    return f7_residuals(*rows, vol, np.asarray(F)[None])[0]
+    return f7_residuals(*point.stacks[:4], np.asarray(F)[None])[0]
 
 
 def is_g2_instanton(field, conn, sample_points, tol=1e-8, h=None):
@@ -152,8 +149,7 @@ def is_g2_instanton(field, conn, sample_points, tol=1e-8, h=None):
     h = field.h if h is None else h
     P = np.asarray(sample_points, dtype=float).reshape(-1, 7)
     F = np.array([conn.curvature(p, h) for p in P])
-    R, g, ginv, vol, _ = field.point_stacks(P)
-    worst = max(f7_residuals(R, g, ginv, vol, F), default=0.0)
+    worst = max(f7_residuals(*field.point_stacks(P)[:4], F), default=0.0)
     return worst <= tol, worst
 
 

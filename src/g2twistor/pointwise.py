@@ -250,11 +250,16 @@ class G2Point:
         return _gram_orthonormal_columns(np.column_stack(cols), self.metric.gram(2))
 
     @property
+    def stacks(self):
+        """This point as the one-row stacks (rho, g, g^-1, vol, *rho) of `StructureField.point_stacks`."""
+        vol = self.orientation * self.metric.sqrt_det
+        return tuple(np.array([a]) for a in (self.rho.coeffs, self.g, self.ginv, vol, self.rho_star.coeffs))
+
+    @property
     def lambda2_projectors(self):
         """(P7, P14): the N = 1 view of `lambda2_projectors`."""
-        vol = np.array([self.orientation * self.metric.sqrt_det])
-        P7, P14 = lambda2_projectors(np.array([self.rho.coeffs]), np.array([self.g]), vol)
-        return P7[0], P14[0]
+        R, g, _, vol, _ = self.stacks
+        return tuple(P[0] for P in lambda2_projectors(R, g, vol))
 
     # -- point operations -----------------------------------------------------
 
@@ -343,16 +348,11 @@ class Su3Frame:
     def b01(self):
         return np.conj(self.b10)
 
-    @classmethod
-    def of_row(cls, W, I, b10, omega, Omega_re, Omega_im):
-        """The frame of one row of the `su3_structures` stacks."""
-        return cls(W, KForm(6, 2, omega), I, b10, KForm(6, 3, Omega_re), KForm(6, 3, Omega_im))
-
 
 def su3_structures(G, Ginv, R, S, V, tol=UNIT_TOL):
-    """SU(3) frames on v-perp, one per row of the metrics G, their inverses
-    Ginv, the 3-forms R, their Hodge duals S and the g-unit vectors V, as
-    the stacks (W, I, b10, omega, Omega_re, Omega_im) of `Su3Frame`'s fields.
+    """SU(3) frames on v-perp as the stacks (W, I, b10, omega, Omega_re,
+    Omega_im) of `Su3Frame`'s fields, one per row of the metrics G, inverses
+    Ginv, 3-forms R, their Hodge duals S and g-unit vectors V.
 
     omega is the restriction of rho . v; I w = v x w satisfies
     omega(x, y) = g(I x, y); Omega restricts rho and the contraction of
@@ -383,9 +383,10 @@ def su3_structures(G, Ginv, R, S, V, tol=UNIT_TOL):
 
 def su3_structure(point, v, tol=UNIT_TOL):
     """SU(3) frame on v-perp for a g-unit vector v: the N = 1 view of `su3_structures`."""
-    stacks = (np.array([a]) for a in (point.g, point.ginv, point.rho.coeffs, point.rho_star.coeffs))
+    R, g, ginv, _, S = point.stacks
     V = np.asarray(v, dtype=float)[None]
-    return Su3Frame.of_row(*(s[0] for s in su3_structures(*stacks, V, tol)))
+    W, I, b10, omega, re, im = (s[0] for s in su3_structures(g, ginv, R, S, V, tol))
+    return Su3Frame(W, KForm(6, 2, omega), I, b10, KForm(6, 3, re), KForm(6, 3, im))
 
 
 def _pullbacks(Wk, C):

@@ -10,10 +10,9 @@ component minus the horizontal-lift fiber of its base component; residual
 norms use the product metric (g on the base, g restricted to the fiber).
 
 A scan holds its samples in one `TwistorPoints` record of (N, ...) arrays,
-and the plural functions (`involutivity_residuals`, ...) index its fields
-in stacked array passes; row i equals the one-sample call bit for bit, and
-each singular function is the N = 1 view of its plural on the one-row
-record of its `TwistorPoint`.
+which the plural functions (`involutivity_residuals`, ...) index in stacked
+passes; row i equals the one-sample call bit for bit, and each singular
+function is the N = 1 view of its plural on a one-point record's ``rows``.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ import numpy as np
 
 from .fields import BLOCK, _distinct_rows, blocks, central_difference, check_step, christoffel
 from .fields import christoffels, levi_civitas, make_field
-from .forms import KForm, MetricTensor, contract, contract_stack, dense_stack, derivation_apply, minors
-from .pointwise import G2Point, Su3Frame, rho_star_coeffs, su3_structures
+from .forms import KForm, contract, contract_stack, dense_stack, derivation_apply, minors
+from .pointwise import G2Point, rho_star_coeffs, su3_structure, su3_structures
 from .sampling import sphere_bundle_samples
 
 WHICH = ("01", "10")
@@ -55,78 +54,55 @@ def _hor_fibers(gamma, y, b):
 
 @dataclass(frozen=True, eq=False)
 class TwistorPoints:
-    """Points (m, x) of the unit sphere bundle with their adapted frames, one
-    (N, ...) array per field (docs/CONVENTIONS.md lists them).  ``len`` is N;
-    a slice or an integer row array selects a record of those rows, an
-    integer i the one-point view `TwistorPoint` of row i."""
+    """Points (m, x) of the sphere bundle with their adapted frames, one (N, ...)
+    array per field (docs/CONVENTIONS.md): ``lifts`` holds theta, the lift of
+    x, then the b_lifts of a g-orthonormal basis W of x-perp.  A slice or row
+    array selects those rows; an integer i gives the one-point record of row
+    i, whose fields lack the row axis and whose ``rows`` is a one-row record."""
 
     m: np.ndarray
-    x: np.ndarray
     rho: np.ndarray
-    star: np.ndarray
     g: np.ndarray
     ginv: np.ndarray
     vol: np.ndarray
     gamma: np.ndarray
-    W: np.ndarray
     I: np.ndarray
     b10: np.ndarray
-    omega: np.ndarray
-    Omega_re: np.ndarray
-    Omega_im: np.ndarray
     lifts: np.ndarray
 
     def __len__(self):
-        return len(self.m)
+        return len(self.rows.m)
 
     def __getitem__(self, rows):
-        if isinstance(rows, (int, np.integer)):
-            return TwistorPoint(self[[rows]])
         return TwistorPoints(*(getattr(self, f.name)[rows] for f in dc_fields(self)))
+
+    # C-ordered like the stacks they were built from: the products that read them round alike
+    x = property(lambda self: np.ascontiguousarray(self.lifts[..., 0, 0, :]))
+    W = w_basis = property(lambda self: np.ascontiguousarray(self.lifts[..., 1:, 0, :].swapaxes(-1, -2)))
+    theta = property(lambda self: self.lifts[..., 0, :, :])
+    b_lifts = property(lambda self: self.lifts[..., 1:, :, :])
+    rows = property(lambda self: self if self.m.ndim == 2 else self[None])
+    vert_basis = property(lambda self: np.stack([np.zeros((6, 7)), self.W.T], axis=1))
 
     @property
     def tangents_01(self):
-        """The (0,1) basis of each frame carried to B: (N, 3, 2, 7) complex tangents."""
-        return np.einsum("nra,naij->nrij", np.conj(self.b10), self.lifts[:, 1:].astype(complex))
+        """The (0,1) basis of each frame carried to B: (..., 3, 2, 7) complex tangents."""
+        return np.einsum("...ra,...aij->...rij", np.conj(self.b10), self.b_lifts.astype(complex))
 
     @property
     def wbar(self):
-        """The (0,1) basis of each frame in torus coordinates: (N, 3, 7) complex rows."""
-        return np.einsum("nra,nia->nri", np.conj(self.b10), self.W)
-
-
-def _row(field, *index):
-    """The property reading `field` of a view's one-row record at row 0, then at index."""
-    return property(lambda self: getattr(self.rows, field)[(0, *index)])
-
-
-class TwistorPoint:
-    """The point (m, x) of a one-row `TwistorPoints` record ``rows`` with its
-    adapted frame: theta (2, 7) is the horizontal lift of x, the b_lifts
-    (6, 2, 7) those of a g-orthonormal basis w_basis (7, 6) of x-perp, and
-    the vert_basis (6, 2, 7) spans the fiber tangent space with that basis."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    m, x, gamma, w_basis = _row("m"), _row("x"), _row("gamma"), _row("W")
-    theta, b_lifts = _row("lifts", 0), _row("lifts", slice(1, None))
-    tangents_01, wbar = _row("tangents_01"), _row("wbar")
-
-    vert_basis = property(lambda self: np.stack([np.zeros((6, 7)), self.w_basis.T], axis=1))
+        """The (0,1) basis of each frame in torus coordinates: (..., 3, 7) complex rows."""
+        return np.einsum("...ra,...ia->...ri", np.conj(self.b10), self.W)
 
     @cached_property
     def point(self):
         """The G2 point at m."""
-        r = self.rows
-        orientation = 1 if r.vol[0] > 0 else -1
-        return G2Point(KForm(7, 3, r.rho[0]), MetricTensor.trusted(r.g[0]), orientation, validate=False)
+        return G2Point.from_rho(KForm(7, 3, self.rho), validate=False)
 
     @cached_property
     def su3(self):
         """The SU(3) frame on x-perp."""
-        r = self.rows
-        return Su3Frame.of_row(r.W[0], r.I[0], r.b10[0], r.omega[0], r.Omega_re[0], r.Omega_im[0])
+        return su3_structure(self.point, self.x)
 
     def vertical_part(self, vec):
         """Fiber component minus the horizontal-lift fiber of the base part."""
@@ -134,9 +110,8 @@ class TwistorPoint:
 
 
 def twistor_points(field, M, X):
-    """Adapted frames at the rows (m, x) of M and X, (N, 7) each, as one
-    `TwistorPoints` record; each x is normalized against g(m).  One
-    point-stack, one Christoffel and one SU(3) pass serve all rows, and row i
+    """The `TwistorPoints` record at the rows (m, x) of M and X, (N, 7) each, x
+    normalized against g(m): one pass of each kind serves all rows, and row i
     equals the one-row call bit for bit."""
     M = np.asarray(M, dtype=float).reshape(-1, 7)
     X = np.asarray(X, dtype=float).reshape(-1, 7)
@@ -154,7 +129,7 @@ def twistor_points(field, M, X):
     # x, then w_1..w_6, C-ordered: a strided V changes the rounding of the lift einsum
     V = np.ascontiguousarray(np.concatenate([X[:, None], frames[0].transpose(0, 2, 1)], axis=1))
     lifts = np.stack([V, -np.einsum("nkij,nai,nj->nak", gamma, V, X)], axis=2)
-    return TwistorPoints(np.ascontiguousarray(M), X, R, S, G, Ginv, vol, gamma, *frames, lifts)
+    return TwistorPoints(np.ascontiguousarray(M), R, G, Ginv, vol, gamma, *frames[1:3], lifts)
 
 
 def twistor_point(field, m, x):
@@ -235,10 +210,9 @@ def frobenius_bracket(field, tp, X, Y, h=None, carrier="transport", projection="
 
 
 def involutivity_residuals(field, tps, h=None, which="01", carrier="transport"):
-    """Per twistor point of the record tps, the max norm over eigenbasis
-    pairs of the bracket component outside the chosen eigenspace (theta,
-    vertical, and opposite-type parts); the brackets of all points in one
-    kernel pass."""
+    """Per point of the record tps, the max norm over eigenbasis pairs of the
+    bracket component outside the chosen eigenspace (theta, vertical, and
+    opposite-type parts); the brackets of all points in one kernel pass."""
     h = field.h if h is None else h
     check_step(h)
     _check_option("which", which, WHICH)
@@ -290,8 +264,7 @@ def vertical_curvature_obstructions(field, tps, curvature=None, h=None):
     wi, wj = wbar[:, _PAIR_I].reshape(-1, 7), wbar[:, _PAIR_J].reshape(-1, 7)
     low = np.einsum("nijkl,ni,nj,nl->nk", riemann[rep], wi, wj, tps.x[rep])
     v = tps.ginv[rep] @ low[:, :, None]  # (3N, 7, 1)
-    g = tps.g[rep]
-    norms = np.sqrt(np.maximum(np.real(np.conj(v).transpose(0, 2, 1) @ g @ v)[:, 0, 0], 0.0))
+    norms = np.sqrt(np.maximum(np.real(np.conj(v).transpose(0, 2, 1) @ tps.g[rep] @ v)[:, 0, 0], 0.0))
     return [max(0.0, *norms[k : k + 3]) for k in range(0, len(norms), 3)]
 
 
@@ -398,10 +371,7 @@ def _d_omegas(field, M, X, frames, h):
     vals = central_difference(
         lambda P, Y: _omega_values(field, P, Y, B2), (M[rep], X[rep]), D.transpose(1, 0, 2), h
     ).reshape(-1, 4)
-    total = 0.0 + 0.0j
-    for j in range(4):
-        total = total + (-1.0) ** j * vals[:, j]
-    return total
+    return vals[:, 0] - vals[:, 1] + vals[:, 2] - vals[:, 3]
 
 
 def _draw_combos(rng, max_combos):

@@ -23,7 +23,6 @@ from g2twistor.instanton import (
 )
 from g2twistor.pointwise import (
     NonUnitVectorError,
-    Su3Frame,
     standard_g2_point,
     su3_structure,
     su3_structures,
@@ -100,21 +99,19 @@ def test_batched_frames_and_residuals_match_one_row_calls(family, epsilon, n, da
     order = data.draw(st.permutations(range(n)), label="order")
     split = data.draw(st.integers(0, n), label="split")
     tps = twistor_points(field, ms[order], xs[order])
-    V = tps.x
+    V, S = tps.x, field.point_stacks(tps.m)[4]
     F = np.array([conn.curvature(m, field.h) for m in tps.m]).reshape(-1, 21, 1, 1)
     parts = (slice(0, split), slice(split, n))
-    frames = [
-        Su3Frame.of_row(*row)
-        for b in parts
-        for row in zip(*su3_structures(tps.g[b], tps.ginv[b], tps.rho[b], tps.star[b], V[b]))
-    ]
+    # one tuple (basis, I, b10, omega, Omega_re, Omega_im) of frame stack rows per sample
+    frames = [row for b in parts for row in zip(*su3_structures(tps.g[b], tps.ginv[b], tps.rho[b], S[b], V[b]))]
     crs = [r for b in parts for r in cr_holomorphicity_residuals(field, conn, tps[b])]
     f7s = [r for b in parts for r in f7_residuals(tps.rho[b], tps.g[b], tps.ginv[b], tps.vol[b], F[b])]
     names = ("basis", "I", "b10", "omega", "Omega_re", "Omega_im")
     for tp, frame, cr, f7, f in zip(tps, frames, crs, f7s, F, strict=True):
         want = oracles.su3_frame_by_rows(tp.point, tp.x)
-        for name, w in zip(names, want):
-            for fr in (frame, tp.su3, su3_structure(tp.point, tp.x)):
+        for name, row, w in zip(names, frame, want, strict=True):
+            assert np.array_equal(row, w), name
+            for fr in (tp.su3, su3_structure(tp.point, tp.x)):
                 got = getattr(fr, name)
                 assert np.array_equal(getattr(got, "coeffs", got), w), name
         assert cr == cr_holomorphicity_residual(field, conn, tp)
@@ -127,7 +124,7 @@ def test_batched_frames_and_residuals_match_one_row_calls(family, epsilon, n, da
         with pytest.raises(NonUnitVectorError):
             su3_structure(tps[row].point, bad[row])
         with pytest.raises(NonUnitVectorError):
-            su3_structures(tps.g, tps.ginv, tps.rho, tps.star, bad)
+            su3_structures(tps.g, tps.ginv, tps.rho, S, bad)
 
 
 @pytest.mark.parametrize("kw", [{"index": -1}, {"index": 14}, {"vector": -3}, {"vector": 7}])

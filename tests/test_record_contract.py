@@ -35,7 +35,7 @@ from g2twistor.twistor import (
 )
 
 FAMILIES = ["flat", "closed-perturbed", "generic-perturbed", "conformal"]
-FIELDS = [f.name for f in dataclasses.fields(TwistorPoints)]
+FIELDS = [f.name for f in dataclasses.fields(TwistorPoints)] + ["x", "W"]
 OPTIONS = list(itertools.product(WHICH, CARRIERS))
 COMBOS = 2
 
