@@ -57,8 +57,9 @@ class TwistorPoints:
     """Points (m, x) of the sphere bundle with their adapted frames, one (N, ...)
     array per field (docs/CONVENTIONS.md): ``lifts`` holds theta, the lift of
     x, then the b_lifts of a g-orthonormal basis W of x-perp.  A slice or row
-    array selects those rows; an integer i gives the one-point record of row
-    i, whose fields lack the row axis and whose ``rows`` is a one-row record."""
+    array selects those rows; an integer i gives the one-point record of row i
+    (no row axis; ``point``, ``su3``, ``vert_basis`` and ``vertical_part`` are
+    read on it, and ``rows`` is it as a one-row record)."""
 
     m: np.ndarray
     rho: np.ndarray
