@@ -140,7 +140,7 @@ def f7_residuals(R, g, ginv, vol, F):
 def f7_residual(point, F):
     """Norm of the 7-part of a (21, r, r) curvature F at a G2 point: the
     N = 1 view of `f7_residuals`."""
-    return f7_residuals(*point.stacks[:4], np.asarray(F)[None])[0]
+    return f7_residuals(*point.stacks, np.asarray(F)[None])[0]
 
 
 def is_g2_instanton(field, conn, sample_points, tol=1e-8, h=None):

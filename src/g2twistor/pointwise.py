@@ -251,14 +251,14 @@ class G2Point:
 
     @property
     def stacks(self):
-        """This point as the one-row stacks (rho, g, g^-1, vol, *rho) of `StructureField.point_stacks`."""
+        """This point as one-row stacks (rho, g, g^-1, vol), as `StructureField.point_stacks` starts."""
         vol = self.orientation * self.metric.sqrt_det
-        return tuple(np.array([a]) for a in (self.rho.coeffs, self.g, self.ginv, vol, self.rho_star.coeffs))
+        return tuple(np.array([a]) for a in (self.rho.coeffs, self.g, self.ginv, vol))
 
     @property
     def lambda2_projectors(self):
         """(P7, P14): the N = 1 view of `lambda2_projectors`."""
-        R, g, _, vol, _ = self.stacks
+        R, g, _, vol = self.stacks
         return tuple(P[0] for P in lambda2_projectors(R, g, vol))
 
     # -- point operations -----------------------------------------------------
@@ -383,8 +383,8 @@ def su3_structures(G, Ginv, R, S, V, tol=UNIT_TOL):
 
 def su3_structure(point, v, tol=UNIT_TOL):
     """SU(3) frame on v-perp for a g-unit vector v: the N = 1 view of `su3_structures`."""
-    R, g, ginv, _, S = point.stacks
-    V = np.asarray(v, dtype=float)[None]
+    R, g, ginv, _ = point.stacks
+    S, V = point.rho_star.coeffs[None], np.asarray(v, dtype=float)[None]
     W, I, b10, omega, re, im = (s[0] for s in su3_structures(g, ginv, R, S, V, tol))
     return Su3Frame(W, KForm(6, 2, omega), I, b10, KForm(6, 3, re), KForm(6, 3, im))
 
