@@ -265,7 +265,8 @@ def vertical_curvature_obstructions(field, tps, curvature=None, h=None):
     wi, wj = wbar[:, _PAIR_I].reshape(-1, 7), wbar[:, _PAIR_J].reshape(-1, 7)
     low = np.einsum("nijkl,ni,nj,nl->nk", riemann[rep], wi, wj, tps.x[rep])
     v = tps.ginv[rep] @ low[:, :, None]  # (3N, 7, 1)
-    norms = np.sqrt(np.maximum(np.real(np.conj(v).transpose(0, 2, 1) @ tps.g[rep] @ v)[:, 0, 0], 0.0))
+    g = tps.g[rep]
+    norms = np.sqrt(np.maximum(np.real(np.conj(v).transpose(0, 2, 1) @ g @ v)[:, 0, 0], 0.0))
     return [max(0.0, *norms[k : k + 3]) for k in range(0, len(norms), 3)]
 
 
