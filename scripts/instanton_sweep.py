@@ -38,7 +38,7 @@ def main():
     for s in np.linspace(0.0, 1.0, args.steps):
         conn = make_connection("mixed", std, index=args.index, vector=args.vector, mix=float(s))
         _, f7 = is_g2_instanton(field, conn, base_pts)
-        vals = cr_holomorphicity_residuals(field, conn, tps)
+        vals = cr_holomorphicity_residuals(tps, np.array([conn.curvature(m, field.h) for m in tps.m]))
         print(f"{s:6.2f} {f7:14.6f} {max(vals):16.6f} {min(vals):16.6f}")
     print(
         "\nnote: the CR residual of the pure 14-part connection is nonzero at"

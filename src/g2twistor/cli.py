@@ -334,7 +334,7 @@ def _instanton_rows(field, conn, M, X):
     tps = tw.twistor_points(field, M, X)
     F = np.array([conn.curvature(m, field.h) for m in tps.m])
     columns = zip(
-        inst.cr_holomorphicity_residuals(field, conn, tps),
+        inst.cr_holomorphicity_residuals(tps, F),
         inst.f7_residuals(tps.rho, tps.g, tps.ginv, tps.vol, F),
     )
     return [tuple(m) + tuple(x) + r for m, x, r in zip(tps.m, tps.x, columns)]

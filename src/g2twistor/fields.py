@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
+from numbers import Integral
 
 import numpy as np
 
@@ -179,6 +180,11 @@ class StructureField:
     generator: object
     resolution: int
 
+    def __post_init__(self):
+        n = self.resolution
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"resolution must be a positive integer, got {n!r}")
+
     @property
     def h(self):
         return 1.0 / self.resolution
@@ -307,7 +313,7 @@ def exterior_derivative(form_at, p, h):
     return KForm(7, degree + 1, _d_from_partials(partials[None], degree)[0])
 
 
-def _torsion_forms(field, P, h):
+def _torsion_forms(field, P):
     """(d rho, d *rho) coefficients (N, 35) each at the rows of P (N, 7): the
     stencils of all rows in one `central_difference` along (AXES,), both
     sides in one `rho_and_star` call."""
@@ -317,26 +323,26 @@ def _torsion_forms(field, P, h):
         S = _distinct_rows(R, rho_star_coeffs)
         return np.concatenate([R, S], axis=1).reshape(Q.shape[:-1] + (70,))
 
-    partials = central_difference(rho_and_star, (P[:, None],), (AXES,), h)
+    partials = central_difference(rho_and_star, (P[:, None],), (AXES,), field.h)
     return _d_from_partials(partials[..., :35], 3), _d_from_partials(partials[..., 35:], 4)
 
 
-def torsion_residuals(field, P, h=None):
+def torsion_residuals(field, P):
     """(|d rho|, |d *rho|) at each row of P (N, 7), coefficient norms (the
     Fernandez-Gray test); row i equals the one-row call bit for bit."""
     P = np.asarray(P, dtype=float).reshape(-1, 7)
-    d_rho, d_star = _torsion_forms(field, P, field.h if h is None else h)
+    d_rho, d_star = _torsion_forms(field, P)
     return [(float(np.linalg.norm(a)), float(np.linalg.norm(b))) for a, b in zip(d_rho, d_star)]
 
 
-def torsion_residual(field, p, h=None):
+def torsion_residual(field, p):
     """(|d rho|, |d *rho|) at p: the N = 1 view of `torsion_residuals`."""
-    return torsion_residuals(field, np.asarray(p, dtype=float)[None], h)[0]
+    return torsion_residuals(field, np.asarray(p, dtype=float)[None])[0]
 
 
-def fernandez_gray_residual(field, sample_points, h=None):
+def fernandez_gray_residual(field, sample_points):
     """(max |d rho|, max |d *rho|) over the sample set, coefficient norms; zeros for none."""
-    residuals = torsion_residuals(field, sample_points, h)
+    residuals = torsion_residuals(field, sample_points)
     return tuple(max(column) for column in zip((0.0, 0.0), *residuals))
 
 
@@ -351,7 +357,7 @@ def calibrate_integrability(resolution, n_points=20, seed=0, amplitude=0.01):
     gen = ConformalGenerator(amplitude)
     field = StructureField(generator=gen, resolution=resolution)
     P = np.random.default_rng(seed).random((n_points, 7))
-    approx = [a for b in blocks(n_points) for a in _torsion_forms(field, P[b], field.h)[0]]
+    approx = [a for b in blocks(n_points) for a in _torsion_forms(field, P[b])[0]]
     errors = [float(np.linalg.norm(a - gen.exact_drho(p).coeffs)) for p, a in zip(P, approx)]
     return 5.0 * max(0.0, *errors, 1e-14)
 
@@ -387,17 +393,15 @@ class ConnectionSample:
         return self.metric.inverse @ low
 
 
-def christoffels(field, P, h=None):
+def christoffels(field, P):
     """Christoffel symbols (N, 7, 7, 7) at the rows of P: the distinct rows, all
     in one pass, take one centre `metrics` call and one on both stencil sides."""
-    h = field.h if h is None else h
-    check_step(h)
 
     def metrics(Q):
         return field.metrics(Q.reshape(-1, 7))[0].reshape(Q.shape + (7,))
 
     def compute(C):
-        dg = central_difference(metrics, (C[:, None],), (AXES,), h)  # dg[n, k] = d_k g
+        dg = central_difference(metrics, (C[:, None],), (AXES,), field.h)  # dg[n, k] = d_k g
         # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
         terms = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
         ginv = np.linalg.inv(field.metrics(C)[0])
@@ -406,24 +410,20 @@ def christoffels(field, P, h=None):
     return _distinct_rows(np.asarray(P, dtype=float), compute)
 
 
-def christoffel(field, p, h=None):
+def christoffel(field, p):
     """Christoffel symbols Gamma[k, i, j] at p: the N = 1 view of `christoffels`."""
-    return christoffels(field, np.asarray(p, dtype=float)[None], h)[0]
+    return christoffels(field, np.asarray(p, dtype=float)[None])[0]
 
 
-def levi_civitas(field, P, h=None):
-    """Stacks (gamma, riemann) at the rows of P (N, 7): one `christoffels` call
-    on the centres and one on both stencil sides of their axis neighbours,
-    and the centre metrics from one `metrics` call."""
-    h = field.h if h is None else h
-    P = np.asarray(P, dtype=float)
+def riemanns(field, P, gamma, g):
+    """Lowered curvature (N, 7, 7, 7, 7) at the rows of P (N, 7) from their
+    centre Christoffel symbols gamma and metrics g: one `christoffels` call on
+    both stencil sides of the axis neighbours of all rows."""
 
     def gammas(Q):
-        return christoffels(field, Q.reshape(-1, 7), h).reshape(Q.shape[:-1] + (7, 7, 7))
+        return christoffels(field, Q.reshape(-1, 7)).reshape(Q.shape[:-1] + (7, 7, 7))
 
-    gamma = christoffels(field, P, h)
-    dgamma = central_difference(gammas, (P[:, None],), (AXES,), h)  # dgamma[n, i] = d_i Gamma
-    g = field.metrics(P)[0]
+    dgamma = central_difference(gammas, (P[:, None],), (AXES,), field.h)  # dgamma[n, i] = d_i Gamma
     # R^k_{l i j} = d_i G^k_jl - d_j G^k_il + G^k_im G^m_jl - G^k_jm G^m_il
     mixed = (
         np.einsum("nikjl->nklij", dgamma)
@@ -432,24 +432,35 @@ def levi_civitas(field, P, h=None):
         - np.einsum("nkjm,nmil->nklij", gamma, gamma)
     )
     low = np.einsum("nkm,nmlij->nijkl", g, mixed)
-    return gamma, (low - np.einsum("nijlk->nijkl", low)) / 2.0
+    return (low - np.einsum("nijlk->nijkl", low)) / 2.0
 
 
-def levi_civita(field, p, h=None):
-    """Connection sample at p: the N = 1 view of `levi_civitas`."""
-    p = np.asarray(p, dtype=float)
-    (gamma,), (riemann,) = levi_civitas(field, p[None], h)
-    return ConnectionSample(point=p, metric=field.metric(p), gamma=gamma, riemann=riemann)
+def levi_civitas(field, P):
+    """Stacks (gamma, riemann) at the rows of P (N, 7): the centre Christoffel
+    symbols from one `christoffels` call and the centre metrics from one
+    `metrics` call, both handed to `riemanns`."""
+    P = np.asarray(P, dtype=float)
+    gamma = christoffels(field, P)
+    return gamma, riemanns(field, P, gamma, field.metrics(P)[0])
 
 
-def curvature_g2_check(field, p, h=None):
+def levi_civita(field, p):
+    """Connection sample at p, its metric the centre metric that its curvature
+    pass computed: the N = 1 view of `riemanns`."""
+    P = np.asarray(p, dtype=float)[None]
+    gamma, g = christoffels(field, P), field.metrics(P)[0]
+    (riemann,) = riemanns(field, P, gamma, g)
+    return ConnectionSample(P[0], MetricTensor.trusted(g[0]), gamma[0], riemann)
+
+
+def curvature_g2_check(field, p):
     """Norm of the curvature components outside the 14 x 14 block.
 
     The lowered curvature is read as an element of Lambda^2 x Lambda^2;
     both factors are projected with the point's 2-form projectors and the
     norm uses the metric-induced inner product on each factor.
     """
-    conn = levi_civita(field, p, h=h)
+    conn = levi_civita(field, p)
     point = field.point_data(conn.point)
     i, j = np.triu_indices(7, 1)  # the increasing pairs, lexicographic
     M = conn.riemann[i[:, None], j[:, None], i, j]

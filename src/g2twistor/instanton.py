@@ -63,11 +63,15 @@ class ConnectionData:
 
     def curvature_dense(self, p, h=1e-4):
         """Dense antisymmetric (7, 7, rank, rank) curvature array."""
-        F = self.curvature(p, h)
-        i, j = _PAIRS
-        out = np.zeros((7, 7, self.rank, self.rank), dtype=complex)
-        out[i, j], out[j, i] = F, -F
-        return out
+        return dense_curvature(self.curvature(p, h))
+
+
+def dense_curvature(F):
+    """Dense antisymmetric (..., 7, 7, r, r) arrays of (..., 21, r, r) curvatures."""
+    i, j = _PAIRS
+    out = np.zeros(F.shape[:-3] + (7, 7) + F.shape[-2:], dtype=complex)
+    out[..., i, j, :, :], out[..., j, i, :, :] = F, -F
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +147,11 @@ def f7_residual(point, F):
     return f7_residuals(*point.stacks, np.asarray(F)[None])[0]
 
 
-def is_g2_instanton(field, conn, sample_points, tol=1e-8, h=None):
+def is_g2_instanton(field, conn, sample_points, tol=1e-8):
     """(verdict, max residual): residual is the norm of the 7-part of the
     curvature at each sample; one `point_stacks` pass serves all samples."""
-    h = field.h if h is None else h
     P = np.asarray(sample_points, dtype=float).reshape(-1, 7)
-    F = np.array([conn.curvature(p, h) for p in P])
+    F = np.array([conn.curvature(p, field.h) for p in P])
     worst = max(f7_residuals(*field.point_stacks(P)[:4], F), default=0.0)
     return worst <= tol, worst
 
@@ -157,13 +160,12 @@ def is_g2_instanton(field, conn, sample_points, tol=1e-8, h=None):
 # CR Dolbeault operators
 
 
-def cr_dolbeault_on_functions(field, tp, f, h=None):
+def cr_dolbeault_on_functions(field, tp, f):
     """(d-bar f)(b) = derivative of f along each (0,1) basis vector."""
-    h = field.h if h is None else h
-    return np.array([central_difference(f, (tp.m, tp.x), t, h) for t in tp.tangents_01])
+    return np.array([central_difference(f, (tp.m, tp.x), t, field.h) for t in tp.tangents_01])
 
 
-def _dbar_squared(field, tp, sections, potential, h):
+def _dbar_squared(field, tp, sections, potential):
     """Per section s, (d-bar^2 s)(b_i, b_j) for the (0,1) pairs i < j, by the
     Cartan pattern on 1-covectors (d-bar a)(b1, b2) = -b1 a(b2) + b2 a(b1) +
     a([b1, b2]) applied to a = d-bar s: -nabla_i nabla_j s + nabla_j nabla_i s
@@ -175,10 +177,10 @@ def _dbar_squared(field, tp, sections, potential, h):
     tangents = tp.tangents_01
     at = (tp.m, tp.x)
     pairs = (tangents[list(_PAIR_I)], tangents[list(_PAIR_J)])
-    brackets = _brackets(field, np.zeros(3, int), tp.rows, *pairs, h, "transport", "cr01")
+    brackets = _brackets(field, np.zeros(3, int), tp.rows, *pairs, "transport", "cr01")
 
     def nabla(s, vec, m, x):
-        der = central_difference(s, (m, x), vec, h)
+        der = central_difference(s, (m, x), vec, field.h)
         if potential is None:
             return der
         return der + np.einsum("iab,i,b->a", np.asarray(potential(m)), vec[0], s(m, x))
@@ -195,11 +197,10 @@ def _dbar_squared(field, tp, sections, potential, h):
     ]
 
 
-def dolbeault_square_function_residual(field, tp, f, h=None):
+def dolbeault_square_function_residual(field, tp, f):
     """Max over (0,1) pairs of the degree-2 operator applied twice to f:
     `_dbar_squared` on the trivial bundle, identically zero in the continuum."""
-    h = field.h if h is None else h
-    return max(0.0, *(abs(v) for v in _dbar_squared(field, tp, [f], None, h)[0]))
+    return max(0.0, *(abs(v) for v in _dbar_squared(field, tp, [f], None)[0]))
 
 
 def _ext_tangent(field, tp, vec, m, x):
@@ -209,19 +210,20 @@ def _ext_tangent(field, tp, vec, m, x):
     return _extension_values(field, np.zeros(1, int), tp.rows, base0, vert0, P, Y, "transport", "cr01")[0]
 
 
-def cr_holomorphicity_residuals(field, conn, tps, h=None):
+def cr_holomorphicity_residuals(tps, F):
     """Per twistor point of the record tps, the aggregated (0,2)-norm of the
-    pulled-back curvature on the (0,1) basis: sqrt(sum over pairs |F(b_i, b_j)|_Frob^2).
-    Row i equals the one-point call bit for bit.
+    pulled-back curvature on the (0,1) basis: sqrt(sum over pairs |F(b_i, b_j)|_Frob^2),
+    F the (N, 21, r, r) curvatures at the base points, as `f7_residuals` takes
+    them.  Row i equals the one-point call bit for bit.
 
     For a rank-1 curvature i*beta this equals the (0,2)-part norm
     |beta^{0,2}| of the restriction of beta to the fiber complement, i.e.
     the (2,0)+(0,2) output of hodge_type_on_complement divided by sqrt(2).
     """
+    tps = tps.rows
     if not tps:
         return []
-    h = field.h if h is None else h
-    F = np.array([conn.curvature_dense(m, h) for m in tps.m])
+    F = dense_curvature(F)
     wbar = tps.wbar
     total = 0.0
     for i, j in zip(_PAIR_I, _PAIR_J):
@@ -230,20 +232,19 @@ def cr_holomorphicity_residuals(field, conn, tps, h=None):
     return [float(v) for v in np.sqrt(total)]
 
 
-def cr_holomorphicity_residual(field, conn, tp, h=None):
+def cr_holomorphicity_residual(field, conn, tp):
     """Aggregated (0,2)-norm of the pulled-back curvature on the (0,1) basis:
     the N = 1 view of `cr_holomorphicity_residuals`."""
-    return cr_holomorphicity_residuals(field, conn, tp.rows, h)[0]
+    return cr_holomorphicity_residuals(tp, conn.curvature(tp.m, field.h)[None])[0]
 
 
-def hodge_type_cr_residual(field, conn, tp, h=None):
+def hodge_type_cr_residual(field, conn, tp):
     """Second computation path for rank-1 connections: the (0,2)-norm of
     the curvature 2-form restricted to the fiber complement, via the
     pointwise type decomposition."""
-    h = field.h if h is None else h
     if conn.rank != 1:
         raise ConnectionDataError("hodge-type path applies to rank-1 connections")
-    F = conn.curvature(tp.m, h)[:, 0, 0]
+    F = conn.curvature(tp.m, field.h)[:, 0, 0]
     beta = KForm(7, 2, F.imag) if np.abs(F.real).max() < 1e-12 else None
     if beta is None:
         raise ConnectionDataError("rank-1 curvature must be purely imaginary")
@@ -251,18 +252,17 @@ def hodge_type_cr_residual(field, conn, tp, h=None):
     return p2002 / np.sqrt(2.0)
 
 
-def dolbeault_square_section_residual(field, conn, tp, h=None):
+def dolbeault_square_section_residual(field, conn, tp):
     """Operator-level d-bar^2 on constant sections of the pulled-back
     bundle, compared against the curvature route: the residual of
     (d-bar^2 xi)(b_i, b_j) + F(b_i, b_j) xi.
     """
-    h = field.h if h is None else h
     wbar = tp.wbar
-    F = conn.curvature_dense(tp.m, h)
+    F = conn.curvature_dense(tp.m, field.h)
     xis = np.eye(conn.rank, dtype=complex)
     sections = [lambda m, x, xi0=xi0: xi0 for xi0 in xis]
     worst = 0.0
-    for xi0, dbar2 in zip(xis, _dbar_squared(field, tp, sections, conn.potential, h)):
+    for xi0, dbar2 in zip(xis, _dbar_squared(field, tp, sections, conn.potential)):
         for i, j, val in zip(_PAIR_I, _PAIR_J, dbar2):
             fval = np.einsum("ijab,i,j,b->a", F, wbar[i], wbar[j], xi0)
             worst = max(worst, float(np.abs(val + fval).max()))

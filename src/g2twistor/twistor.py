@@ -11,8 +11,9 @@ norms use the product metric (g on the base, g restricted to the fiber).
 
 A scan holds its samples in one `TwistorPoints` record of (N, ...) arrays,
 which the plural functions (`involutivity_residuals`, ...) index in stacked
-passes; row i equals the one-sample call bit for bit, and each singular
-function is the N = 1 view of its plural on a one-point record's ``rows``.
+passes; row i equals the one-sample call bit for bit.  Each plural reads a
+one-point record as its ``rows``, so each singular function is the N = 1
+view of its plural.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import BLOCK, _distinct_rows, blocks, central_difference, check_step, christoffel
-from .fields import christoffels, levi_civitas, make_field
+from .fields import BLOCK, _distinct_rows, blocks, central_difference, christoffel, christoffels
+from .fields import make_field, riemanns
 from .forms import KForm, contract, contract_stack, dense_stack, derivation_apply, minors
 from .pointwise import G2Point, rho_star_coeffs, su3_structure, su3_structures
 from .sampling import sphere_bundle_samples
@@ -172,14 +173,13 @@ def _extension_values(field, rows, tps, base0, vert0, P, Y, carrier, projection)
     return np.stack([b, _hor_fibers(christoffels(field, P), Y, b) + vt], axis=1)
 
 
-def _brackets(field, rows, tps, X, Y, h, carrier, projection):
+def _brackets(field, rows, tps, X, Y, carrier, projection):
     """[X_r, Y_r] at tps[rows[r]] of the locally extended fields, for stacked
     tangents X and Y (R, 2, 7): the stencils of all R brackets go through one
     `central_difference`, one extension pass over both stencil sides per part
     of a complex direction."""
     _check_option("carrier", carrier, CARRIERS)
     _check_option("projection", projection, PROJECTIONS)
-    h = field.h if h is None else h
     # row r differences the extension of Y_r along X_r, row R + r that of X_r along Y_r;
     # the concatenations give both a common dtype
     rows = np.concatenate([rows, rows])
@@ -194,11 +194,11 @@ def _brackets(field, rows, tps, X, Y, h, carrier, projection):
     def ext(P, Yp):
         return _extension_values(field, rows2, tps, base2, vert2, P, Yp, carrier, projection)
 
-    d = central_difference(ext, (m, x), along.transpose(1, 0, 2), h)
+    d = central_difference(ext, (m, x), along.transpose(1, 0, 2), field.h)
     return d[: len(X)] - d[len(X) :]
 
 
-def frobenius_bracket(field, tp, X, Y, h=None, carrier="transport", projection="none"):
+def frobenius_bracket(field, tp, X, Y, carrier="transport", projection="none"):
     """Numerical Lie bracket [X, Y] at tp of the locally extended fields.
 
     Only the class of the result modulo the extended distribution is
@@ -207,17 +207,16 @@ def frobenius_bracket(field, tp, X, Y, h=None, carrier="transport", projection="
     obstruction up to O(h).  The N = 1 view of the stacked bracket kernel.
     """
     X, Y = np.array([X]), np.array([Y])
-    return _brackets(field, np.zeros(1, int), tp.rows, X, Y, h, carrier, projection)[0]
+    return _brackets(field, np.zeros(1, int), tp.rows, X, Y, carrier, projection)[0]
 
 
-def involutivity_residuals(field, tps, h=None, which="01", carrier="transport"):
+def involutivity_residuals(field, tps, which="01", carrier="transport"):
     """Per point of the record tps, the max norm over eigenbasis pairs of the
     bracket component outside the chosen eigenspace (theta, vertical, and
     opposite-type parts); the brackets of all points in one kernel pass."""
-    h = field.h if h is None else h
-    check_step(h)
     _check_option("which", which, WHICH)
     _check_option("carrier", carrier, CARRIERS)
+    tps = tps.rows
     if not tps:
         return []
     tangents = tps.tangents_01
@@ -225,7 +224,7 @@ def involutivity_residuals(field, tps, h=None, which="01", carrier="transport"):
         tangents = np.conj(tangents)
     rows = np.repeat(np.arange(len(tps)), len(_PAIR_I))  # one row per pair
     X, Y = tangents[:, _PAIR_I].reshape(-1, 2, 7), tangents[:, _PAIR_J].reshape(-1, 2, 7)
-    br = _brackets(field, rows, tps, X, Y, h, carrier, "cr" + which)
+    br = _brackets(field, rows, tps, X, Y, carrier, "cr" + which)
     # theta, B and vertical coordinates of each bracket, each product taken
     # in the order of the one-point expressions x @ g @ b and W.T @ g @ b
     x, g, W = tps.x[rows], tps.g[rows], tps.W[rows]
@@ -243,23 +242,27 @@ def involutivity_residuals(field, tps, h=None, which="01", carrier="transport"):
     return [max(0.0, *res[k : k + 3]) for k in range(0, len(res), 3)]
 
 
-def involutivity_residual(field, tp, h=None, which="01", carrier="transport"):
+def involutivity_residual(field, tp, which="01", carrier="transport"):
     """Max norm over eigenbasis pairs of the bracket component outside the
     chosen eigenspace: the N = 1 view of `involutivity_residuals`."""
-    return involutivity_residuals(field, tp.rows, h, which, carrier)[0]
+    return involutivity_residuals(field, tp, which, carrier)[0]
 
 
-def vertical_curvature_obstructions(field, tps, curvature=None, h=None):
+def vertical_curvature_obstructions(field, tps, curvature=None):
     """Per twistor point, the max over (0,1)-pairs of |R(b, b') x|, the
     vertical-bracket obstruction; the curvature of all points from one
-    `levi_civitas` batch.
+    `riemanns` batch on the record's own centre gamma and g.
 
     `curvature` may override the Levi-Civita curvature with a synthetic
     lowered tensor of shape (7, 7, 7, 7).
     """
+    tps = tps.rows
     if not tps:
         return []
-    riemann = levi_civitas(field, tps.m, h)[1] if curvature is None else np.array([curvature] * len(tps))
+    if curvature is None:
+        riemann = riemanns(field, tps.m, tps.gamma, tps.g)
+    else:
+        riemann = np.array([curvature] * len(tps))
     wbar = tps.wbar
     rep = np.repeat(np.arange(len(tps)), 3)  # one row per pair
     wi, wj = wbar[:, _PAIR_I].reshape(-1, 7), wbar[:, _PAIR_J].reshape(-1, 7)
@@ -270,10 +273,10 @@ def vertical_curvature_obstructions(field, tps, curvature=None, h=None):
     return [max(0.0, *norms[k : k + 3]) for k in range(0, len(norms), 3)]
 
 
-def vertical_curvature_obstruction(field, tp, curvature=None, h=None):
+def vertical_curvature_obstruction(field, tp, curvature=None):
     """Max over (0,1)-pairs of |R(b, b') x|: the N = 1 view of
     `vertical_curvature_obstructions`."""
-    return vertical_curvature_obstructions(field, tp.rows, curvature, h)[0]
+    return vertical_curvature_obstructions(field, tp, curvature)[0]
 
 
 def flat_noise_floor(resolution, n_samples=32, seed=0):
@@ -325,7 +328,7 @@ def form_bundle_lift(gamma, lam, b):
     return np.asarray(b, dtype=float), derivation_apply(lam, gamma_b).coeffs
 
 
-def canonical_form_horizontal_residual(field, k, n_samples=20, seed=0, h=None):
+def canonical_form_horizontal_residual(field, k, n_samples=20, seed=0):
     """Max |Xi| on horizontal (k+1)-frames of Tot(Lambda^k) over random
     samples; vanishes for torsion-free connections up to the h^2 noise of
     the differenced Christoffel symbols."""
@@ -336,7 +339,7 @@ def canonical_form_horizontal_residual(field, k, n_samples=20, seed=0, h=None):
     for _ in range(n_samples):
         m = rng.random(7)
         lam = KForm(7, k, rng.standard_normal(len(KForm.zero(7, k).coeffs)))
-        gamma = christoffel(field, m, h=h)
+        gamma = christoffel(field, m)
         tangents = [form_bundle_lift(gamma, lam, rng.standard_normal(7)) for _ in range(k + 1)]
         worst = max(worst, abs(xi_value(lam, tangents)))
     return worst
@@ -361,7 +364,7 @@ def _omega_values(field, P, Y, B):
 _D_TERMS = np.array([(j, *(i for i in range(4) if i != j)) for j in range(4)])
 
 
-def _d_omegas(field, M, X, frames, h):
+def _d_omegas(field, M, X, frames):
     """d Omega on the 4-frames frames (Q, 4, 2, 7) at the points (M, X), (Q, 7)
     each, through constant ambient extensions (whose mutual brackets vanish):
     every (frame, term, side) row of the stencils in one `central_difference`
@@ -371,7 +374,7 @@ def _d_omegas(field, M, X, frames, h):
     B2 = np.concatenate([B, B])  # the base parts of the + side rows, then of the - side rows
     rep = np.repeat(np.arange(len(frames)), 4)
     vals = central_difference(
-        lambda P, Y: _omega_values(field, P, Y, B2), (M[rep], X[rep]), D.transpose(1, 0, 2), h
+        lambda P, Y: _omega_values(field, P, Y, B2), (M[rep], X[rep]), D.transpose(1, 0, 2), field.h
     ).reshape(-1, 4)
     return vals[:, 0] - vals[:, 1] + vals[:, 2] - vals[:, 3]
 
@@ -386,61 +389,60 @@ def _draw_combos(rng, max_combos):
     return combos
 
 
-def omega_closure_residuals(field, tps, seeds, h=None, max_combos=None):
+def omega_closure_residuals(field, tps, seeds, max_combos=None):
     """Per twistor point, the max |d Omega| on horizontal 4-frames; point i
     draws its frames from default_rng(seeds[i]).  Every (point, frame, term,
     side) row of the exterior-derivative stencils goes through one
     `central_difference` of `_omega_values`.  Vanishes exactly for the flat
     structure and detects torsion."""
     combos = [_draw_combos(np.random.default_rng(seed), max_combos) for seed in seeds]
-    h = field.h if h is None else h
-    check_step(h)
+    tps = tps.rows
     if not tps:
         return []
     n_of = np.repeat(np.arange(len(tps)), [len(c) for c in combos])
     frame4 = tps.lifts[n_of[:, None], np.array([c for cs in combos for c in cs])]  # (Q, 4, 2, 7)
-    d_omega = _d_omegas(field, tps.m[n_of], tps.x[n_of], frame4, h)
+    d_omega = _d_omegas(field, tps.m[n_of], tps.x[n_of], frame4)
     size = np.hypot(d_omega.real, d_omega.imag)  # abs of each value, as the scalar abs rounds it
     ends = np.cumsum([len(c) for c in combos])
     return [max(0.0, *size[end - len(c) : end]) for c, end in zip(combos, ends)]
 
 
-def omega_closure_residual(field, tps, h=None, max_combos=None, seed=0):
+def omega_closure_residual(field, tps, max_combos=None, seed=0):
     """Max |d Omega| on horizontal 4-frames over the sample of twistor
     points, point i drawing its frames from default_rng(seed + i): the max of
     `omega_closure_residuals`."""
     seeds = range(seed, seed + len(tps))
-    return max(0.0, *omega_closure_residuals(field, tps, seeds, h, max_combos)) if tps else 0.0
+    return max(0.0, *omega_closure_residuals(field, tps, seeds, max_combos)) if tps else 0.0
 
 
-def _pushforward_to_form_bundle(field, tp, vec, h):
+def _pushforward_to_form_bundle(field, tp, vec):
     """Tangent map of (p, y) -> (*rho(p) . y, p) into Tot(Lambda^3) at tp."""
     b, w = np.asarray(vec[0], dtype=float), np.asarray(vec[1], dtype=float)
-    dstar = central_difference(lambda q: field.point_data(q).rho_star.coeffs, (tp.m,), (b,), h)
+    dstar = central_difference(lambda q: field.point_data(q).rho_star.coeffs, (tp.m,), (b,), field.h)
     lam_dot = contract(tp.point.rho_star, w).coeffs + contract(KForm(7, 4, dstar), tp.x).coeffs
     return b, lam_dot
 
 
-def xi_factorization_residual(field, tps, h=None, max_combos=10, seed=0):
+def xi_factorization_residual(field, tps, max_combos=10, seed=0):
     """Two-path check: d((pullback *rho) . theta) on horizontal 4-frames
     against the exact canonical form Xi pulled through the embedding of the
     sphere bundle into Tot(Lambda^3).  Per point, each frame vector is pushed
     forward once and the d Omega of all its 4-frames come from one pass."""
-    h = field.h if h is None else h
+    tps = tps.rows
     rng = np.random.default_rng(seed)
     worst = 0.0
     for tp, frame in zip(tps, tps.lifts):
         lam = contract(tp.point.rho_star, tp.x)
-        pushed = [_pushforward_to_form_bundle(field, tp, v, h) for v in frame]
+        pushed = [_pushforward_to_form_bundle(field, tp, v) for v in frame]
         combos = _draw_combos(rng, max_combos)
         m, x = np.tile(tp.m, (len(combos), 1)), np.tile(tp.x, (len(combos), 1))
-        direct = -_d_omegas(field, m, x, frame[np.array(combos)], h).imag
+        direct = -_d_omegas(field, m, x, frame[np.array(combos)]).imag
         for combo, d in zip(combos, direct):
             worst = max(worst, abs(d - xi_value(lam, [pushed[c] for c in combo])))
     return worst
 
 
-def cartan_identity_residual(field, tp, h=None):
+def cartan_identity_residual(field, tp):
     """Residual of the bracket identity coupling d Omega to Omega([Z, T]).
 
     Z, T run over the (0,1) eigenbasis (extended as sections), X, Y over
@@ -449,13 +451,12 @@ def cartan_identity_residual(field, tp, h=None):
     closed along the relevant directions.  The three brackets come from one
     bracket-kernel pass, the nine d Omega values from one `_d_omegas` pass.
     """
-    h = field.h if h is None else h
     zt = tp.tangents_01
     pairs = (zt[list(_PAIR_I)], zt[list(_PAIR_J)])
-    br = _brackets(field, np.zeros(3, int), tp.rows, *pairs, h, "transport", "cr01")
+    br = _brackets(field, np.zeros(3, int), tp.rows, *pairs, "transport", "cr01")
     xy = tp.b_lifts.reshape(3, 2, 2, 7).astype(complex)  # the pairs (X, Y) = (0, 1), (2, 3), (4, 5)
     frames = np.array([[X, Y, zt[z], zt[t]] for z, t in zip(_PAIR_I, _PAIR_J) for X, Y in xy])
     B = np.array([[X[0], Y[0], b[0]] for b in br for X, Y in xy])
     m, x = np.tile(tp.m, (len(frames), 1)), np.tile(tp.x, (len(frames), 1))
-    vals = _d_omegas(field, m, x, frames, h) + _omega_values(field, m, x, B)
+    vals = _d_omegas(field, m, x, frames) + _omega_values(field, m, x, B)
     return max(0.0, *(abs(v) for v in vals))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import g2twistor
-from g2twistor import twistor
+from g2twistor import instanton, twistor
 from g2twistor.cli import (
     _SCALAR_KEYS,
     ConfigError,
@@ -256,6 +256,23 @@ def test_instanton_campaign_verdicts(tmp_path):
         expect={"instanton": "no", "cr_holomorphic": "no"},
     )
     assert run_campaign(cfg) == 0
+
+
+def test_instanton_campaign_evaluates_each_curvature_once(tmp_path, monkeypatch):
+    """One connection-curvature call per sample serves both the CR and the
+    7-part residual."""
+    calls = []
+    curvature = instanton.ConnectionData.curvature
+
+    def counted(self, p, h=1e-4):
+        calls.append(1)
+        return curvature(self, p, h)
+
+    monkeypatch.setattr(instanton.ConnectionData, "curvature", counted)
+    config = Path(__file__).resolve().parents[1] / "configs" / "instanton.cfg"
+    out = tmp_path / "ins"
+    assert main(["--config", str(config), "--samples", "16", "--seed", "5", "--out", str(out)]) == 0
+    assert len(calls) == 16
 
 
 def test_determinism_and_worker_independence(tmp_path):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import g2twistor.fields as fields_module
+import g2twistor.pointwise as pointwise_module
 import oracles
 from g2twistor.fields import (
     ConformalGenerator,
+    FlatGenerator,
     StructureField,
     UnknownGeneratorError,
     _d_from_partials,
@@ -354,23 +356,32 @@ def test_exterior_derivative_rejects_bad_step(flat):
 
 
 @pytest.mark.parametrize("h", [0.0, float("nan")])
-@pytest.mark.parametrize(
-    "op", ["christoffel", "levi_civita", "involutivity_residual", "exterior_derivative"]
-)
+@pytest.mark.parametrize("op", ["central_difference", "exterior_derivative"])
 def test_stencil_consumers_reject_bad_step(op, h):
-    """A zero or NaN step raises instead of reading as zero or reaching the metric."""
+    """A zero or NaN step raises instead of reading as zero or reaching the
+    metric; the kernels on a field take its own step h = 1/N."""
     field = make_field("generic-perturbed", 16, epsilon=0.1)
-    ms, xs = sphere_bundle_samples(1, 4)
+    ms, _ = sphere_bundle_samples(1, 4)
     calls = {
-        "christoffel": lambda: christoffel(field, ms[0], h=h),
-        "levi_civita": lambda: levi_civita(field, ms[0], h=h),
-        "involutivity_residual": lambda: involutivity_residual(
-            field, twistor_point(field, ms[0], xs[0]), h=h
-        ),
+        "central_difference": lambda: central_difference(field.rho_coeffs, (ms[:1],), (AXES[0],), h),
         "exterior_derivative": lambda: exterior_derivative(field.rho, ms[0], h),
     }
     with pytest.raises(ValueError, match="step must be positive and finite"):
         calls[op]()
+
+
+@pytest.mark.parametrize("build", ["StructureField", "make_field"])
+@pytest.mark.parametrize("resolution", [0, -4, 16.5, True])
+def test_field_rejects_bad_resolution(build, resolution):
+    """A resolution that is not a positive integer fails when the field is
+    built, with one line, not at its first difference."""
+    make = {
+        "StructureField": lambda: StructureField(generator=FlatGenerator(), resolution=resolution),
+        "make_field": lambda: make_field("flat", resolution),
+    }
+    with pytest.raises(ValueError, match="resolution must be a positive integer") as err:
+        make[build]()
+    assert "\n" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +476,7 @@ def test_batches_accept_no_rows(flat, op, want):
         "f7_residuals": lambda: f7_residuals(
             np.zeros((0, 35)), *no_points[:2], np.zeros(0), np.zeros((0, 21, 1, 1))
         ),
-        "cr_holomorphicity_residuals": lambda: cr_holomorphicity_residuals(flat, None, no_tps),
+        "cr_holomorphicity_residuals": lambda: cr_holomorphicity_residuals(no_tps, np.zeros((0, 21, 1, 1))),
     }
     assert calls[op]() == want
 
@@ -539,6 +550,27 @@ def test_curvature_antisymmetries_exact(conformal, points):
     R = levi_civita(conformal, points[0]).riemann
     assert np.array_equal(R, -np.transpose(R, (1, 0, 2, 3)))
     assert np.array_equal(R, -np.transpose(R, (0, 1, 3, 2)))
+
+
+def test_levi_civita_metric_is_the_centre_metric_of_its_pass(monkeypatch):
+    """One `levi_civita` call makes five induced-metric passes, two per
+    `christoffels` pass (stencil sides, centres) and one for the centre
+    metrics, and its metric is that centre metric, not a fresh G2 point."""
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    p = torus_points(1, 3)[0]
+    calls = []
+    induced = fields_module.induced_metrics
+
+    def counted(R):
+        calls.append(len(R))
+        return induced(R)
+
+    monkeypatch.setattr(fields_module, "induced_metrics", counted)
+    monkeypatch.setattr(pointwise_module, "induced_metrics", counted)
+    conn = levi_civita(field, p)
+    assert len(calls) == 5
+    monkeypatch.undo()
+    assert np.array_equal(conn.metric.entries, field.metric(p).entries)
 
 
 def test_curvature_matches_exact_christoffel_route(points):

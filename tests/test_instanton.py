@@ -104,7 +104,7 @@ def test_batched_frames_and_residuals_match_one_row_calls(family, epsilon, n, da
     parts = (slice(0, split), slice(split, n))
     # one tuple (basis, I, b10, omega, Omega_re, Omega_im) of frame stack rows per sample
     frames = [row for b in parts for row in zip(*su3_structures(tps.g[b], tps.ginv[b], tps.rho[b], S[b], V[b]))]
-    crs = [r for b in parts for r in cr_holomorphicity_residuals(field, conn, tps[b])]
+    crs = [r for b in parts for r in cr_holomorphicity_residuals(tps[b], F[b])]
     f7s = [r for b in parts for r in f7_residuals(tps.rho[b], tps.g[b], tps.ginv[b], tps.vol[b], F[b])]
     names = ("basis", "I", "b10", "omega", "Omega_re", "Omega_im")
     for tp, frame, cr, f7, f in zip(tps, frames, crs, f7s, F, strict=True):

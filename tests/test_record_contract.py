@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2twistor.fields import make_field
@@ -32,6 +33,7 @@ from g2twistor.twistor import (
     twistor_points,
     vertical_curvature_obstruction,
     vertical_curvature_obstructions,
+    xi_factorization_residual,
 )
 
 FAMILIES = ["flat", "closed-perturbed", "generic-perturbed", "conformal"]
@@ -46,7 +48,7 @@ def kernel_rows(field, conn, tps, seeds):
     rows = {(w, c): involutivity_residuals(field, tps, which=w, carrier=c) for w, c in OPTIONS}
     rows["vertical"] = vertical_curvature_obstructions(field, tps)
     rows["omega"] = omega_closure_residuals(field, tps, seeds, max_combos=COMBOS)
-    rows["cr"] = cr_holomorphicity_residuals(field, conn, tps)
+    rows["cr"] = cr_holomorphicity_residuals(tps, F)
     rows["f7"] = f7_residuals(tps.rho, tps.g, tps.ginv, tps.vol, F)
     return rows
 
@@ -92,3 +94,27 @@ def test_record_kernels_match_one_point_calls(family, epsilon, n, data):
             assert blocks[k][name][j] == want, name
     empty = kernel_rows(field, conn, records[0][:0], [])
     assert all(rows == [] for rows in empty.values())
+
+
+#: every kernel that takes a record, as (field, conn, record) -> its value
+RECORD_KERNELS = {
+    "involutivity_residuals": lambda f, conn, tps: involutivity_residuals(f, tps),
+    "vertical_curvature_obstructions": lambda f, conn, tps: vertical_curvature_obstructions(f, tps),
+    "omega_closure_residuals": lambda f, conn, tps: omega_closure_residuals(f, tps, [0], max_combos=COMBOS),
+    "omega_closure_residual": lambda f, conn, tps: omega_closure_residual(f, tps, max_combos=COMBOS),
+    "xi_factorization_residual": lambda f, conn, tps: xi_factorization_residual(f, tps, max_combos=COMBOS),
+    "cr_holomorphicity_residuals": lambda f, conn, tps: cr_holomorphicity_residuals(
+        tps, np.array([conn.curvature(m, f.h) for m in tps.rows.m])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_KERNELS))
+def test_one_point_record_reads_as_its_row(name):
+    """The one-point record tps[i] gives what its one-row record gives, not
+    a wrong value or a numpy error."""
+    field = make_field("generic-perturbed", 16, 0.1)
+    conn = make_connection("mixed", standard_g2_point(), index=3, vector=2, mix=0.5)
+    tp = twistor_point(field, *[a[0] for a in sphere_bundle_samples(3, 0)])
+    kernel = RECORD_KERNELS[name]
+    assert kernel(field, conn, tp) == kernel(field, conn, tp.rows)

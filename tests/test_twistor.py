@@ -9,9 +9,11 @@ from g2twistor.fields import (
     christoffels,
     fit_convergence_order,
     levi_civita,
+    levi_civitas,
     make_field,
+    riemanns,
 )
-from g2twistor import forms, pointwise, twistor
+from g2twistor import fields, forms, pointwise, twistor
 from g2twistor.forms import KForm, contract
 from g2twistor.pointwise import rho_star_coeffs
 from g2twistor.sampling import sphere_bundle_samples
@@ -298,6 +300,24 @@ def test_involutivity_extension_independence(conformal):
 def test_vertical_obstruction_flat_zero(flat):
     tp = twistor_point(flat, MS[6], XS[6])
     assert vertical_curvature_obstruction(flat, tp) == 0.0
+
+
+def test_vertical_obstructions_reuse_the_record_centres(generic, monkeypatch):
+    """The curvature of the vertical obstruction differences the record's own
+    centre gamma and g: `christoffels` never sees the centre rows, and the
+    curvature equals the `levi_civitas` one bit for bit."""
+    tps = twistor_points(generic, MS[:4], XS[:4])
+    seen = []
+
+    def spy(field, P):
+        seen.append(np.array(P))
+        return christoffels(field, P)
+
+    monkeypatch.setattr(fields, "christoffels", spy)
+    vertical_curvature_obstructions(generic, tps)
+    assert seen and not any(P.shape == tps.m.shape and np.array_equal(P, tps.m) for P in seen)
+    monkeypatch.undo()
+    assert np.array_equal(riemanns(generic, tps.m, tps.gamma, tps.g), levi_civitas(generic, tps.m)[1])
 
 
 def test_vertical_obstruction_matches_bracket_route(conformal):
