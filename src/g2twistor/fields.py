@@ -257,12 +257,6 @@ def _distinct_rows(X, compute):
 # finite-difference calculus
 
 
-def check_step(h):
-    """Raise ValueError unless the difference step h is positive and finite."""
-    if not 0.0 < h < inf:
-        raise ValueError(f"step must be positive and finite, got {h!r}")
-
-
 def central_difference(f, at, direction, h):
     """(f(*(a + h d)) - f(*(a - h d))) / 2h over the base arrays ``at``.
 
@@ -277,7 +271,8 @@ def central_difference(f, at, direction, h):
     result is (v[:n] - v[n:]) / 2h.  A one-point base of shape (7,) takes
     one call per side.  The step must be positive and finite.
     """
-    check_step(h)
+    if not 0.0 < h < inf:
+        raise ValueError(f"step must be positive and finite, got {h!r}")
     direction = np.asarray(direction)
 
     def diff(d):
@@ -416,9 +411,8 @@ def christoffel(field, p):
 
 
 def riemanns(field, P, gamma, g):
-    """Lowered curvature (N, 7, 7, 7, 7) at the rows of P (N, 7) from their
-    centre Christoffel symbols gamma and metrics g: one `christoffels` call on
-    both stencil sides of the axis neighbours of all rows."""
+    """Lowered curvature (N, 7, 7, 7, 7) at the rows of P from their centre gamma
+    and metrics g: one `christoffels` call on both stencil sides of the axis neighbours."""
 
     def gammas(Q):
         return christoffels(field, Q.reshape(-1, 7)).reshape(Q.shape[:-1] + (7, 7, 7))
@@ -445,12 +439,10 @@ def levi_civitas(field, P):
 
 
 def levi_civita(field, p):
-    """Connection sample at p, its metric the centre metric that its curvature
-    pass computed: the N = 1 view of `riemanns`."""
+    """Connection sample at p, its metric the centre metric of its own `riemanns` pass."""
     P = np.asarray(p, dtype=float)[None]
     gamma, g = christoffels(field, P), field.metrics(P)[0]
-    (riemann,) = riemanns(field, P, gamma, g)
-    return ConnectionSample(P[0], MetricTensor.trusted(g[0]), gamma[0], riemann)
+    return ConnectionSample(P[0], MetricTensor.trusted(g[0]), gamma[0], riemanns(field, P, gamma, g)[0])
 
 
 def curvature_g2_check(field, p):

@@ -61,10 +61,6 @@ class ConnectionData:
         i, j = _PAIRS
         return dA[i, j] - dA[j, i] + A[i] @ A[j] - A[j] @ A[i]
 
-    def curvature_dense(self, p, h=1e-4):
-        """Dense antisymmetric (7, 7, rank, rank) curvature array."""
-        return dense_curvature(self.curvature(p, h))
-
 
 def dense_curvature(F):
     """Dense antisymmetric (..., 7, 7, r, r) arrays of (..., 21, r, r) curvatures."""
@@ -245,10 +241,9 @@ def hodge_type_cr_residual(field, conn, tp):
     if conn.rank != 1:
         raise ConnectionDataError("hodge-type path applies to rank-1 connections")
     F = conn.curvature(tp.m, field.h)[:, 0, 0]
-    beta = KForm(7, 2, F.imag) if np.abs(F.real).max() < 1e-12 else None
-    if beta is None:
+    if not np.abs(F.real).max() < 1e-12:
         raise ConnectionDataError("rank-1 curvature must be purely imaginary")
-    p2002, _, _ = hodge_type_on_complement(tp.point, beta, tp.x, frame=tp.su3)
+    p2002, _, _ = hodge_type_on_complement(tp.point, KForm(7, 2, F.imag), tp.x, frame=tp.su3)
     return p2002 / np.sqrt(2.0)
 
 
@@ -258,7 +253,7 @@ def dolbeault_square_section_residual(field, conn, tp):
     (d-bar^2 xi)(b_i, b_j) + F(b_i, b_j) xi.
     """
     wbar = tp.wbar
-    F = conn.curvature_dense(tp.m, field.h)
+    F = dense_curvature(conn.curvature(tp.m, field.h))
     xis = np.eye(conn.rank, dtype=complex)
     sections = [lambda m, x, xi0=xi0: xi0 for xi0 in xis]
     worst = 0.0

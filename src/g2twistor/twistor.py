@@ -260,9 +260,8 @@ def vertical_curvature_obstructions(field, tps, curvature=None):
     if not tps:
         return []
     if curvature is None:
-        riemann = riemanns(field, tps.m, tps.gamma, tps.g)
-    else:
-        riemann = np.array([curvature] * len(tps))
+        curvature = riemanns(field, tps.m, tps.gamma, tps.g)
+    riemann = np.broadcast_to(curvature, (len(tps), 7, 7, 7, 7))
     wbar = tps.wbar
     rep = np.repeat(np.arange(len(tps)), 3)  # one row per pair
     wi, wj = wbar[:, _PAIR_I].reshape(-1, 7), wbar[:, _PAIR_J].reshape(-1, 7)

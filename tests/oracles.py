@@ -11,7 +11,7 @@ from math import comb
 
 import numpy as np
 
-from g2twistor.fields import AXES, _d_from_partials, central_difference, check_step
+from g2twistor.fields import AXES, _d_from_partials, central_difference
 from g2twistor.forms import (
     KForm,
     _contract_table,
@@ -22,6 +22,7 @@ from g2twistor.forms import (
     minors,
     transform,
 )
+from g2twistor.instanton import dense_curvature
 from g2twistor.pointwise import _pairing_gathers, induced_metrics, rho_star_coeffs, structure_stacks
 
 
@@ -184,7 +185,7 @@ def su3_frame_by_rows(point, v):
 
 def cr_residual_by_pairs(conn, tp, h):
     """sqrt(sum over (0,1) pairs of |F(b_i, b_j)|^2), one pair at a time."""
-    F = conn.curvature_dense(tp.m, h)
+    F = dense_curvature(conn.curvature(tp.m, h))
     total = 0.0
     for i, j in itertools.combinations(range(3), 2):
         val = np.einsum("ijab,i,j->ab", F, tp.wbar[i], tp.wbar[j])
@@ -255,7 +256,6 @@ def omega_values_dense(field, P, Y, B):
 def central_difference_two_calls(f, at, direction, h):
     """(f(*(a + h d)) - f(*(a - h d))) / 2h with one call of f per stencil
     side and per part of a complex direction, whatever the shape of the bases."""
-    check_step(h)
     direction = np.asarray(direction)
 
     def diff(d):
