@@ -437,6 +437,10 @@ def main(argv=None):
         # an --out that names a file, or lies below one, cannot hold the reports
         sys.stderr.write(f"output error: {exc}\n")
         return USAGE_ERROR
+    except MemoryError as exc:
+        # a sample count whose stacks cannot be allocated is a bad request, not a verdict
+        sys.stderr.write(f"memory error: {exc}\n")
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -66,8 +66,6 @@ class _Generator:
 class FlatGenerator(_Generator):
     """Constant canonical structure."""
 
-    name = "flat"
-
     def coeffs(self, P):
         return np.zeros(np.shape(P)[:-1] + (35,)) + _rho_std()
 
@@ -82,7 +80,6 @@ class ClosedPerturbedGenerator(_Generator):
 
     epsilon: float
     frequency: tuple = (1, 0, 0, 0, 0, 0, 0)
-    name = "closed-perturbed"
 
     def coeffs(self, P):
         f = np.asarray(self.frequency, dtype=float)
@@ -96,7 +93,6 @@ class GenericPerturbedGenerator(_Generator):
 
     epsilon: float
     frequency: tuple = (1, 0, 0, 0, 0, 0, 0)
-    name = "generic-perturbed"
 
     def coeffs(self, P):
         c = self.epsilon * np.sin(_phase(self.frequency, P))
@@ -114,7 +110,6 @@ class ConformalGenerator(_Generator):
 
     amplitude: float
     frequency: tuple = (1, 0, 0, 0, 0, 0, 0)
-    name = "conformal"
 
     def _f(self, p):
         return self.amplitude * np.sin(_phase(self.frequency, p))
@@ -341,25 +336,25 @@ def fernandez_gray_residual(field, sample_points):
     return tuple(max(column) for column in zip((0.0, 0.0), *residuals))
 
 
-def calibrate_integrability(resolution, n_points=20, seed=0, amplitude=0.01):
+def calibrate_integrability(resolution):
     """Threshold tau(N) from the measured truncation error on the conformal
-    family, where d(rho) is known in closed form.  A field is declared
-    integrable at resolution N iff both residuals are <= tau(N).
+    family, where d(rho) is known in closed form, at 20 points drawn from
+    default_rng(0).  A field is declared integrable at resolution N iff both
+    residuals are <= tau(N).
 
-    The calibration amplitude is kept small so tau tracks the h^2 operator
-    noise rather than the steepness of the calibration family itself.
+    The calibration amplitude, 0.01, is kept small so tau tracks the h^2
+    operator noise rather than the steepness of the calibration family itself.
     """
-    gen = ConformalGenerator(amplitude)
+    gen = ConformalGenerator(0.01)
     field = StructureField(generator=gen, resolution=resolution)
-    P = np.random.default_rng(seed).random((n_points, 7))
-    approx = [a for b in blocks(n_points) for a in _torsion_forms(field, P[b])[0]]
+    P = np.random.default_rng(0).random((20, 7))
+    approx = [a for b in blocks(len(P)) for a in _torsion_forms(field, P[b])[0]]
     errors = [float(np.linalg.norm(a - gen.exact_drho(p).coeffs)) for p, a in zip(P, approx)]
     return 5.0 * max(0.0, *errors, 1e-14)
 
 
-def integrability_verdict(field, sample_points, tau=None):
-    if tau is None:
-        tau = calibrate_integrability(field.resolution)
+def integrability_verdict(field, sample_points):
+    tau = calibrate_integrability(field.resolution)
     d_rho, d_star = fernandez_gray_residual(field, sample_points)
     return (d_rho <= tau and d_star <= tau), d_rho, d_star, tau
 
@@ -389,20 +384,18 @@ class ConnectionSample:
 
 
 def christoffels(field, P):
-    """Christoffel symbols (N, 7, 7, 7) at the rows of P: the distinct rows, all
-    in one pass, take one centre `metrics` call and one on both stencil sides."""
+    """Christoffel symbols (N, 7, 7, 7) at the rows of P (N, 7), all in one
+    pass: one `metrics` call on both stencil sides and one at the centres."""
+    P = np.asarray(P, dtype=float)
 
     def metrics(Q):
         return field.metrics(Q.reshape(-1, 7))[0].reshape(Q.shape + (7,))
 
-    def compute(C):
-        dg = central_difference(metrics, (C[:, None],), (AXES,), field.h)  # dg[n, k] = d_k g
-        # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-        terms = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-        ginv = np.linalg.inv(field.metrics(C)[0])
-        return 0.5 * np.einsum("nkl,nijl->nkij", ginv, terms)
-
-    return _distinct_rows(np.asarray(P, dtype=float), compute)
+    dg = central_difference(metrics, (P[:, None],), (AXES,), field.h)  # dg[n, k] = d_k g
+    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
+    terms = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    ginv = np.linalg.inv(field.metrics(P)[0])
+    return 0.5 * np.einsum("nkl,nijl->nkij", ginv, terms)
 
 
 def christoffel(field, p):
@@ -427,15 +420,6 @@ def riemanns(field, P, gamma, g):
     )
     low = np.einsum("nkm,nmlij->nijkl", g, mixed)
     return (low - np.einsum("nijlk->nijkl", low)) / 2.0
-
-
-def levi_civitas(field, P):
-    """Stacks (gamma, riemann) at the rows of P (N, 7): the centre Christoffel
-    symbols from one `christoffels` call and the centre metrics from one
-    `metrics` call, both handed to `riemanns`."""
-    P = np.asarray(P, dtype=float)
-    gamma = christoffels(field, P)
-    return gamma, riemanns(field, P, gamma, field.metrics(P)[0])
 
 
 def levi_civita(field, p):

@@ -172,8 +172,7 @@ def _dbar_squared(field, tp, sections, potential):
     kernel pass that every section shares."""
     tangents = tp.tangents_01
     at = (tp.m, tp.x)
-    pairs = (tangents[list(_PAIR_I)], tangents[list(_PAIR_J)])
-    brackets = _brackets(field, np.zeros(3, int), tp.rows, *pairs, "transport", "cr01")
+    brackets = _brackets(field, tp.rows, tangents[None], "transport", "cr01")[0]
 
     def nabla(s, vec, m, x):
         der = central_difference(s, (m, x), vec, field.h)
@@ -201,9 +200,9 @@ def dolbeault_square_function_residual(field, tp, f):
 
 def _ext_tangent(field, tp, vec, m, x):
     """The cr01 section extension of vec from tp, evaluated at ambient (m, x)."""
-    base0, vert0 = np.asarray(vec[0])[None], tp.vertical_part(vec)[None]
+    base0, vert0 = np.asarray(vec[0])[None, None], tp.vertical_part(vec)[None, None]
     P, Y = m[None], x[None]
-    return _extension_values(field, np.zeros(1, int), tp.rows, base0, vert0, P, Y, "transport", "cr01")[0]
+    return _extension_values(field, np.zeros(1, int), tp.rows, base0, vert0, P, Y, "transport", "cr01")[0, 0]
 
 
 def cr_holomorphicity_residuals(tps, F):

@@ -144,8 +144,10 @@ def twistor_point(field, m, x):
 
 
 def _extension_values(field, rows, tps, base0, vert0, P, Y, carrier, projection):
-    """Values (R, 2, 7) at ambient points (P, Y) of the local fields extending
-    (base0, vert0) from the twistor points tps[rows], one row of each per row.
+    """Values (R, k, 2, 7) at ambient points (P, Y), (R, 7) each, of the local
+    fields extending the k vectors (base0, vert0), (R, k, 7) each, from the
+    twistor points tps[rows]: the geometry of a row (metric, Christoffel
+    symbols, cross products) is computed once and serves its k vectors.
 
     carrier:    base-component scheme before any projection --
                 'transport' keeps coordinate-constant base components,
@@ -156,37 +158,45 @@ def _extension_values(field, rows, tps, base0, vert0, P, Y, carrier, projection)
                 which turn the carrier into a section of the distribution.
     """
     g = field.metrics(P)[0]
+    gamma = christoffels(field, P)
     yg = Y[:, None] @ g  # (R, 1, 7)
     yy = yg @ Y[:, :, None]  # (R, 1, 1)
-    b = base0
-    if carrier == "parallel":
-        b = b - np.einsum("nkij,ni,nj->nk", tps.gamma[rows], P - tps.m[rows], b)
-    if projection != "none":
-        b = b - ((yg @ b[:, :, None]) / yy)[:, 0] * Y
-        if projection in ("cr01", "cr10"):
-            xhat = Y / np.sqrt(yy[:, 0])
-            # cross[n, i, j, k] = k-th component of e_i x e_j at P[n]
-            cross = np.einsum("nijm,nkm->nijk", dense_stack(field.rho_coeffs(P), 7, 3), np.linalg.inv(g))
-            Ib = np.einsum("nijk,ni,nj->nk", cross, xhat, b)
-            b = 0.5 * (b + 1j * Ib) if projection == "cr01" else 0.5 * (b - 1j * Ib)
-    vt = vert0 - ((yg @ vert0[:, :, None]) / yy)[:, 0] * Y
-    return np.stack([b, _hor_fibers(christoffels(field, P), Y, b) + vt], axis=1)
+    if projection in ("cr01", "cr10"):
+        xhat = Y / np.sqrt(yy[:, 0])
+        # cross[n, i, j, k] = k-th component of e_i x e_j at P[n]
+        cross = np.einsum("nijm,nkm->nijk", dense_stack(field.rho_coeffs(P), 7, 3), np.linalg.inv(g))
+    values = []
+    for b, vert in zip(base0.swapaxes(0, 1), vert0.swapaxes(0, 1)):
+        # one contiguous (R, 7) stack per vector, as a one-vector call holds it
+        b, vert = np.ascontiguousarray(b), np.ascontiguousarray(vert)
+        if carrier == "parallel":
+            b = b - np.einsum("nkij,ni,nj->nk", tps.gamma[rows], P - tps.m[rows], b)
+        if projection != "none":
+            b = b - ((yg @ b[:, :, None]) / yy)[:, 0] * Y
+            if projection in ("cr01", "cr10"):
+                Ib = np.einsum("nijk,ni,nj->nk", cross, xhat, b)
+                b = 0.5 * (b + 1j * Ib) if projection == "cr01" else 0.5 * (b - 1j * Ib)
+        vt = vert - ((yg @ vert[:, :, None]) / yy)[:, 0] * Y
+        values.append(np.stack([b, _hor_fibers(gamma, Y, b) + vt], axis=1))
+    return np.stack(values, axis=1)
 
 
-def _brackets(field, rows, tps, X, Y, carrier, projection):
-    """[X_r, Y_r] at tps[rows[r]] of the locally extended fields, for stacked
-    tangents X and Y (R, 2, 7): the stencils of all R brackets go through one
-    `central_difference`, one extension pass over both stencil sides per part
-    of a complex direction."""
+def _brackets(field, tps, T, carrier, projection):
+    """[T_a, T_b] for a < b in `itertools.combinations` order, (N, C(k, 2), 2, 7),
+    of the locally extended fields, for the k tangents T (N, k, 2, 7) at each
+    point of the record tps.  Each tangent is differenced once, all N k of
+    them in one `central_difference`, and the stencil of T_a carries the
+    extensions of the other k - 1 tangents of its point: one extension pass
+    over both stencil sides per part of a complex direction."""
     _check_option("carrier", carrier, CARRIERS)
     _check_option("projection", projection, PROJECTIONS)
-    # row r differences the extension of Y_r along X_r, row R + r that of X_r along Y_r;
-    # the concatenations give both a common dtype
-    rows = np.concatenate([rows, rows])
-    along, extended = np.concatenate([X, Y]), np.concatenate([Y, X])
+    n, k = T.shape[:2]
+    rows = np.repeat(np.arange(n), k)  # one row per tangent
+    along = np.ascontiguousarray(T.reshape(-1, 2, 7))
     m, x = tps.m[rows], tps.x[rows]
-    base0 = extended[:, 0]
-    vert0 = extended[:, 1] - _hor_fibers(tps.gamma[rows], x, base0)
+    vert = (along[:, 1] - _hor_fibers(tps.gamma[rows], x, along[:, 0])).reshape(n, k, 7)
+    others = np.array([[b for b in range(k) if b != a] for a in range(k)])  # (k, k - 1)
+    base0, vert0 = (a[:, others].reshape(n * k, k - 1, 7) for a in (T[:, :, 0], vert))
 
     # f sees the + side rows, then the - side rows: the per-row data once per side
     rows2, base2, vert2 = (np.concatenate([a, a]) for a in (rows, base0, vert0))
@@ -194,8 +204,10 @@ def _brackets(field, rows, tps, X, Y, carrier, projection):
     def ext(P, Yp):
         return _extension_values(field, rows2, tps, base2, vert2, P, Yp, carrier, projection)
 
-    d = central_difference(ext, (m, x), along.transpose(1, 0, 2), field.h)
-    return d[: len(X)] - d[len(X) :]
+    # d[:, a, c] differences the extension of the c-th other tangent of T_a along T_a
+    d = central_difference(ext, (m, x), along.transpose(1, 0, 2), field.h).reshape(n, k, k - 1, 2, 7)
+    i, j = np.array(list(itertools.combinations(range(k), 2))).T
+    return d[:, i, j - 1] - d[:, j, i]
 
 
 def frobenius_bracket(field, tp, X, Y, carrier="transport", projection="none"):
@@ -206,8 +218,7 @@ def frobenius_bracket(field, tp, X, Y, carrier="transport", projection="none"):
     honest sections of the distribution, so that class is the Frobenius
     obstruction up to O(h).  The N = 1 view of the stacked bracket kernel.
     """
-    X, Y = np.array([X]), np.array([Y])
-    return _brackets(field, np.zeros(1, int), tp.rows, X, Y, carrier, projection)[0]
+    return _brackets(field, tp.rows, np.array([[X, Y]]), carrier, projection)[0, 0]
 
 
 def involutivity_residuals(field, tps, which="01", carrier="transport"):
@@ -222,9 +233,8 @@ def involutivity_residuals(field, tps, which="01", carrier="transport"):
     tangents = tps.tangents_01
     if which == "10":  # b10 = conj(b01) and the lifts are real
         tangents = np.conj(tangents)
+    br = _brackets(field, tps, tangents, carrier, "cr" + which).reshape(-1, 2, 7)
     rows = np.repeat(np.arange(len(tps)), len(_PAIR_I))  # one row per pair
-    X, Y = tangents[:, _PAIR_I].reshape(-1, 2, 7), tangents[:, _PAIR_J].reshape(-1, 2, 7)
-    br = _brackets(field, rows, tps, X, Y, carrier, "cr" + which)
     # theta, B and vertical coordinates of each bracket, each product taken
     # in the order of the one-point expressions x @ g @ b and W.T @ g @ b
     x, g, W = tps.x[rows], tps.g[rows], tps.W[rows]
@@ -451,8 +461,7 @@ def cartan_identity_residual(field, tp):
     bracket-kernel pass, the nine d Omega values from one `_d_omegas` pass.
     """
     zt = tp.tangents_01
-    pairs = (zt[list(_PAIR_I)], zt[list(_PAIR_J)])
-    br = _brackets(field, np.zeros(3, int), tp.rows, *pairs, "transport", "cr01")
+    br = _brackets(field, tp.rows, zt[None], "transport", "cr01")[0]
     xy = tp.b_lifts.reshape(3, 2, 2, 7).astype(complex)  # the pairs (X, Y) = (0, 1), (2, 3), (4, 5)
     frames = np.array([[X, Y, zt[z], zt[t]] for z, t in zip(_PAIR_I, _PAIR_J) for X, Y in xy])
     B = np.array([[X[0], Y[0], b[0]] for b in br for X, Y in xy])

@@ -125,6 +125,19 @@ def test_unwritable_out_is_one_line_usage_error(tmp_path, capsys, out):
     assert (tmp_path / "afile").read_text() == "keep\n"
 
 
+def test_unallocatable_sample_count_is_one_line_usage_error(tmp_path, capsys):
+    """A sample count whose point stacks numpy refuses to allocate (7 PiB:
+    refused at once, nothing allocated) ends in one memory error line and the
+    usage exit code, not a traceback and not the verdict-mismatch code."""
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "twistor-perturbed.cfg")
+    args = ["--config", cfg, "--samples", "1000000000000000", "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("memory error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_overflowing_generator_prints_one_line(tmp_path):
     """The module entry point, numpy's warning printer included, writes
     exactly the one config error line."""

@@ -26,8 +26,8 @@ from g2twistor.fields import (
     fit_convergence_order,
     integrability_verdict,
     levi_civita,
-    levi_civitas,
     make_field,
+    riemanns,
     torsion_residual,
     torsion_residuals,
 )
@@ -449,7 +449,7 @@ def test_calibration_matches_per_point_loop(resolution):
         ("omega_closure_residuals", []),
         ("torsion_residuals", []),
         ("fernandez_gray_residual", (0.0, 0.0)),
-        ("levi_civitas", [(0, 7, 7, 7), (0, 7, 7, 7, 7)]),
+        ("riemanns", (0, 7, 7, 7, 7)),
         ("christoffels", (0, 7, 7, 7)),
         ("su3_structures", [(0, 7, 6), (0, 6, 6), (0, 3, 6), (0, 15), (0, 20), (0, 20)]),
         ("f7_residuals", []),
@@ -458,7 +458,7 @@ def test_calibration_matches_per_point_loop(resolution):
 )
 def test_batches_accept_no_rows(flat, op, want):
     """A batch of no rows gives no rows (stacks of no rows: Christoffel
-    symbols of shape (0, 7, 7, 7), the connection and SU(3) stacks), and the
+    symbols of shape (0, 7, 7, 7), the curvature and SU(3) stacks), and the
     Fernandez-Gray maxima start at zero."""
     none = np.zeros((0, 7))
     no_tps = twistor_points(flat, none, none)
@@ -470,7 +470,7 @@ def test_batches_accept_no_rows(flat, op, want):
         "omega_closure_residuals": lambda: omega_closure_residuals(flat, no_tps, []),
         "torsion_residuals": lambda: torsion_residuals(flat, []),
         "fernandez_gray_residual": lambda: fernandez_gray_residual(flat, []),
-        "levi_civitas": lambda: [s.shape for s in levi_civitas(flat, none)],
+        "riemanns": lambda: riemanns(flat, none, np.zeros((0, 7, 7, 7)), np.zeros((0, 7, 7))).shape,
         "christoffels": lambda: christoffels(flat, none).shape,
         "su3_structures": lambda: [s.shape for s in su3_structures(*no_points, none)],
         "f7_residuals": lambda: f7_residuals(

@@ -162,13 +162,14 @@ def test_differenced_curvature_matches_axis_loop(std):
 
 def test_section_residual_brackets_once_per_point(flat, monkeypatch):
     """The sections of a rank-3 residual share the three (0,1) brackets of
-    one bracket-kernel pass, instead of one pass per section and pair."""
+    one bracket-kernel pass over the point's tangent set, instead of one pass
+    per section and pair."""
     passes = []
     kernel = twistor._brackets
 
-    def counting(field, tps, *args):
-        passes.append(len(tps))
-        return kernel(field, tps, *args)
+    def counting(field, tps, T, *args):
+        passes.append(np.shape(T))
+        return kernel(field, tps, T, *args)
 
     monkeypatch.setattr(twistor, "_brackets", counting)
     monkeypatch.setattr(instanton, "_brackets", counting, raising=False)
@@ -184,7 +185,7 @@ def test_section_residual_brackets_once_per_point(flat, monkeypatch):
     tp = twistor_point(flat, MS[2], XS[2])
     # the operator route meets the differenced non-abelian curvature to O(h^2)
     assert dolbeault_square_section_residual(flat, conn, tp) < 10.0 * flat.h**2
-    assert passes == [3]  # one pass of the three pairs
+    assert passes == [(1, 3, 2, 7)]  # one pass over the three (0,1) tangents
 
 
 def test_nonabelian_differenced_curvature_oracle():

@@ -9,7 +9,6 @@ from g2twistor.fields import (
     christoffels,
     fit_convergence_order,
     levi_civita,
-    levi_civitas,
     make_field,
     riemanns,
 )
@@ -233,6 +232,45 @@ def test_b_section_brackets_stay_orthogonal_to_theta(conformal):
         assert abs(tp.x @ tp.point.g @ br[0]) < 1e-12
 
 
+@pytest.mark.parametrize("carrier", twistor.CARRIERS)
+@pytest.mark.parametrize("projection", twistor.PROJECTIONS)
+def test_tangent_set_brackets_equal_pair_brackets(generic, carrier, projection):
+    """Entry (a, b) of the brackets of each point's three (0,1) tangents
+    equals `frobenius_bracket` of that pair at that point bit for bit: a
+    bracket depends neither on the rest of its tangent set nor on the other
+    points of the record."""
+    tps = twistor_points(generic, MS[:3], XS[:3])
+    tangents = tps.tangents_01
+    brackets = twistor._brackets(generic, tps, tangents, carrier, projection)
+    pairs = list(itertools.combinations(range(3), 2))
+    assert brackets.shape == (3, len(pairs), 2, 7)
+    for n in range(3):
+        for (a, b), br in zip(pairs, brackets[n]):
+            pair = frobenius_bracket(generic, tps[n], tangents[n, a], tangents[n, b], carrier, projection)
+            assert np.array_equal(br, pair)
+
+
+def test_bracket_passes_hand_christoffels_distinct_rows(generic, monkeypatch):
+    """Each tangent of a set is differenced once, so no `christoffels` call of
+    the involutivity residuals (both `which`, both carriers) or of the Cartan
+    identity receives a row twice (rows compared by their bytes)."""
+    tps = twistor_points(generic, MS[:4], XS[:4])
+    seen = []
+
+    def spy(field, P):
+        seen.append(np.array(P))
+        return christoffels(field, P)
+
+    monkeypatch.setattr(twistor, "christoffels", spy)
+    for which in twistor.WHICH:
+        for carrier in twistor.CARRIERS:
+            involutivity_residuals(generic, tps, which, carrier)
+    cartan_identity_residual(generic, tps[0])
+    assert len(seen) == 2 * 2 * 2 + 2  # real and imaginary parts of each complex direction
+    for P in seen:
+        assert len({p.tobytes() for p in P}) == len(P)
+
+
 # ---------------------------------------------------------------------------
 # involutivity
 
@@ -304,8 +342,8 @@ def test_vertical_obstruction_flat_zero(flat):
 
 def test_vertical_obstructions_reuse_the_record_centres(generic, monkeypatch):
     """The curvature of the vertical obstruction differences the record's own
-    centre gamma and g: `christoffels` never sees the centre rows, and the
-    curvature equals the `levi_civitas` one bit for bit."""
+    centre gamma and g: `christoffels` never sees the centre rows, and row i
+    of the curvature equals the one-point `levi_civita` curvature bit for bit."""
     tps = twistor_points(generic, MS[:4], XS[:4])
     seen = []
 
@@ -317,7 +355,9 @@ def test_vertical_obstructions_reuse_the_record_centres(generic, monkeypatch):
     vertical_curvature_obstructions(generic, tps)
     assert seen and not any(P.shape == tps.m.shape and np.array_equal(P, tps.m) for P in seen)
     monkeypatch.undo()
-    assert np.array_equal(riemanns(generic, tps.m, tps.gamma, tps.g), levi_civitas(generic, tps.m)[1])
+    riemann = riemanns(generic, tps.m, tps.gamma, tps.g)
+    for i, m in enumerate(tps.m):
+        assert np.array_equal(riemann[i], levi_civita(generic, m).riemann)
 
 
 def test_vertical_obstruction_matches_bracket_route(conformal):
@@ -510,28 +550,29 @@ def test_cartan_identity_conformal_rate(conformal):
 
 
 def recording_kernels(monkeypatch, *names):
-    """Replace twistor kernels by wrappers that record the second argument
-    (the points or rows) of each call, per kernel name."""
+    """Replace twistor kernels by wrappers that record the arguments after
+    the field (the points or record first) of each call, per kernel name."""
     seen = {name: [] for name in names}
     for name in names:
         kernel = getattr(twistor, name)
 
-        def recording(field, rows, *args, kernel=kernel, name=name):
-            seen[name].append(rows)
-            return kernel(field, rows, *args)
+        def recording(field, *args, kernel=kernel, name=name):
+            seen[name].append(args)
+            return kernel(field, *args)
 
         monkeypatch.setattr(twistor, name, recording)
     return seen
 
 
 def test_cartan_identity_one_bracket_and_one_d_omega_pass(generic, monkeypatch):
-    """The three brackets come from one bracket-kernel pass, the nine
-    d Omega values (three pairs times three (X, Y)) from one `_d_omegas` pass."""
+    """The three brackets come from one bracket-kernel pass over the point's
+    tangent set of three, the nine d Omega values (three pairs times three
+    (X, Y)) from one `_d_omegas` pass."""
     tp = twistor_point(generic, MS[3], XS[3])
     seen = recording_kernels(monkeypatch, "_brackets", "_d_omegas")
     cartan_identity_residual(generic, tp)
-    assert [len(rows) for rows in seen["_brackets"]] == [3]
-    assert [len(rows) for rows in seen["_d_omegas"]] == [9]
+    assert [np.shape(args[1]) for args in seen["_brackets"]] == [(1, 3, 2, 7)]
+    assert [len(args[0]) for args in seen["_d_omegas"]] == [9]
 
 
 def test_xi_factorization_pushes_each_frame_vector_once(generic, monkeypatch):
@@ -540,9 +581,9 @@ def test_xi_factorization_pushes_each_frame_vector_once(generic, monkeypatch):
     tps = twistor_points(generic, MS[:2], XS[:2])
     seen = recording_kernels(monkeypatch, "_pushforward_to_form_bundle", "_d_omegas")
     xi_factorization_residual(generic, tps, max_combos=6)
-    pushed = np.array([tp.m for tp in seen["_pushforward_to_form_bundle"]])
+    pushed = np.array([args[0].m for args in seen["_pushforward_to_form_bundle"]])
     assert np.array_equal(pushed, np.repeat(tps.m, 7, axis=0))
-    assert [len(rows) for rows in seen["_d_omegas"]] == [6, 6]
+    assert [len(args[0]) for args in seen["_d_omegas"]] == [6, 6]
 
 
 def test_omega_pass_builds_no_dense_form_stack(generic, monkeypatch):
