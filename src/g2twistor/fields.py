@@ -242,6 +242,7 @@ def _distinct_rows(X, compute):
         if j == len(first):
             first.append(i)
         inverse.append(j)
+    first, inverse = np.array(first, dtype=np.intp), np.array(inverse, dtype=np.intp)
     out = compute(X[first])
     if isinstance(out, tuple):
         return tuple(stack[inverse] for stack in out)
@@ -384,23 +385,25 @@ class ConnectionSample:
 
 
 def christoffels(field, P):
-    """Christoffel symbols (N, 7, 7, 7) at the rows of P (N, 7), all in one
-    pass: one `metrics` call on both stencil sides and one at the centres."""
+    """Christoffel symbols (N, 7, 7, 7) and metrics (N, 7, 7) at the rows of P
+    (N, 7), from one `metrics` call on both stencil sides and the centres."""
     P = np.asarray(P, dtype=float)
+    centre = []
 
-    def metrics(Q):
-        return field.metrics(Q.reshape(-1, 7))[0].reshape(Q.shape + (7,))
+    def metrics(Q):  # the stencil rows, then the centres
+        g = field.metrics(np.concatenate([Q.reshape(-1, 7), P]))[0]
+        centre.append(g[len(g) - len(P) :])
+        return g[: len(g) - len(P)].reshape(Q.shape + (7,))
 
     dg = central_difference(metrics, (P[:, None],), (AXES,), field.h)  # dg[n, k] = d_k g
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     terms = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-    ginv = np.linalg.inv(field.metrics(P)[0])
-    return 0.5 * np.einsum("nkl,nijl->nkij", ginv, terms)
+    return 0.5 * np.einsum("nkl,nijl->nkij", np.linalg.inv(centre[0]), terms), centre[0]
 
 
 def christoffel(field, p):
     """Christoffel symbols Gamma[k, i, j] at p: the N = 1 view of `christoffels`."""
-    return christoffels(field, np.asarray(p, dtype=float)[None])[0]
+    return christoffels(field, np.asarray(p, dtype=float)[None])[0][0]
 
 
 def riemanns(field, P, gamma, g):
@@ -408,7 +411,7 @@ def riemanns(field, P, gamma, g):
     and metrics g: one `christoffels` call on both stencil sides of the axis neighbours."""
 
     def gammas(Q):
-        return christoffels(field, Q.reshape(-1, 7)).reshape(Q.shape[:-1] + (7, 7, 7))
+        return christoffels(field, Q.reshape(-1, 7))[0].reshape(Q.shape[:-1] + (7, 7, 7))
 
     dgamma = central_difference(gammas, (P[:, None],), (AXES,), field.h)  # dgamma[n, i] = d_i Gamma
     # R^k_{l i j} = d_i G^k_jl - d_j G^k_il + G^k_im G^m_jl - G^k_jm G^m_il
@@ -423,9 +426,10 @@ def riemanns(field, P, gamma, g):
 
 
 def levi_civita(field, p):
-    """Connection sample at p, its metric the centre metric of its own `riemanns` pass."""
+    """Connection sample at p: gamma and the metric from one `christoffels` pass
+    (stencil and centre metrics together), the curvature from `riemanns` on them."""
     P = np.asarray(p, dtype=float)[None]
-    gamma, g = christoffels(field, P), field.metrics(P)[0]
+    gamma, g = christoffels(field, P)
     return ConnectionSample(P[0], MetricTensor.trusted(g[0]), gamma[0], riemanns(field, P, gamma, g)[0])
 
 

@@ -126,7 +126,7 @@ def twistor_points(field, M, X):
         raise TwistorError("fiber vector must be nonzero")
     # the matrix products below see contiguous rows whatever the layout of the input
     X = np.ascontiguousarray(X / nrm[:, None])
-    gamma = christoffels(field, M)
+    gamma = christoffels(field, M)[0]
     frames = su3_structures(G, Ginv, R, S, X)
     # x, then w_1..w_6, C-ordered: a strided V changes the rounding of the lift einsum
     V = np.ascontiguousarray(np.concatenate([X[:, None], frames[0].transpose(0, 2, 1)], axis=1))
@@ -146,8 +146,9 @@ def twistor_point(field, m, x):
 def _extension_values(field, rows, tps, base0, vert0, P, Y, carrier, projection):
     """Values (R, k, 2, 7) at ambient points (P, Y), (R, 7) each, of the local
     fields extending the k vectors (base0, vert0), (R, k, 7) each, from the
-    twistor points tps[rows]: the geometry of a row (metric, Christoffel
-    symbols, cross products) is computed once and serves its k vectors.
+    twistor points tps[rows]: the geometry of a row (metric and Christoffel
+    symbols from one `christoffels` pass, which gives the stencil and centre
+    metrics together; cross products) is computed once and serves its k vectors.
 
     carrier:    base-component scheme before any projection --
                 'transport' keeps coordinate-constant base components,
@@ -157,8 +158,7 @@ def _extension_values(field, rows, tps, base0, vert0, P, Y, carrier, projection)
                 (pointwise projection onto an eigenspace of the CR structure),
                 which turn the carrier into a section of the distribution.
     """
-    g = field.metrics(P)[0]
-    gamma = christoffels(field, P)
+    gamma, g = christoffels(field, P)
     yg = Y[:, None] @ g  # (R, 1, 7)
     yy = yg @ Y[:, :, None]  # (R, 1, 1)
     if projection in ("cr01", "cr10"):

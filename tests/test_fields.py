@@ -206,20 +206,22 @@ def test_christoffels_rows_match_cold_christoffel(n):
     P = torus_points(n, 5)
     P[n - n // 4 :] = P[: n // 4]  # the last quarter repeats the first
     field = make_field("generic-perturbed", 16, epsilon=0.1)
-    G = christoffels(field, P)
-    assert G.shape == (n, 7, 7, 7)
+    G, g = christoffels(field, P)
+    assert G.shape == (n, 7, 7, 7) and g.shape == (n, 7, 7)
     for p, gamma in zip(P, G):
         cold = make_field("generic-perturbed", 16, epsilon=0.1)
         assert np.array_equal(gamma, christoffel(cold, p))
-    assert np.array_equal(christoffels(field, P[::-1]), G[::-1])
+    G_rev, g_rev = christoffels(field, P[::-1])
+    assert np.array_equal(G_rev, G[::-1]) and np.array_equal(g_rev, g[::-1])
 
 
 def test_plain_callable_generator_through_batched_stencils():
     field = make_field("generic-perturbed", 16, epsilon=0.1)
     plain = StructureField(generator=lambda p: field.rho(p), resolution=16)
     ms, xs = sphere_bundle_samples(2, 3)
-    assert np.array_equal(christoffels(plain, ms), christoffels(field, ms))
-    assert christoffels(plain, np.zeros((0, 7))).shape == (0, 7, 7, 7)
+    for got, want in zip(christoffels(plain, ms), christoffels(field, ms), strict=True):
+        assert np.array_equal(got, want)
+    assert [a.shape for a in christoffels(plain, np.zeros((0, 7)))] == [(0, 7, 7, 7), (0, 7, 7)]
     residuals = [
         involutivity_residual(f, twistor_point(f, ms[1], xs[1])) for f in (plain, field)
     ]
@@ -450,7 +452,7 @@ def test_calibration_matches_per_point_loop(resolution):
         ("torsion_residuals", []),
         ("fernandez_gray_residual", (0.0, 0.0)),
         ("riemanns", (0, 7, 7, 7, 7)),
-        ("christoffels", (0, 7, 7, 7)),
+        ("christoffels", [(0, 7, 7, 7), (0, 7, 7)]),
         ("su3_structures", [(0, 7, 6), (0, 6, 6), (0, 3, 6), (0, 15), (0, 20), (0, 20)]),
         ("f7_residuals", []),
         ("cr_holomorphicity_residuals", []),
@@ -458,8 +460,8 @@ def test_calibration_matches_per_point_loop(resolution):
 )
 def test_batches_accept_no_rows(flat, op, want):
     """A batch of no rows gives no rows (stacks of no rows: Christoffel
-    symbols of shape (0, 7, 7, 7), the curvature and SU(3) stacks), and the
-    Fernandez-Gray maxima start at zero."""
+    symbols of shape (0, 7, 7, 7) with metrics of shape (0, 7, 7), the
+    curvature and SU(3) stacks), and the Fernandez-Gray maxima start at zero."""
     none = np.zeros((0, 7))
     no_tps = twistor_points(flat, none, none)
     no_points = (np.zeros((0, 7, 7)), np.zeros((0, 7, 7)), np.zeros((0, 35)), np.zeros((0, 35)))
@@ -471,7 +473,7 @@ def test_batches_accept_no_rows(flat, op, want):
         "torsion_residuals": lambda: torsion_residuals(flat, []),
         "fernandez_gray_residual": lambda: fernandez_gray_residual(flat, []),
         "riemanns": lambda: riemanns(flat, none, np.zeros((0, 7, 7, 7)), np.zeros((0, 7, 7))).shape,
-        "christoffels": lambda: christoffels(flat, none).shape,
+        "christoffels": lambda: [a.shape for a in christoffels(flat, none)],
         "su3_structures": lambda: [s.shape for s in su3_structures(*no_points, none)],
         "f7_residuals": lambda: f7_residuals(
             np.zeros((0, 35)), *no_points[:2], np.zeros(0), np.zeros((0, 21, 1, 1))
@@ -553,9 +555,9 @@ def test_curvature_antisymmetries_exact(conformal, points):
 
 
 def test_levi_civita_metric_is_the_centre_metric_of_its_pass(monkeypatch):
-    """One `levi_civita` call makes five induced-metric passes, two per
-    `christoffels` pass (stencil sides, centres) and one for the centre
-    metrics, and its metric is that centre metric, not a fresh G2 point."""
+    """One `levi_civita` call makes two induced-metric passes, one per
+    `christoffels` pass (stencil sides and centres together), and its metric
+    is the centre metric of its own pass, not a fresh G2 point."""
     field = make_field("generic-perturbed", 16, epsilon=0.1)
     p = torus_points(1, 3)[0]
     calls = []
@@ -568,7 +570,7 @@ def test_levi_civita_metric_is_the_centre_metric_of_its_pass(monkeypatch):
     monkeypatch.setattr(fields_module, "induced_metrics", counted)
     monkeypatch.setattr(pointwise_module, "induced_metrics", counted)
     conn = levi_civita(field, p)
-    assert len(calls) == 5
+    assert len(calls) == 2
     monkeypatch.undo()
     assert np.array_equal(conn.metric.entries, field.metric(p).entries)
 
@@ -753,8 +755,9 @@ def test_rho_keyed_rows_match_no_reuse_oracles(family, eps, n):
     for got, want in zip(stacks, oracles.point_stacks_without_reuse(field, P), strict=True):
         assert got.shape[0] == n and np.array_equal(got, want)
 
-    want = oracles.christoffels_without_reuse(field, P, field.h)
-    assert np.array_equal(christoffels(field, P), want)
+    gamma, g = christoffels(field, P)
+    assert np.array_equal(gamma, oracles.christoffels_without_reuse(field, P, field.h))
+    assert np.array_equal(g, want_g)
     assert torsion_residuals(field, P) == oracles.torsion_residuals_without_reuse(field, P, field.h)
 
 

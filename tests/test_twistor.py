@@ -289,7 +289,7 @@ def test_flat_residuals_are_exact_zeros(n):
     field = make_field("flat", n)
     for seed in (0, 7, 14):
         ms, xs = sphere_bundle_samples(16, seed)
-        assert not christoffels(field, ms).any()
+        assert not christoffels(field, ms)[0].any()
         tps = twistor_points(field, ms, xs)
         for which in ("01", "10"):
             for carrier in ("transport", "parallel"):
@@ -358,6 +358,40 @@ def test_vertical_obstructions_reuse_the_record_centres(generic, monkeypatch):
     riemann = riemanns(generic, tps.m, tps.gamma, tps.g)
     for i, m in enumerate(tps.m):
         assert np.array_equal(riemann[i], levi_civita(generic, m).riemann)
+
+
+def test_one_twistor_block_makes_six_metric_passes(monkeypatch):
+    """A 12-sample block of the twistor scan makes six induced-metric passes
+    and six row keyings: the point stacks, one per `christoffels` call (the
+    centres, the two extension passes of the brackets, the curvature stencil)
+    and the Hodge duals of the Omega pass.  The metrics `christoffels`
+    returns are the `metrics` of its rows bit for bit."""
+    field = make_field("generic-perturbed", 16, epsilon=0.1)
+    ms, xs = sphere_bundle_samples(12, 5)
+    counts = {"induced_metrics": 0, "_distinct_rows": 0}
+    for module, name in (
+        (fields, "induced_metrics"),
+        (pointwise, "induced_metrics"),
+        (fields, "_distinct_rows"),
+        (twistor, "_distinct_rows"),
+    ):
+
+        def counted(*args, f=getattr(module, name), name=name):
+            counts[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    tps = twistor_points(field, ms, xs)
+    involutivity_residuals(field, tps)
+    vertical_curvature_obstructions(field, tps)
+    omega_closure_residuals(field, tps, range(5, 17), max_combos=5)
+    assert counts == {"induced_metrics": 6, "_distinct_rows": 6}
+    monkeypatch.undo()
+    for frequency in ((1, 0, 0, 0, 0, 0, 0), (1, 2, 3, 4, 5, 6, 7)):
+        field = make_field("generic-perturbed", 16, epsilon=0.1, frequency=frequency)
+        for n in (0, 1, BLOCK + 1):
+            P = np.random.default_rng(n).random((n, 7))
+            assert np.array_equal(christoffels(field, P)[1], field.metrics(P)[0])
 
 
 def test_vertical_obstruction_matches_bracket_route(conformal):
