@@ -10,7 +10,9 @@ to the generic-perturbed field at epsilon 0.1: only there do per-row
 metrics reach its residuals.  Of each run it compares the body of
 samples.csv (all but its timestamp line) and the [results] section of
 summary.txt byte for byte, prints one line per run, and names every file
-that differs.
+that differs.  Under the line of a run whose reports differ it says how far
+they moved: each moved column of samples.csv with its largest relative
+change, and each changed line of summary.txt as old -> new.
 
     python3 scripts/compare_outputs.py --parent HEAD~1 --change HEAD
 
@@ -21,6 +23,7 @@ identical, 1 when some differ, and stops with one line when a run fails.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
 import subprocess
@@ -104,6 +107,48 @@ def differing_files(parent_run, change_run):
     return [name for name in REPORTS if compared_part(parent_run / name) != compared_part(change_run / name)]
 
 
+def relative_change(old, new):
+    """|new - old| / |old| of two CSV fields; 0 for equal text, inf when old
+    is 0 or either field is not a number."""
+    if old == new:
+        return 0.0
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return float("inf")
+    return abs(b - a) / abs(a) if a else float("inf")
+
+
+def moved_columns(old, new):
+    """Lines naming each column of two samples.csv bodies (header, then rows)
+    that moved, with its largest relative change and the rows it moved in."""
+    old_header, *old_rows = old.decode().splitlines() or [""]
+    new_header, *new_rows = new.decode().splitlines() or [""]
+    if old_header != new_header or len(old_rows) != len(new_rows):
+        return [f"header or row count differs: {len(old_rows)} -> {len(new_rows)} rows"]
+    moved = {}
+    for a, b in zip(old_rows, new_rows):
+        for column, x, y in zip(old_header.split(","), a.split(","), b.split(",")):
+            if x != y:
+                worst, count = moved.get(column, (0.0, 0))
+                moved[column] = (max(worst, relative_change(x, y)), count + 1)
+    return [f"{c}: largest relative change {r:.2e}, in {k} of {len(old_rows)} rows" for c, (r, k) in moved.items()]
+
+
+def changed_lines(old, new):
+    """Each differing line of two summary.txt [results] sections as 'old -> new'."""
+    pairs = itertools.zip_longest(old.decode().splitlines(), new.decode().splitlines(), fillvalue="(none)")
+    return [f"{a} -> {b}" for a, b in pairs if a != b]
+
+
+def movements(parent_run, change_run, name):
+    """How far report `name` moved between two run directories, one line per item."""
+    old, new = compared_part(parent_run / name), compared_part(change_run / name)
+    if old is None or new is None:
+        return ["missing in the " + ("parent" if old is None else "change") + " run"]
+    return moved_columns(old, new) if name == "samples.csv" else changed_lines(old, new)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -124,6 +169,9 @@ def main(argv=None):
                 run(trees[side], stem, settings, seed, root / "out" / side / label)
             names = differing_files(root / "out" / "parent" / label, root / "out" / "change" / label)
             print(f"{label}: " + (" and ".join(names) + " differ" if names else "identical"), flush=True)
+            for name in names:
+                for line in movements(root / "out" / "parent" / label, root / "out" / "change" / label, name):
+                    print(f"  {name} {line}", flush=True)
             differing += [f"{label}/{name}" for name in names]
             total += len(REPORTS)
     if differing:

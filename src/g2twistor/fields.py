@@ -396,9 +396,10 @@ def christoffels(field, P):
         return g[: len(g) - len(P)].reshape(Q.shape + (7,))
 
     dg = central_difference(metrics, (P[:, None],), (AXES,), field.h)  # dg[n, k] = d_k g
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
+    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij): g^-1 times the (l, ij) view, halved in place
     terms = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-    return 0.5 * np.einsum("nkl,nijl->nkij", np.linalg.inv(centre[0]), terms), centre[0]
+    gamma = 0.5 * (np.linalg.inv(centre[0]) @ terms.reshape(-1, 49, 7).transpose(0, 2, 1))
+    return gamma.reshape(-1, 7, 7, 7), centre[0]
 
 
 def christoffel(field, p):

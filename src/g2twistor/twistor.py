@@ -49,8 +49,9 @@ def _check_option(name, value, allowed):
 
 
 def _hor_fibers(gamma, y, b):
-    """Fiber components of the horizontal lifts of base vectors b at fibers y, row by row."""
-    return -np.einsum("nkij,ni,nj->nk", gamma, b, y)
+    """Fiber components -Gamma(b, y) of the horizontal lifts of base vectors b at fibers y, (R, 7)
+    each: Gamma y by one product per row, then times b.  The one Gamma(b, y) contraction."""
+    return -((gamma.reshape(-1, 49, 7) @ y[:, :, None]).reshape(-1, 7, 7) @ b[:, :, None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +129,10 @@ def twistor_points(field, M, X):
     X = np.ascontiguousarray(X / nrm[:, None])
     gamma = christoffels(field, M)[0]
     frames = su3_structures(G, Ginv, R, S, X)
-    # x, then w_1..w_6, C-ordered: a strided V changes the rounding of the lift einsum
+    # x, then w_1..w_6, C-ordered, each lifted on its own row: every vertical part is an exact zero
     V = np.ascontiguousarray(np.concatenate([X[:, None], frames[0].transpose(0, 2, 1)], axis=1))
-    lifts = np.stack([V, -np.einsum("nkij,nai,nj->nak", gamma, V, X)], axis=2)
+    rep = np.repeat(np.arange(len(M)), 7)
+    lifts = np.stack([V, _hor_fibers(gamma[rep], X[rep], V.reshape(-1, 7)).reshape(V.shape)], 2)
     return TwistorPoints(np.ascontiguousarray(M), R, G, Ginv, vol, gamma, *frames[1:3], lifts)
 
 
@@ -146,9 +148,9 @@ def twistor_point(field, m, x):
 def _extension_values(field, rows, tps, base0, vert0, P, Y, carrier, projection):
     """Values (R, k, 2, 7) at ambient points (P, Y), (R, 7) each, of the local
     fields extending the k vectors (base0, vert0), (R, k, 7) each, from the
-    twistor points tps[rows]: the geometry of a row (metric and Christoffel
-    symbols from one `christoffels` pass, which gives the stencil and centre
-    metrics together; cross products) is computed once and serves its k vectors.
+    twistor points tps[rows]: the geometry of a row (metric and Christoffel symbols
+    from one `christoffels` pass over the stencil and centre metrics; the matrix of
+    xhat x . from rho(xhat, ., .) and g^-1) is computed once for its k vectors.
 
     carrier:    base-component scheme before any projection --
                 'transport' keeps coordinate-constant base components,
@@ -163,18 +165,19 @@ def _extension_values(field, rows, tps, base0, vert0, P, Y, carrier, projection)
     yy = yg @ Y[:, :, None]  # (R, 1, 1)
     if projection in ("cr01", "cr10"):
         xhat = Y / np.sqrt(yy[:, 0])
-        # cross[n, i, j, k] = k-th component of e_i x e_j at P[n]
-        cross = np.einsum("nijm,nkm->nijk", dense_stack(field.rho_coeffs(P), 7, 3), np.linalg.inv(g))
+        # cross[n, k, j] = k-th component of xhat x e_j at P[n]: rho(xhat, e_j, .) raised with g^-1
+        omega = dense_stack(contract_stack(field.rho_coeffs(P), xhat, 7, 3), 7, 2)
+        cross = np.linalg.inv(g) @ omega.transpose(0, 2, 1)
     values = []
     for b, vert in zip(base0.swapaxes(0, 1), vert0.swapaxes(0, 1)):
         # one contiguous (R, 7) stack per vector, as a one-vector call holds it
         b, vert = np.ascontiguousarray(b), np.ascontiguousarray(vert)
         if carrier == "parallel":
-            b = b - np.einsum("nkij,ni,nj->nk", tps.gamma[rows], P - tps.m[rows], b)
+            b = b + _hor_fibers(tps.gamma[rows], b, P - tps.m[rows])
         if projection != "none":
             b = b - ((yg @ b[:, :, None]) / yy)[:, 0] * Y
             if projection in ("cr01", "cr10"):
-                Ib = np.einsum("nijk,ni,nj->nk", cross, xhat, b)
+                Ib = (cross @ b[:, :, None])[..., 0]
                 b = 0.5 * (b + 1j * Ib) if projection == "cr01" else 0.5 * (b - 1j * Ib)
         vt = vert - ((yg @ vert[:, :, None]) / yy)[:, 0] * Y
         values.append(np.stack([b, _hor_fibers(gamma, Y, b) + vt], axis=1))
@@ -271,11 +274,12 @@ def vertical_curvature_obstructions(field, tps, curvature=None):
         return []
     if curvature is None:
         curvature = riemanns(field, tps.m, tps.gamma, tps.g)
-    riemann = np.broadcast_to(curvature, (len(tps), 7, 7, 7, 7))
-    wbar = tps.wbar
     rep = np.repeat(np.arange(len(tps)), 3)  # one row per pair
-    wi, wj = wbar[:, _PAIR_I].reshape(-1, 7), wbar[:, _PAIR_J].reshape(-1, 7)
-    low = np.einsum("nijkl,ni,nj,nl->nk", riemann[rep], wi, wj, tps.x[rep])
+    # R(., ., ., x) once per point, then its (i, j) rows against wbar_i (x) wbar_j of each pair
+    Rx = np.broadcast_to(curvature, (len(tps), 7, 7, 7, 7)).reshape(-1, 343, 7) @ tps.x[:, :, None]
+    wbar = tps.wbar
+    ww = (wbar[:, _PAIR_I, :, None] * wbar[:, _PAIR_J, None, :]).reshape(-1, 3, 49)
+    low = (ww @ Rx.reshape(-1, 49, 7)).reshape(-1, 7)
     v = tps.ginv[rep] @ low[:, :, None]  # (3N, 7, 1)
     g = tps.g[rep]
     norms = np.sqrt(np.maximum(np.real(np.conj(v).transpose(0, 2, 1) @ g @ v)[:, 0, 0], 0.0))

@@ -11,7 +11,7 @@ from math import comb
 
 import numpy as np
 
-from g2twistor.fields import AXES, _d_from_partials, central_difference
+from g2twistor.fields import AXES, _d_from_partials, central_difference, christoffels
 from g2twistor.forms import (
     KForm,
     _contract_table,
@@ -215,17 +215,23 @@ def point_stacks_without_reuse(field, P):
     return (R, *structure_stacks(R))
 
 
-def christoffels_without_reuse(field, P, h):
-    """Christoffel symbols (N, 7, 7, 7) at the rows of P, every stencil row
-    through its own induced-metric row."""
+def christoffel_terms_without_reuse(field, P, h):
+    """(g^-1, terms) at the rows of P, terms[n, i, j, l] = d_i g_jl + d_j g_il
+    - d_l g_ij, every stencil row through its own induced-metric row."""
 
     def metrics(Q):
         return metrics_without_reuse(field, Q.reshape(-1, 7))[0].reshape(Q.shape + (7,))
 
     dg = central_difference(metrics, (P[:, None],), (AXES,), h)
     terms = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-    ginv = np.linalg.inv(metrics_without_reuse(field, P)[0])
-    return 0.5 * np.einsum("nkl,nijl->nkij", ginv, terms)
+    return np.linalg.inv(metrics_without_reuse(field, P)[0]), terms
+
+
+def christoffels_without_reuse(field, P, h):
+    """Christoffel symbols (N, 7, 7, 7) at the rows of P, every stencil row
+    through its own induced-metric row, raised by the kernel's product."""
+    ginv, terms = christoffel_terms_without_reuse(field, P, h)
+    return 0.5 * (ginv @ terms.reshape(-1, 49, 7).transpose(0, 2, 1)).reshape(-1, 7, 7, 7)
 
 
 def torsion_residuals_without_reuse(field, P, h):
@@ -285,3 +291,68 @@ def d_from_partials_add_at(partials, degree):
     out = np.zeros((len(partials), comb(7, degree + 1)))
     np.add.at(out, (slice(None), io), sg * partials[:, ia, ib])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the twistor contractions as single einsums (the kernels contract the vector
+# operands first, in stacked matrix products)
+
+
+def hor_fibers_einsum(gamma, y, b):
+    """-Gamma(b, y) row by row: the fiber components of the horizontal lifts of
+    the base vectors b at the fibers y."""
+    return -np.einsum("nkij,ni,nj->nk", gamma, b, y)
+
+
+def lifts_einsum(gamma, V, X):
+    """-Gamma(v_a, x) for the vectors V (N, a, 7) of each point at its fiber X (N, 7)."""
+    return -np.einsum("nkij,nai,nj->nak", gamma, V, X)
+
+
+def christoffels_einsum(ginv, terms):
+    """1/2 g^{kl} terms[i, j, l] row by row: the Christoffel symbols from their terms."""
+    return 0.5 * np.einsum("nkl,nijl->nkij", ginv, terms)
+
+
+def cross_products_einsum(R, ginv, xhat, b):
+    """xhat x b row by row, through the dense (N, 7, 7, 7) stack of the 3-forms R
+    raised with g^-1."""
+    cross = np.einsum("nijm,nkm->nijk", dense_stack(R, 7, 3), ginv)
+    return np.einsum("nijk,ni,nj->nk", cross, xhat, b)
+
+
+def curvature_vectors_einsum(riemann, wi, wj, x):
+    """The lowered R(wi, wj) x row by row, over one curvature row per vector triple."""
+    return np.einsum("nijkl,ni,nj,nl->nk", riemann, wi, wj, x)
+
+
+def extension_values_einsum(field, rows, tps, base0, vert0, P, Y, carrier, projection):
+    """`twistor._extension_values` with its Gamma(b, y) and cross-product
+    contractions taken by the einsums above."""
+    gamma, g = christoffels(field, P)
+    yg = Y[:, None] @ g
+    yy = yg @ Y[:, :, None]
+    xhat = Y / np.sqrt(yy[:, 0])
+    values = []
+    for b, vert in zip(base0.swapaxes(0, 1), vert0.swapaxes(0, 1)):
+        if carrier == "parallel":
+            b = b + hor_fibers_einsum(tps.gamma[rows], b, P - tps.m[rows])
+        if projection != "none":
+            b = b - ((yg @ b[:, :, None]) / yy)[:, 0] * Y
+            if projection in ("cr01", "cr10"):
+                Ib = cross_products_einsum(field.rho_coeffs(P), np.linalg.inv(g), xhat, b)
+                b = 0.5 * (b + 1j * Ib) if projection == "cr01" else 0.5 * (b - 1j * Ib)
+        vt = vert - ((yg @ vert[:, :, None]) / yy)[:, 0] * Y
+        values.append(np.stack([b, hor_fibers_einsum(gamma, Y, b) + vt], axis=1))
+    return np.stack(values, axis=1)
+
+
+def vertical_curvature_obstructions_einsum(tps, riemann):
+    """Per point of the record tps, the max over (0,1)-pairs of |R(wbar_i, wbar_j) x|_g
+    from the lowered curvature riemann (N, 7, 7, 7, 7), gathered once per pair."""
+    rep = np.repeat(np.arange(len(tps)), 3)
+    wbar = tps.wbar
+    wi, wj = wbar[:, [0, 0, 1]].reshape(-1, 7), wbar[:, [1, 2, 2]].reshape(-1, 7)
+    v = tps.ginv[rep] @ curvature_vectors_einsum(riemann[rep], wi, wj, tps.x[rep])[:, :, None]
+    norms = np.sqrt(np.maximum(np.real(np.conj(v).transpose(0, 2, 1) @ tps.g[rep] @ v)[:, 0, 0], 0.0))
+    return norms.reshape(-1, 3).max(axis=1, initial=0.0)

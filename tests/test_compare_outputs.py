@@ -87,3 +87,40 @@ def test_every_config_runs_at_three_seeds_and_two_off_axis():
 def test_only_a_verdict_mismatch_counts_as_a_run(returncode, stderr, want):
     """An uncaught error also exits 1; only the verdict-mismatch exit is a run whose reports compare."""
     assert compare_outputs.failed(returncode, stderr) is want
+
+
+def test_moved_columns_give_their_largest_relative_change(tmp_path):
+    samples = "a,b,c\n1.0,2.0,x\n4.0,0.0,y\n"
+    moved = "a,b,c\n1.0,2.0000000000000004,x\n4.000000000000001,1e-300,y\n"
+    write_run(tmp_path / "parent", "2026-01-01T00:00:00", samples=samples)
+    write_run(tmp_path / "change", "2026-01-02T00:00:00", samples=moved)
+    lines = compare_outputs.movements(tmp_path / "parent", tmp_path / "change", "samples.csv")
+    assert lines == [
+        "b: largest relative change inf, in 2 of 2 rows",
+        "a: largest relative change 2.22e-16, in 1 of 2 rows",
+    ]
+
+
+def test_a_changed_row_count_or_header_is_reported(tmp_path):
+    write_run(tmp_path / "parent", "2026-01-01T00:00:00")
+    write_run(tmp_path / "change", "2026-01-01T00:00:00", samples=SAMPLES + "2,0.5\n")
+    lines = compare_outputs.movements(tmp_path / "parent", tmp_path / "change", "samples.csv")
+    assert lines == ["header or row count differs: 2 -> 3 rows"]
+
+
+def test_changed_summary_lines_read_old_to_new(tmp_path):
+    results = RESULTS.replace("0.25", "0.25000000000000006") + "noise_floor: 1e-14\n"
+    write_run(tmp_path / "parent", "2026-01-01T00:00:00")
+    write_run(tmp_path / "change", "2026-01-01T00:00:00", config="seed: 0\nworkers: 2\n", results=results)
+    assert compare_outputs.movements(tmp_path / "parent", tmp_path / "change", "summary.txt") == [
+        "max_residual: 0.25 -> max_residual: 0.25000000000000006",
+        "(none) -> noise_floor: 1e-14",
+    ]
+
+
+def test_a_missing_report_is_named_with_its_side(tmp_path):
+    write_run(tmp_path / "parent", "2026-01-01T00:00:00")
+    write_run(tmp_path / "change", "2026-01-01T00:00:00")
+    (tmp_path / "parent" / "samples.csv").unlink()
+    lines = compare_outputs.movements(tmp_path / "parent", tmp_path / "change", "samples.csv")
+    assert lines == ["missing in the parent run"]

@@ -427,6 +427,117 @@ def test_vertical_obstruction_synthetic_seven_block(flat):
 
 
 # ---------------------------------------------------------------------------
+# the stacked products of the twistor scan
+
+PRODUCT_FAMILIES = [("generic-perturbed", 0.1), ("closed-perturbed", 0.05), ("conformal", 0.05)]
+FREQUENCIES = {"e1": (1, 0, 0, 0, 0, 0, 0), "f1234567": (1, 2, 3, 4, 5, 6, 7)}
+
+
+@pytest.mark.parametrize("n", [1, BLOCK + 1])
+@pytest.mark.parametrize("frequency", FREQUENCIES.values(), ids=FREQUENCIES.keys())
+@pytest.mark.parametrize("family, eps", PRODUCT_FAMILIES)
+def test_lift_vertical_parts_are_exact_zeros(family, eps, frequency, n):
+    """The fiber row of each of the seven lifts of a point is `_hor_fibers` of
+    its base row at the point's x, over the repeated rows of the record, bit
+    for bit: the vertical part of every horizontal lift is an exact zero."""
+    field = make_field(family, 16, epsilon=eps, frequency=frequency)
+    ms, xs = sphere_bundle_samples(n, 9)
+    tps = twistor_points(field, ms, xs)
+    rep = np.repeat(np.arange(n), 7)
+    lifts = tps.lifts.reshape(-1, 2, 7)
+    vert = lifts[:, 1] - twistor._hor_fibers(tps.gamma[rep], tps.x[rep], lifts[:, 0])
+    assert np.all(vert == 0.0)
+
+
+def _norm(A, axis):
+    """Euclidean norms of A over the axes `axis`, complex entries by their moduli."""
+    return np.sqrt(np.sum(np.abs(A) ** 2, axis=axis))
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK + 1])
+@pytest.mark.parametrize("family, eps", PRODUCT_FAMILIES)
+def test_stacked_products_match_their_einsums(family, eps, n, monkeypatch):
+    """Each stacked product of a twistor block agrees with the einsum it
+    replaced (tests/oracles.py) within 1e-14 of a row scale, the product of
+    the norms that bound its terms:
+    - every `_hor_fibers` call, the lifts and the parallel carrier included:
+      |Gamma| |b| |y|;
+    - the horizontal lifts of the record: |Gamma| |v| |x|;
+    - every `christoffels` call: |g^-1| |terms| / 2;
+    - every extension pass of the brackets of both CR types and both
+      carriers: (|b| (1 + |Gamma_m| |P - m|) + |vert|) (1 + |g| |g^-1|)
+      (1 + |rho| |g^-1| |xhat|) (1 + |Gamma_P| |Y|) per row and vector;
+    - the vertical curvature obstructions, from the Levi-Civita curvature
+      and from a `curvature=` override: |R| |x| |wbar_i| |wbar_j| |g^-1| |g|^1/2."""
+    seen = {"_hor_fibers": [], "_extension_values": [], "christoffels": []}
+    originals = {name: getattr(twistor, name) for name in seen}
+    for name in seen:
+
+        def recording(*args, name=name):
+            seen[name].append(args)
+            return originals[name](*args)
+
+        monkeypatch.setattr(twistor, name, recording)
+        if name == "christoffels":
+            monkeypatch.setattr(fields, name, recording)
+    field = make_field(family, 16, epsilon=eps, frequency=(1, 2, 0, 1, 0, 0, -1))
+    ms, xs = sphere_bundle_samples(n, 13)
+    tps = twistor_points(field, ms, xs)
+    for which, carrier in itertools.product(twistor.WHICH, twistor.CARRIERS):
+        involutivity_residuals(field, tps, which, carrier)
+    riemann = riemanns(field, tps.m, tps.gamma, tps.g)
+    synthetic = np.random.default_rng(n).standard_normal((7, 7, 7, 7))
+    synthetic = synthetic - synthetic.transpose(1, 0, 2, 3)
+    synthetic = synthetic - synthetic.transpose(0, 1, 3, 2)
+    vertical = [(None, riemann), (synthetic, np.broadcast_to(synthetic, riemann.shape))]
+    monkeypatch.undo()
+    assert n == 0 or all(seen.values())
+    assert {args[-1] for args in seen["_extension_values"]} == ({"cr01", "cr10"} if n else set())
+    assert {args[-2] for args in seen["_extension_values"]} == (set(twistor.CARRIERS) if n else set())
+
+    for gamma, y, b in seen["_hor_fibers"]:
+        got, want = twistor._hor_fibers(gamma, y, b), oracles.hor_fibers_einsum(gamma, y, b)
+        scale = _norm(gamma, (1, 2, 3)) * _norm(y, 1) * _norm(b, 1)
+        assert np.all(np.abs(got - want).max(axis=1, initial=0.0) <= 1e-14 * scale)
+
+    V = tps.lifts[:, :, 0]
+    want = oracles.lifts_einsum(tps.gamma, V, tps.x)
+    scale = (_norm(tps.gamma, (1, 2, 3)) * _norm(tps.x, 1))[:, None] * _norm(V, 2)
+    assert np.all(np.abs(tps.lifts[:, :, 1] - want).max(axis=2, initial=0.0) <= 1e-14 * scale)
+
+    for _, P in seen["christoffels"]:
+        ginv, terms = oracles.christoffel_terms_without_reuse(field, P, field.h)
+        got, want = christoffels(field, P)[0], oracles.christoffels_einsum(ginv, terms)
+        scale = 0.5 * _norm(ginv, (1, 2)) * _norm(terms, (1, 2, 3))
+        assert np.all(np.abs(got - want).max(axis=(1, 2, 3), initial=0.0) <= 1e-14 * scale)
+
+    for args in seen["_extension_values"]:
+        _, rows, record, base0, vert0, P, Y, _, _ = args
+        got, want = twistor._extension_values(*args), oracles.extension_values_einsum(*args)
+        gamma, g = christoffels(field, P)
+        ginv = np.linalg.inv(g)
+        xhat = Y / np.sqrt((Y[:, None] @ g @ Y[:, :, None])[:, 0, 0])[:, None]
+        rho = np.sqrt(6.0) * _norm(field.rho_coeffs(P), 1)  # the norm of the dense 3-form
+        carried = 1.0 + _norm(record.gamma[rows], (1, 2, 3)) * _norm(P - record.m[rows], 1)
+        row = (
+            (1.0 + _norm(g, (1, 2)) * _norm(ginv, (1, 2)))
+            * (1.0 + rho * _norm(ginv, (1, 2)) * _norm(xhat, 1))
+            * (1.0 + _norm(gamma, (1, 2, 3)) * _norm(Y, 1))
+        )
+        scale = (_norm(base0, 2) * carried[:, None] + _norm(vert0, 2)) * row[:, None]
+        assert np.all(np.abs(got - want).max(axis=(2, 3)) <= 1e-14 * scale)
+
+    for curvature, R in vertical:
+        got = vertical_curvature_obstructions(field, tps, curvature)
+        want = oracles.vertical_curvature_obstructions_einsum(tps, R)
+        wbar = _norm(tps.wbar, 2)
+        pairs = np.max(wbar[:, [0, 0, 1]] * wbar[:, [1, 2, 2]], axis=1, initial=0.0)
+        scale = _norm(R, (1, 2, 3, 4)) * _norm(tps.x, 1) * pairs * _norm(tps.ginv, (1, 2))
+        scale = scale * np.sqrt(_norm(tps.g, (1, 2)))
+        assert len(got) == n and np.all(np.abs(np.array(got) - want) <= 1e-14 * scale)
+
+
+# ---------------------------------------------------------------------------
 # tautological forms
 
 
