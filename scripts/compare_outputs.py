@@ -7,7 +7,9 @@ and instanton also at frequency (1, 2, 3, 4, 5, 6, 7), where no row of a
 stencil side repeats a 3-form.  The shipped instanton config runs the flat
 field, whose rows all share one 3-form, so its frequency runs also switch
 to the generic-perturbed field at epsilon 0.1: only there do per-row
-metrics reach its residuals.  Of each run it compares the body of
+metrics reach its residuals.  twistor-perturbed also runs the conformal
+field at epsilon 0.05, which no shipped config runs, so every generator
+family reaches a compared output.  Of each run it compares the body of
 samples.csv (all but its timestamp line) and the [results] section of
 summary.txt byte for byte, prints one line per run, and names every file
 that differs.  Under the line of a run whose reports differ it says how far
@@ -41,6 +43,7 @@ VARIANTS = (
     ("f1234567", "twistor-perturbed", OFF_AXIS),
     ("f1234567", "integrability", OFF_AXIS),
     ("generic-f1234567", "instanton", {"generator": "generic-perturbed", "epsilon": "0.1", **OFF_AXIS}),
+    ("conformal", "twistor-perturbed", {"generator": "conformal", "epsilon": "0.05"}),
 )
 REPORTS = ("samples.csv", "summary.txt")
 

@@ -283,13 +283,9 @@ def run_pointwise(cfg):
 def run_integrability(cfg):
     field = flds.make_field(cfg.generator, cfg.resolution, cfg.epsilon, cfg.frequency)
     points = torus_points(cfg.samples, cfg.seed)
-    tau = flds.calibrate_integrability(cfg.resolution)
-
-    results = [r for b in tw.blocks(cfg.samples) for r in flds.torsion_residuals(field, points[b])]
+    integrable, d_max, s_max, tau, results = flds.integrability_verdict(field, points)
     rows = [tuple(p) + r for p, r in zip(points, results)]
-    d_max = max(r[0] for r in results)
-    s_max = max(r[1] for r in results)
-    verdict = "holonomy-g2" if (d_max <= tau and s_max <= tau) else "not-holonomy-g2"
+    verdict = "holonomy-g2" if integrable else "not-holonomy-g2"
     summary = {
         "max_d_rho": d_max,
         "max_d_star_rho": s_max,

@@ -16,7 +16,7 @@ from numbers import Integral
 import numpy as np
 
 from .forms import KForm, MetricTensor, _sum_terms, _wedge1_groups, wedge
-from .pointwise import G2Point, RHO_STD_TERMS, induced_metrics, rho_star_coeffs, structure_stacks
+from .pointwise import G2Point, RHO_STD_TERMS, induced_metrics, structure_stacks
 
 AXES = np.eye(7)
 
@@ -24,31 +24,26 @@ AXES = np.eye(7)
 # ---------------------------------------------------------------------------
 # generator families
 #
-# Each family computes its coefficients for stacked points, (..., 7) ->
-# (..., 35); calling a generator at one point wraps the same formula in a
-# KForm.  The constant forms are built once, on first use.
+# Every generator is a plane wave: rho(p) = profile(2 pi f.p) for its
+# frequency f (the flat structure is the zero-frequency wave).  `coeffs`
+# maps stacked points (..., 7) to coefficients (..., 35); calling a
+# generator at one point wraps the same formula in a KForm.
 
 
-def _frozen(form):
+def _constant(form):
     form.coeffs.setflags(write=False)
     return form.coeffs
 
 
-@lru_cache(maxsize=None)
-def _rho_std():
-    return _frozen(KForm.from_terms(7, RHO_STD_TERMS))
-
-
-@lru_cache(maxsize=None)
-def _kappa3():
-    return _frozen(KForm.from_terms(7, {(1, 3, 5): 1.0, (2, 4, 6): 1.0}))
+RHO_STD = _constant(KForm.from_terms(7, RHO_STD_TERMS))
+KAPPA3 = _constant(KForm.from_terms(7, {(1, 3, 5): 1.0, (2, 4, 6): 1.0}))
 
 
 @lru_cache(maxsize=None)
 def _closed_direction(frequency):
     """sum_i f_i e^i ^ kappa for kappa = e^13 + e^25 (0-based)."""
     kappa = KForm.from_terms(7, {(1, 3): 1.0, (2, 5): 1.0})
-    return _frozen(wedge(KForm(7, 1, frequency), kappa))
+    return _constant(wedge(KForm(7, 1, frequency), kappa))
 
 
 def _phase(frequency, P):
@@ -58,16 +53,21 @@ def _phase(frequency, P):
 
 
 class _Generator:
+    frequency = (0,) * 7
+
     def __call__(self, p):
         return KForm(7, 3, self.coeffs(np.asarray(p, dtype=float)))
+
+    def coeffs(self, P):
+        return self.profile(_phase(self.frequency, P))
 
 
 @dataclass(frozen=True)
 class FlatGenerator(_Generator):
     """Constant canonical structure."""
 
-    def coeffs(self, P):
-        return np.zeros(np.shape(P)[:-1] + (35,)) + _rho_std()
+    def profile(self, theta):
+        return np.zeros(np.shape(theta) + (35,)) + RHO_STD
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,9 @@ class ClosedPerturbedGenerator(_Generator):
     epsilon: float
     frequency: tuple = (1, 0, 0, 0, 0, 0, 0)
 
-    def coeffs(self, P):
-        f = np.asarray(self.frequency, dtype=float)
-        scale = -self.epsilon * np.sin(_phase(f, P)) / max(np.linalg.norm(f), 1e-12)
-        return _rho_std() + scale[..., None] * _closed_direction(tuple(self.frequency))
+    def profile(self, theta):
+        scale = -self.epsilon * np.sin(theta) / max(np.linalg.norm(self.frequency), 1e-12)
+        return RHO_STD + scale[..., None] * _closed_direction(tuple(self.frequency))
 
 
 @dataclass(frozen=True)
@@ -94,9 +93,8 @@ class GenericPerturbedGenerator(_Generator):
     epsilon: float
     frequency: tuple = (1, 0, 0, 0, 0, 0, 0)
 
-    def coeffs(self, P):
-        c = self.epsilon * np.sin(_phase(self.frequency, P))
-        return _rho_std() + c[..., None] * _kappa3()
+    def profile(self, theta):
+        return RHO_STD + (self.epsilon * np.sin(theta))[..., None] * KAPPA3
 
 
 @dataclass(frozen=True)
@@ -118,11 +116,11 @@ class ConformalGenerator(_Generator):
         fr = np.asarray(self.frequency, dtype=float)
         return 2.0 * np.pi * self.amplitude * np.cos(_phase(fr, p)) * fr
 
-    def coeffs(self, P):
+    def profile(self, theta):
         # a huge amplitude overflows exp; induced_metrics reports the
         # non-finite coefficients as a degenerate form
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(3.0 * self._f(P))[..., None] * _rho_std()
+            return np.exp(3.0 * (self.amplitude * np.sin(theta)))[..., None] * RHO_STD
 
     def exact_metric(self, p):
         return np.exp(2.0 * self._f(p)) * np.eye(7)
@@ -139,7 +137,7 @@ class ConformalGenerator(_Generator):
 
     def exact_drho(self, p):
         scale = float(np.exp(3.0 * self._f(p)))
-        return wedge(KForm(7, 1, 3.0 * scale * self._df(p)), KForm(7, 3, _rho_std()))
+        return wedge(KForm(7, 1, 3.0 * scale * self._df(p)), KForm(7, 3, RHO_STD))
 
 
 GENERATORS = {
@@ -188,16 +186,8 @@ class StructureField:
         return self.generator(np.asarray(p, dtype=float))
 
     def rho_coeffs(self, P):
-        """3-form coefficients (N, 35) at stacked points P (N, 7).
-
-        Uses the generator's own stacked formula when it has one; any other
-        callable p -> KForm is evaluated point by point.
-        """
-        P = np.asarray(P, dtype=float)
-        coeffs = getattr(self.generator, "coeffs", None)
-        if coeffs is not None:
-            return coeffs(P)
-        return np.array([self.generator(q).coeffs for q in P]).reshape(-1, 35)
+        """3-form coefficients (N, 35) at stacked points P (N, 7): the generator's stacked formula."""
+        return self.generator.coeffs(np.asarray(P, dtype=float))
 
     def metrics(self, P):
         """Induced metrics (N, 7, 7) and orientations (N,) at stacked points,
@@ -213,6 +203,12 @@ class StructureField:
         (N, 7): one `structure_stacks` pass over the distinct 3-forms."""
         R = self.rho_coeffs(P)
         return (R, *_distinct_rows(R, structure_stacks))
+
+    def rho_and_star(self, P):
+        """(rho, *rho) at the rows of P (N, 7), the first and last of `point_stacks`
+        bit for bit, gathering only the Hodge duals of the distinct 3-forms."""
+        R = self.rho_coeffs(P)
+        return R, _distinct_rows(R, lambda X: structure_stacks(X)[3])
 
     def metric(self, p):
         return self.point_data(p).metric
@@ -309,12 +305,10 @@ def _torsion_forms(field, P):
     stencils of all rows in one `central_difference` along (AXES,), both
     sides in one `rho_and_star` call."""
 
-    def rho_and_star(Q):
-        R = field.rho_coeffs(Q.reshape(-1, 7))
-        S = _distinct_rows(R, rho_star_coeffs)
-        return np.concatenate([R, S], axis=1).reshape(Q.shape[:-1] + (70,))
+    def both(Q):
+        return np.concatenate(field.rho_and_star(Q.reshape(-1, 7)), axis=1).reshape(Q.shape[:-1] + (70,))
 
-    partials = central_difference(rho_and_star, (P[:, None],), (AXES,), field.h)
+    partials = central_difference(both, (P[:, None],), (AXES,), field.h)
     return _d_from_partials(partials[..., :35], 3), _d_from_partials(partials[..., 35:], 4)
 
 
@@ -355,9 +349,14 @@ def calibrate_integrability(resolution):
 
 
 def integrability_verdict(field, sample_points):
+    """(integrable, max |d rho|, max |d *rho|, tau(N), rows): the Fernandez-Gray
+    maxima against the calibrated threshold, and the (|d rho|, |d *rho|) row
+    of each sample point, the points taken in BLOCK-row slices."""
     tau = calibrate_integrability(field.resolution)
-    d_rho, d_star = fernandez_gray_residual(field, sample_points)
-    return (d_rho <= tau and d_star <= tau), d_rho, d_star, tau
+    P = np.asarray(sample_points, dtype=float).reshape(-1, 7)
+    rows = [r for b in blocks(len(P)) for r in torsion_residuals(field, P[b])]
+    d_rho, d_star = (max(column) for column in zip((0.0, 0.0), *rows))
+    return (d_rho <= tau and d_star <= tau), d_rho, d_star, tau, rows
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ class ConnectionData:
     curvature_analytic: object = None
     label: str = ""
 
-    def curvature(self, p, h=1e-4):
+    def curvature(self, p, h):
         p = np.asarray(p, dtype=float)
         if self.curvature_analytic is not None:
             return np.asarray(self.curvature_analytic(p))
@@ -49,7 +49,7 @@ class ConnectionData:
             raise ConnectionDataError("connection has neither potential nor curvature")
         return self.curvature_differenced(p, h)
 
-    def curvature_differenced(self, p, h=1e-4):
+    def curvature_differenced(self, p, h):
         if self.potential is None:
             raise ConnectionDataError("no potential to difference")
         p = np.asarray(p, dtype=float)

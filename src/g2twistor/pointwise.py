@@ -165,11 +165,6 @@ def structure_stacks(R):
     return g, ginv, vol, hodge_star_coeffs(R, ginv, vol, 3)
 
 
-def rho_star_coeffs(R):
-    """Hodge duals (N, 35) of stacked 3-forms R (N, 35) under their induced metrics."""
-    return structure_stacks(R)[3]
-
-
 def _gram_orthonormal_columns(S, gram):
     """Orthonormalize the columns of S for the inner product ``gram``."""
     C = S.T @ gram @ S

@@ -24,10 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import BLOCK, _distinct_rows, blocks, central_difference, christoffel, christoffels
-from .fields import make_field, riemanns
+from .fields import BLOCK, blocks, central_difference, christoffel, christoffels, make_field, riemanns
 from .forms import KForm, contract, contract_stack, dense_stack, derivation_apply, minors
-from .pointwise import G2Point, rho_star_coeffs, su3_structure, su3_structures
+from .pointwise import G2Point, su3_structure, su3_structures
 from .sampling import sphere_bundle_samples
 
 WHICH = ("01", "10")
@@ -81,7 +80,7 @@ class TwistorPoints:
 
     # C-ordered like the stacks they were built from: the products that read them round alike
     x = property(lambda self: np.ascontiguousarray(self.lifts[..., 0, 0, :]))
-    W = w_basis = property(lambda self: np.ascontiguousarray(self.lifts[..., 1:, 0, :].swapaxes(-1, -2)))
+    W = property(lambda self: np.ascontiguousarray(self.lifts[..., 1:, 0, :].swapaxes(-1, -2)))
     theta = property(lambda self: self.lifts[..., 0, :, :])
     b_lifts = property(lambda self: self.lifts[..., 1:, :, :])
     rows = property(lambda self: self if self.m.ndim == 2 else self[None])
@@ -365,11 +364,11 @@ def canonical_form_horizontal_residual(field, k, n_samples=20, seed=0):
 def _omega_values(field, P, Y, B):
     """Omega = pullback(rho) - i (pullback(*rho) . theta) at the ambient points
     (P, Y), (R, 7) each, on the base parts B (R, 3, 7) of three tangents, row
-    by row: the complex 3-form coefficients rho - i (Y . *rho), with *rho of
-    the distinct 3-forms only, applied through the 3x3 minors of the base
+    by row: the complex 3-form coefficients rho - i (Y . *rho), rho and *rho
+    from one `rho_and_star` pass, applied through the 3x3 minors of the base
     parts as `KForm.evaluate` does, all rows in one pass."""
-    R = field.rho_coeffs(P)
-    C = R - 1j * contract_stack(_distinct_rows(R, rho_star_coeffs), Y, 7, 4)
+    R, S = field.rho_and_star(P)
+    C = R - 1j * contract_stack(S, Y, 7, 4)
     return np.sum(C * minors(B.transpose(0, 2, 1), 3)[..., 0], axis=-1)
 
 

@@ -23,7 +23,7 @@ from g2twistor.forms import (
     transform,
 )
 from g2twistor.instanton import dense_curvature
-from g2twistor.pointwise import _pairing_gathers, induced_metrics, rho_star_coeffs, structure_stacks
+from g2twistor.pointwise import _pairing_gathers, induced_metrics, structure_stacks
 
 
 def inversion_sign(perm):
@@ -240,7 +240,7 @@ def torsion_residuals_without_reuse(field, P, h):
 
     def rho_and_star(Q):
         R = field.rho_coeffs(Q.reshape(-1, 7))
-        return np.concatenate([R, rho_star_coeffs(R)], axis=1).reshape(Q.shape[:-1] + (70,))
+        return np.concatenate([R, structure_stacks(R)[3]], axis=1).reshape(Q.shape[:-1] + (70,))
 
     partials = central_difference(rho_and_star, (P[:, None],), (AXES,), h)
     d_rho = _d_from_partials(partials[..., :35], 3)
@@ -255,7 +255,7 @@ def omega_values_dense(field, P, Y, B):
     R = field.rho_coeffs(P)
     b1, b2, b3 = B[:, 0], B[:, 1], B[:, 2]
     re = np.einsum("nijk,ni,nj,nk->n", dense_stack(R, 7, 3), b1, b2, b3)
-    im = -np.einsum("nijkl,ni,nj,nk,nl->n", dense_stack(rho_star_coeffs(R), 7, 4), Y, b1, b2, b3)
+    im = -np.einsum("nijkl,ni,nj,nk,nl->n", dense_stack(structure_stacks(R)[3], 7, 4), Y, b1, b2, b3)
     return re + 1j * im
 
 

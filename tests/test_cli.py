@@ -277,7 +277,7 @@ def test_instanton_campaign_evaluates_each_curvature_once(tmp_path, monkeypatch)
     calls = []
     curvature = instanton.ConnectionData.curvature
 
-    def counted(self, p, h=1e-4):
+    def counted(self, p, h):
         calls.append(1)
         return curvature(self, p, h)
 

@@ -69,7 +69,8 @@ def test_missing_settings_are_appended():
 def test_every_config_runs_at_three_seeds_and_two_off_axis():
     labels = [label for label, *_ in compare_outputs.runs(["instanton", "twistor-perturbed"])]
     assert labels[:3] == ["instanton-seed0", "instanton-seed5", "instanton-seed7"]
-    assert len(labels) == 2 * 3 + 3 * 3
+    assert len(labels) == 2 * 3 + 4 * 3
+    assert "twistor-perturbed-conformal-seed0" in labels
     assert "integrability-f1234567-seed5" in labels
     assert "instanton-generic-f1234567-seed7" in labels
 

@@ -31,7 +31,7 @@ from g2twistor.fields import (
     torsion_residual,
     torsion_residuals,
 )
-from g2twistor.forms import KForm, hodge_star, wedge
+from g2twistor.forms import KForm, hodge_star, minors, wedge
 from g2twistor.instanton import cr_holomorphicity_residuals, f7_residuals
 from g2twistor.pointwise import (
     RHO_STD_TERMS,
@@ -43,10 +43,8 @@ from g2twistor.pointwise import (
 from g2twistor.sampling import sphere_bundle_samples, torus_points
 from g2twistor.twistor import (
     BLOCK,
-    involutivity_residual,
     involutivity_residuals,
     omega_closure_residuals,
-    twistor_point,
     twistor_points,
     vertical_curvature_obstructions,
 )
@@ -194,12 +192,6 @@ def test_structure_field_holds_no_state():
     assert vars(field) == before
 
 
-def test_generic_callable_generator_stacks_points(points):
-    field = make_field("generic-perturbed", 16, epsilon=0.1)
-    plain = StructureField(generator=lambda p: field.rho(p), resolution=16)
-    assert np.array_equal(plain.rho_coeffs(points), field.rho_coeffs(points))
-
-
 @pytest.mark.parametrize("n", [1, 12, 15, 196])
 def test_christoffels_rows_match_cold_christoffel(n):
     """Every batch row, repeated rows included, equals a cold one-point call bit for bit."""
@@ -213,19 +205,6 @@ def test_christoffels_rows_match_cold_christoffel(n):
         assert np.array_equal(gamma, christoffel(cold, p))
     G_rev, g_rev = christoffels(field, P[::-1])
     assert np.array_equal(G_rev, G[::-1]) and np.array_equal(g_rev, g[::-1])
-
-
-def test_plain_callable_generator_through_batched_stencils():
-    field = make_field("generic-perturbed", 16, epsilon=0.1)
-    plain = StructureField(generator=lambda p: field.rho(p), resolution=16)
-    ms, xs = sphere_bundle_samples(2, 3)
-    for got, want in zip(christoffels(plain, ms), christoffels(field, ms), strict=True):
-        assert np.array_equal(got, want)
-    assert [a.shape for a in christoffels(plain, np.zeros((0, 7)))] == [(0, 7, 7, 7), (0, 7, 7)]
-    residuals = [
-        involutivity_residual(f, twistor_point(f, ms[1], xs[1])) for f in (plain, field)
-    ]
-    assert residuals[0] == residuals[1] > 0.0
 
 
 def test_conformal_metric_closed_form(points):
@@ -707,14 +686,14 @@ def test_curvature_block_frame_invariant(points):
     if np.linalg.det(A) < 0:
         A[:, 0] = -A[:, 0]
 
-    from g2twistor.forms import transform
-
     class Rotated:
-        def __call__(self, p):
-            return transform(field.rho(A @ p), A)
+        """The pullback of the field's 3-form by p -> A p, at stacked points."""
 
-        def params(self):
-            return {}
+        def __call__(self, p):
+            return KForm(7, 3, self.coeffs(p))
+
+        def coeffs(self, P):
+            return field.generator.coeffs(P @ A.T) @ minors(A, 3)
 
     rot = StructureField(generator=Rotated(), resolution=16)
     p = points[1]
@@ -733,19 +712,24 @@ REUSE_FAMILIES = [("flat", 0.0), ("generic-perturbed", 0.1), ("conformal", 0.05)
 
 def _rows_with_repeats(n, seed):
     """n torus points whose last third repeats the first, a row moved along a
-    zero-frequency axis (same 3-form, new point), in a seeded permutation."""
+    zero-frequency axis (same 3-form, new point) and a row moved by a lattice
+    translate along the frequency axis e_1 (outside the unit cube, so its
+    stencil wraps around the torus), in a seeded permutation."""
     P = torus_points(n, seed)
     P[n - n // 3 :] = P[: n // 3]
     if n > 1:
         P[1, 2] = (P[1, 2] + 0.5) % 1.0
+    if n > 2:
+        P[2] = P[0] + AXES[0]
     return P[np.random.default_rng(seed).permutation(n)]
 
 
 @pytest.mark.parametrize("n", [0, 1, BLOCK + 1])
 @pytest.mark.parametrize("family, eps", REUSE_FAMILIES)
 def test_rho_keyed_rows_match_no_reuse_oracles(family, eps, n):
-    """Metrics, point stacks, Christoffel symbols and torsion residuals equal
-    references that compute every row, bit for bit."""
+    """Metrics, point stacks (and their rho and *rho through `rho_and_star`),
+    Christoffel symbols and torsion residuals equal references that compute
+    every row, bit for bit."""
     field = make_field(family, 16, epsilon=eps, frequency=OFF_AXIS)
     P = _rows_with_repeats(n, 31)
     g, orientation = field.metrics(P)
@@ -756,6 +740,8 @@ def test_rho_keyed_rows_match_no_reuse_oracles(family, eps, n):
     stacks = field.point_stacks(P)
     for got, want in zip(stacks, oracles.point_stacks_without_reuse(field, P), strict=True):
         assert got.shape[0] == n and np.array_equal(got, want)
+    R, S = field.rho_and_star(P)
+    assert np.array_equal(R, stacks[0]) and np.array_equal(S, stacks[4])
 
     gamma, g = christoffels(field, P)
     assert np.array_equal(gamma, oracles.christoffels_without_reuse(field, P, field.h))
@@ -811,7 +797,7 @@ def test_one_block_never_passes_a_3form_twice(monkeypatch):
     duals of one integrability block take no 3-form twice across both
     stencil sides."""
     calls = []
-    for name in ("induced_metrics", "rho_star_coeffs", "structure_stacks"):
+    for name in ("induced_metrics", "structure_stacks"):
         _record_rows(monkeypatch, name, calls)
     field = make_field("generic-perturbed", 16, epsilon=0.1)
     ms, xs = sphere_bundle_samples(BLOCK, 5)
@@ -821,11 +807,21 @@ def test_one_block_never_passes_a_3form_twice(monkeypatch):
     omega_closure_residuals(field, tps, range(BLOCK), max_combos=5)
     start = len(calls)
     torsion_residuals(make_field("closed-perturbed", 16, epsilon=0.05), torus_points(BLOCK, 0))
-    assert {name for name, _ in calls} == {"induced_metrics", "rho_star_coeffs", "structure_stacks"}
+    assert {name for name, _ in calls} == {"induced_metrics", "structure_stacks"}
     for name, R in calls:
         assert len({r.tobytes() for r in R}) == len(R), name
-    star = np.concatenate([R for name, R in calls[start:] if name == "rho_star_coeffs"])
+    star = np.concatenate([R for name, R in calls[start:] if name == "structure_stacks"])
     assert len({r.tobytes() for r in star}) == len(star)
+
+
+class PickedRows:
+    """A generator whose stacked `coeffs` picks each row's 3-form from P[:, 0]."""
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def coeffs(self, P):
+        return self.pick(np.asarray(P).reshape(-1, 7)).reshape(np.shape(P)[:-1] + (35,))
 
 
 @pytest.mark.parametrize(
@@ -840,7 +836,7 @@ def test_repeated_bad_row_raises_like_one_row(row, error):
     """A batch holding a bad 3-form and its duplicates, after good rows,
     raises the one-row call's error with its message."""
     std = KForm.from_terms(7, RHO_STD_TERMS).coeffs
-    field = StructureField(generator=lambda p: KForm(7, 3, row if p[0] >= 0.5 else std), resolution=16)
+    field = StructureField(generator=PickedRows(lambda P: np.where(P[:, :1] >= 0.5, row, std)), resolution=16)
     P = torus_points(12, 3)
     P[P[:, 0] >= 0.5, 1] = 0.25  # the bad rows repeat one 3-form at distinct points
     bad = P[P[:, 0] >= 0.5][:1]
@@ -865,12 +861,11 @@ def test_two_kinds_of_bad_row_raise_like_one_pass():
     std = KForm.from_terms(7, RHO_STD_TERMS).coeffs
     split = KForm.from_terms(7, {**RHO_STD_TERMS, (2, 4, 5): 1.0}).coeffs
 
-    def rho(p):
-        if p[0] < 0.05:
-            return KForm(7, 3, split)
-        return KForm(7, 3, np.full(35, np.nan) if p[0] > 0.95 else (1.0 + p[0]) * std)
+    def rho(P):
+        x = P[:, :1]
+        return np.where(x < 0.05, split, np.where(x > 0.95, np.nan, (1.0 + x) * std))
 
-    field = StructureField(generator=rho, resolution=16)
+    field = StructureField(generator=PickedRows(rho), resolution=16)
     P = np.full((BLOCK + 6, 7), 0.5)
     P[:, 0] = [0.01, *np.linspace(0.1, 0.9, BLOCK + 4), 0.99]
     for oracle, op in (

@@ -137,7 +137,7 @@ def test_differenced_curvature_matches_analytic(std):
     for fam, kw in [("const-14", {"index": 2}), ("const-7", {"vector": 3})]:
         conn = make_connection(fam, std, **kw)
         for p in PTS[:3]:
-            diff = np.abs(conn.curvature(p) - conn.curvature_differenced(p, 1e-4)).max()
+            diff = np.abs(conn.curvature(p, 1e-4) - conn.curvature_differenced(p, 1e-4)).max()
             assert diff < 1e-9
 
 
@@ -230,7 +230,7 @@ def test_nonabelian_differenced_curvature_oracle():
 
 def test_anti_hermitian_curvature(std):
     conn = make_connection("mixed", std, index=1, vector=2, mix=0.3)
-    F = conn.curvature(PTS[0])
+    F = conn.curvature(PTS[0], 1e-4)
     assert np.abs(F + np.conj(np.transpose(F, (0, 2, 1)))).max() < 1e-12
 
 
@@ -264,7 +264,7 @@ def test_fourteen_part_vanishes_at_kernel_directions(flat, std):
     """The direction-adapted truth: at fiber vectors annihilated by the
     curvature's endomorphism the (0,2) residual vanishes."""
     conn = make_connection("const-14", std, index=3)
-    beta = KForm(7, 2, conn.curvature(np.zeros(7))[:, 0, 0].imag)
+    beta = KForm(7, 2, conn.curvature(np.zeros(7), 1e-4)[:, 0, 0].imag)
     A = -beta.as_matrix()
     w, V = np.linalg.eigh(A @ A.T)
     kernel_dirs = [V[:, i] for i in range(7) if w[i] < 1e-12]
@@ -301,8 +301,8 @@ def test_gauge_invariance_constant_unitary(flat, std):
 
     def block_curv(p):
         F = np.zeros((21, 2, 2), dtype=complex)
-        F[:, 0, 0] = c14.curvature(p)[:, 0, 0]
-        F[:, 1, 1] = c7.curvature(p)[:, 0, 0]
+        F[:, 0, 0] = c14.curvature(p, 1e-4)[:, 0, 0]
+        F[:, 1, 1] = c7.curvature(p, 1e-4)[:, 0, 0]
         return F
 
     conn = ConnectionData(rank=2, potential=block, curvature_analytic=block_curv)

@@ -14,7 +14,7 @@ from g2twistor.fields import (
 )
 from g2twistor import fields, forms, pointwise, twistor
 from g2twistor.forms import KForm, contract
-from g2twistor.pointwise import rho_star_coeffs
+from g2twistor.pointwise import structure_stacks
 from g2twistor.sampling import sphere_bundle_samples
 from g2twistor.twistor import (
     BLOCK,
@@ -172,7 +172,7 @@ def test_splitting_eigen_equations(generic):
 
 def test_splitting_standard_direction_span(flat):
     tp = twistor_point(flat, MS[0], np.eye(7)[0])
-    amb = np.einsum("ra,ia->ri", tp.su3.b10, tp.w_basis)
+    amb = np.einsum("ra,ia->ri", tp.su3.b10, tp.W)
     want = np.array(
         [
             [0, 1, -1j, 0, 0, 0, 0],
@@ -373,7 +373,6 @@ def test_one_twistor_block_makes_six_metric_passes(monkeypatch):
         (fields, "induced_metrics"),
         (pointwise, "induced_metrics"),
         (fields, "_distinct_rows"),
-        (twistor, "_distinct_rows"),
     ):
 
         def counted(*args, f=getattr(module, name), name=name):
@@ -774,7 +773,7 @@ def test_omega_values_match_the_dense_route(generic, conformal, monkeypatch):
         got, want = omega_values(field, P, Y, B), oracles.omega_values_dense(field, P, Y, B)
         R = field.rho_coeffs(P)
         norm = np.linalg.norm
-        scale = (norm(R, axis=1) + norm(rho_star_coeffs(R), axis=1) * norm(Y, axis=1)) * np.prod(
+        scale = (norm(R, axis=1) + norm(structure_stacks(R)[3], axis=1) * norm(Y, axis=1)) * np.prod(
             norm(B, axis=2), axis=1
         )
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
@@ -822,7 +821,7 @@ def test_batch_rows_equal_one_point_calls(family, eps):
     for i in range(n):
         fresh = make()
         tp = twistor_point(fresh, ms[i], xs[i])
-        for name in ("m", "x", "gamma", "theta", "b_lifts", "vert_basis", "w_basis"):
+        for name in ("m", "x", "gamma", "theta", "b_lifts", "vert_basis", "W"):
             assert np.array_equal(getattr(tp, name), getattr(tps[i], name)), name
         for w, c in options:
             assert involutivity_residual(fresh, tp, which=w, carrier=c) == invol[w, c][i]
