@@ -17,6 +17,8 @@ thread; the integrability, twistor and instanton scans take them in blocks
 of ``twistor.BLOCK``, each block in batched array passes whose rows equal
 the one-sample computation bit for bit, so no output byte depends on the block.
 A twistor or instanton block is one `TwistorPoints` record of arrays.
+Verdict thresholds are constants, not config keys: `twistor.INVOLUTIVE_TOL`,
+`instanton.F7_TOL` and `instanton.CR_TOL`, and tau(N) of `fields.calibrate_integrability`.
 ``workers`` is validated and echoed in summary.txt but changes neither the
 output nor the code path.
 """
@@ -78,9 +80,6 @@ class RunConfig:
     connection_index: int = 0
     connection_vector: int = 0
     mix: float = 0.0
-    tol_involutive: float = 1e-9
-    tol_instanton: float = 1e-8
-    tol_cr: float = 1e-8
     expect: dict = dc_field(default_factory=dict)
 
     def validate(self):
@@ -98,7 +97,7 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        for key in ("epsilon", "mix", "tol_involutive", "tol_instanton", "tol_cr"):
+        for key in ("epsilon", "mix"):
             if not np.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite")
         if self.connection not in inst.CONNECTION_FAMILIES:
@@ -310,15 +309,14 @@ def run_twistor(cfg):
         )
         results += [tuple(m) + tuple(x) + r for m, x, r in zip(tps.m, tps.x, columns)]
     invols = [r[14] for r in results]
-    threshold = max(10.0 * tw.FLAT_FLOOR, cfg.tol_involutive)
-    verdict = "involutive" if max(invols) <= threshold else "non-involutive"
+    verdict = "involutive" if max(invols) <= tw.INVOLUTIVE_TOL else "non-involutive"
     summary = {
         "max_involutivity": max(invols),
         "p95_involutivity": _percentile(invols, 95),
         "max_vertical_curvature": max(r[15] for r in results),
         "max_omega_closure": max(r[16] for r in results),
         "noise_floor": tw.FLAT_FLOOR,
-        "threshold": threshold,
+        "threshold": tw.INVOLUTIVE_TOL,
         "verdict": verdict,
     }
     header = _MX_HEADER + ("involutivity", "vertical_curvature", "omega_closure")
@@ -352,8 +350,8 @@ def run_instanton(cfg):
     cr_max = max(r[14] for r in results)
     f7_max = max(r[15] for r in results)
     verdicts = {
-        "instanton": "yes" if f7_max <= cfg.tol_instanton else "no",
-        "cr_holomorphic": "yes" if cr_max <= cfg.tol_cr else "no",
+        "instanton": "yes" if f7_max <= inst.F7_TOL else "no",
+        "cr_holomorphic": "yes" if cr_max <= inst.CR_TOL else "no",
     }
     summary = {
         "connection": conn.label,

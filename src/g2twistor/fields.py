@@ -331,6 +331,7 @@ def fernandez_gray_residual(field, sample_points):
     return tuple(max(column) for column in zip((0.0, 0.0), *residuals))
 
 
+@lru_cache(maxsize=None)
 def calibrate_integrability(resolution):
     """Threshold tau(N) from the measured truncation error on the conformal
     family, where d(rho) is known in closed form, at 20 points drawn from

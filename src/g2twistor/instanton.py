@@ -20,6 +20,8 @@ AXES = np.eye(7)
 #: the increasing index pairs (i, j), the form index of a (21, r, r) curvature
 _PAIRS = np.triu_indices(7, 1)
 CONNECTION_FAMILIES = ("flat", "const-14", "const-7", "mixed")
+#: the verdicts: a G2-instanton has f7 residuals, a CR-holomorphic connection CR residuals, at most these
+F7_TOL = CR_TOL = 1e-8
 
 
 class ConnectionDataError(ValueError):
@@ -143,13 +145,13 @@ def f7_residual(point, F):
     return f7_residuals(*point.stacks, np.asarray(F)[None])[0]
 
 
-def is_g2_instanton(field, conn, sample_points, tol=1e-8):
+def is_g2_instanton(field, conn, sample_points):
     """(verdict, max residual): residual is the norm of the 7-part of the
     curvature at each sample; one `point_stacks` pass serves all samples."""
     P = np.asarray(sample_points, dtype=float).reshape(-1, 7)
     F = np.array([conn.curvature(p, field.h) for p in P])
     worst = max(f7_residuals(*field.point_stacks(P)[:4], F), default=0.0)
-    return worst <= tol, worst
+    return worst <= F7_TOL, worst
 
 
 # ---------------------------------------------------------------------------

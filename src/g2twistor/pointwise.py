@@ -240,7 +240,7 @@ class G2Point:
         cols = []
         for A in self.stabilizer_algebra:
             M = A.T @ self.g
-            M = (M - M.T) / 2.0
+            M = M - M.T
             cols.append(np.array([M[i, j] for i, j in increasing_indices(7, 2)]))
         return _gram_orthonormal_columns(np.column_stack(cols), self.metric.gram(2))
 
@@ -300,7 +300,7 @@ def octonion_multiply(point, a, b, scalar_sign=-1.0):
     return vec, scal
 
 
-def is_associative_subspace(point, basis, tol=1e-10):
+def is_associative_subspace(point, basis):
     """True iff the 3-plane spanned by ``basis`` is closed under the cross
     product (residual measured after g-orthonormalization)."""
     S = np.column_stack([np.asarray(v, dtype=float) for v in basis])
@@ -311,7 +311,7 @@ def is_associative_subspace(point, basis, tol=1e-10):
     for i in range(3):
         for j in range(i + 1, 3):
             w = point.cross(Q[:, i], Q[:, j])
-            if point.norm(w - proj @ w) > tol:
+            if point.norm(w - proj @ w) > UNIT_TOL:
                 return False
     return True
 
@@ -344,7 +344,7 @@ class Su3Frame:
         return np.conj(self.b10)
 
 
-def su3_structures(G, Ginv, R, S, V, tol=UNIT_TOL):
+def su3_structures(G, Ginv, R, S, V):
     """SU(3) frames on v-perp as the stacks (W, I, b10, omega, Omega_re,
     Omega_im) of `Su3Frame`'s fields, one per row of the metrics G, inverses
     Ginv, 3-forms R, their Hodge duals S and g-unit vectors V.
@@ -359,7 +359,7 @@ def su3_structures(G, Ginv, R, S, V, tol=UNIT_TOL):
     """
     V = np.asarray(V, dtype=float)
     vg = V[:, None] @ G  # (N, 1, 7)
-    if not (abs((vg @ V[:, :, None])[:, 0, 0] - 1.0) <= tol).all():  # a NaN v fails too
+    if not (abs((vg @ V[:, :, None])[:, 0, 0] - 1.0) <= UNIT_TOL).all():  # a NaN v fails too
         raise NonUnitVectorError("v must be a g-unit vector")
     W = _complement_bases(G, V, vg)
     omega = _pullbacks(minors(W, 2), contract_stack(R, V, 7, 3))
@@ -376,11 +376,11 @@ def su3_structures(G, Ginv, R, S, V, tol=UNIT_TOL):
     return W, I6, b10, omega, Omega_re, Omega_im
 
 
-def su3_structure(point, v, tol=UNIT_TOL):
+def su3_structure(point, v):
     """SU(3) frame on v-perp for a g-unit vector v: the N = 1 view of `su3_structures`."""
     R, g, ginv, _ = point.stacks
     S, V = point.rho_star.coeffs[None], np.asarray(v, dtype=float)[None]
-    W, I, b10, omega, re, im = (s[0] for s in su3_structures(g, ginv, R, S, V, tol))
+    W, I, b10, omega, re, im = (s[0] for s in su3_structures(g, ginv, R, S, V))
     return Su3Frame(W, KForm(6, 2, omega), I, b10, KForm(6, 3, re), KForm(6, 3, im))
 
 

@@ -36,6 +36,8 @@ PROJECTIONS = ("none", "b", "cr01", "cr10")
 _PAIR_I, _PAIR_J = (0, 0, 1), (1, 2, 2)
 #: the involutivity noise floor of the flat structure: its residuals are exact zeros, clamped here
 FLAT_FLOOR = 1e-14
+#: the twistor verdict: a scan is involutive iff its maximum involutivity residual is at most this
+INVOLUTIVE_TOL = 1e-9
 
 
 class TwistorError(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import g2twistor
-from g2twistor import instanton, twistor
+from g2twistor import fields, instanton, twistor
 from g2twistor.cli import (
     _SCALAR_KEYS,
     ConfigError,
@@ -100,6 +100,10 @@ def test_unreadable_config_is_usage_error(tmp_path):
         ("campaign = integrability\ngenerator = conformal\nepsilon = 50", []),
         ("campaign = integrability\ngenerator = generic-perturbed\nepsilon = 1e300", []),
         ("campaign = integrability\ngenerator = conformal\nepsilon = 1e300", []),
+        # verdict thresholds are constants, not keys
+        ("tol_involutive = 1e-9", []),
+        ("tol_instanton = 1e-8", []),
+        ("tol_cr = 1", []),
     ],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, lines, flags):
@@ -109,6 +113,8 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, lines, flags):
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+    if lines.startswith("tol_"):
+        assert "unknown key" in err
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "below-file"])
@@ -257,6 +263,28 @@ def test_integrability_campaign(tmp_path):
         expect={"integrability": "not-holonomy-g2"},
     )
     assert run_campaign(cfg) == 0
+
+
+def test_integrability_calibrates_once_per_resolution(tmp_path, monkeypatch):
+    """tau(N) depends on N alone: the first integrability campaign at N = 16
+    compares its 20 calibration points with the exact d(rho), and a second
+    campaign in the same process reuses that tau."""
+    calls = []
+    exact_drho = fields.ConformalGenerator.exact_drho
+
+    def counted(self, p):
+        calls.append(1)
+        return exact_drho(self, p)
+
+    monkeypatch.setattr(fields.ConformalGenerator, "exact_drho", counted)
+    fields.calibrate_integrability.cache_clear()
+    counts = []
+    for run in ("first", "second"):
+        cfg = RunConfig(campaign="integrability", resolution=16, samples=4, out=str(tmp_path / run))
+        assert run_campaign(cfg) == 0
+        counts.append(len(calls))
+        calls.clear()
+    assert counts == [20, 0]
 
 
 def test_instanton_campaign_verdicts(tmp_path):

@@ -361,6 +361,15 @@ def test_user_metric_rejects_inexact_symmetry():
         MetricTensor(M)
 
 
+def test_metric_positivity_cutoff_is_scale_relative():
+    """The smallest eigenvalue must exceed 1e-12 times the largest when that is
+    above 1, and 1e-12 itself below 1: each cutoff is pinned from both sides."""
+    for top, cut in ((1e6, 1e-6), (0.5, 1e-12)):
+        MetricTensor(np.diag([top, 1.2 * cut, 0.25]))
+        with pytest.raises(NotPositiveDefinite, match="not positive"):
+            MetricTensor(np.diag([top, 0.8 * cut, 0.25]))
+
+
 def test_user_metric_rejects_non_positive():
     for w in ([1.0, -1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1e-14, 1.0]):
         with pytest.raises(NotPositiveDefinite, match="not positive"):

@@ -99,8 +99,16 @@ def test_normalization_is_internal(generic):
 
 
 def test_zero_fiber_vector_rejected(flat):
-    with pytest.raises(TwistorError):
-        twistor_point(flat, MS[0], np.zeros(7))
+    """A fiber vector with |x|_g below 1e-12 is rejected, as one point and as
+    one row of a batch; just above the cutoff it is normalized (g = I here)."""
+    x = XS[1] / np.linalg.norm(XS[1])
+    for small in (0.0, 0.8e-12):
+        with pytest.raises(TwistorError, match="nonzero"):
+            twistor_point(flat, MS[0], small * x)
+        with pytest.raises(TwistorError, match="nonzero"):
+            twistor_points(flat, MS[:3], np.stack([XS[0], small * x, XS[2]]))
+    tps = twistor_points(flat, MS[:3], np.stack([XS[0], 1.2e-12 * x, XS[2]]))
+    np.testing.assert_allclose(tps.x[1], x, rtol=0.0, atol=1e-12)
 
 
 class CountingGenerator:
