@@ -146,8 +146,8 @@ def f7_residual(point, F):
 
 
 def is_g2_instanton(field, conn, sample_points):
-    """(verdict, max residual): residual is the norm of the 7-part of the
-    curvature at each sample; one `point_stacks` pass serves all samples."""
+    """(max residual <= F7_TOL, max residual): residual is the norm of the 7-part
+    of the curvature at each sample; one `point_stacks` pass serves all samples."""
     P = np.asarray(sample_points, dtype=float).reshape(-1, 7)
     F = np.array([conn.curvature(p, field.h) for p in P])
     worst = max(f7_residuals(*field.point_stacks(P)[:4], F), default=0.0)
