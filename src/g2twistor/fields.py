@@ -195,7 +195,7 @@ class StructureField:
         return _distinct_rows(self.rho_coeffs(P), induced_metrics)
 
     def point_data(self, p):
-        """Unvalidated G2 point at p; use validate_at for the checks."""
+        """Unvalidated G2 point at p; `G2Point.from_rho(field.rho(p))` runs the checks."""
         return G2Point.from_rho(self.rho(np.asarray(p, dtype=float)), validate=False)
 
     def point_stacks(self, P):
@@ -203,19 +203,6 @@ class StructureField:
         (N, 7): one `structure_stacks` pass over the distinct 3-forms."""
         R = self.rho_coeffs(P)
         return (R, *_distinct_rows(R, structure_stacks))
-
-    def rho_and_star(self, P):
-        """(rho, *rho) at the rows of P (N, 7), the first and last of `point_stacks`
-        bit for bit, gathering only the Hodge duals of the distinct 3-forms."""
-        R = self.rho_coeffs(P)
-        return R, _distinct_rows(R, lambda X: structure_stacks(X)[3])
-
-    def metric(self, p):
-        return self.point_data(p).metric
-
-    def validate_at(self, p):
-        """Run the full G2 point invariants at p; raises on failure."""
-        return G2Point.from_rho(self.rho(np.asarray(p, dtype=float)), validate=True)
 
 
 #: samples per batch pass of a campaign scan (bounds the stacks of a pass)
@@ -303,10 +290,11 @@ def exterior_derivative(form_at, p, h):
 def _torsion_forms(field, P):
     """(d rho, d *rho) coefficients (N, 35) each at the rows of P (N, 7): the
     stencils of all rows in one `central_difference` along (AXES,), both
-    sides in one `rho_and_star` call."""
+    sides in one `point_stacks` call."""
 
     def both(Q):
-        return np.concatenate(field.rho_and_star(Q.reshape(-1, 7)), axis=1).reshape(Q.shape[:-1] + (70,))
+        R, *_, S = field.point_stacks(Q.reshape(-1, 7))
+        return np.concatenate([R, S], axis=1).reshape(Q.shape[:-1] + (70,))
 
     partials = central_difference(both, (P[:, None],), (AXES,), field.h)
     return _d_from_partials(partials[..., :35], 3), _d_from_partials(partials[..., 35:], 4)

@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .fields import central_difference
+from .fields import AXES, central_difference
 from .forms import KForm, contract, minors
 from .pointwise import hodge_type_on_complement, lambda2_projectors
 from .twistor import _PAIR_I, _PAIR_J, _brackets, _extension_values
 
-AXES = np.eye(7)
 #: the increasing index pairs (i, j), the form index of a (21, r, r) curvature
 _PAIRS = np.triu_indices(7, 1)
 CONNECTION_FAMILIES = ("flat", "const-14", "const-7", "mixed")

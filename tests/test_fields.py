@@ -102,7 +102,7 @@ def test_generators_pass_point_invariants(points):
     ]:
         field = make_field(fam, 16, epsilon=eps)
         for p in points[:3]:
-            field.validate_at(p)  # raises on any failed invariant
+            G2Point.from_rho(field.rho(p))  # raises on any failed invariant
 
 
 def _pointwise_rho(family, eps, freq, p):
@@ -211,7 +211,7 @@ def test_conformal_metric_closed_form(points):
     field = make_field("conformal", 16, epsilon=0.05)
     gen = field.generator
     for p in points:
-        assert np.abs(field.metric(p).entries - gen.exact_metric(p)).max() < 1e-12
+        assert np.abs(field.point_data(p).metric.entries - gen.exact_metric(p)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +553,7 @@ def test_levi_civita_metric_is_the_centre_metric_of_its_pass(monkeypatch):
     conn = levi_civita(field, p)
     assert len(calls) == 2
     monkeypatch.undo()
-    assert np.array_equal(conn.metric.entries, field.metric(p).entries)
+    assert np.array_equal(conn.metric.entries, field.point_data(p).metric.entries)
 
 
 def test_curvature_matches_exact_christoffel_route(points):
@@ -614,10 +614,10 @@ def test_metric_compatibility_residual(points):
         dg = np.empty((7, 7, 7))
         for k in range(7):
             dg[k] = (
-                field.metric(p + h * AXES[k]).entries
-                - field.metric(p - h * AXES[k]).entries
+                field.point_data(p + h * AXES[k]).metric.entries
+                - field.point_data(p - h * AXES[k]).metric.entries
             ) / (2 * h)
-        g = field.metric(p).entries
+        g = field.point_data(p).metric.entries
         nabla = dg - np.einsum("mki,mj->kij", G, g) - np.einsum("mkj,im->kij", G, g)
         assert np.abs(nabla).max() < 1e-12
 
@@ -631,9 +631,9 @@ def test_metric_field_smoothness(points):
         worst = 0.0
         for k in range(3):
             val = (
-                field.metric(p + h * AXES[k]).entries
-                - 2 * field.metric(p).entries
-                + field.metric(p - h * AXES[k]).entries
+                field.point_data(p + h * AXES[k]).metric.entries
+                - 2 * field.point_data(p).metric.entries
+                + field.point_data(p - h * AXES[k]).metric.entries
             ) / h**2
             worst = max(worst, np.abs(val).max())
         return worst
@@ -727,8 +727,7 @@ def _rows_with_repeats(n, seed):
 @pytest.mark.parametrize("n", [0, 1, BLOCK + 1])
 @pytest.mark.parametrize("family, eps", REUSE_FAMILIES)
 def test_rho_keyed_rows_match_no_reuse_oracles(family, eps, n):
-    """Metrics, point stacks (and their rho and *rho through `rho_and_star`),
-    Christoffel symbols and torsion residuals equal references that compute
+    """Metrics, point stacks, Christoffel symbols and torsion residuals equal references that compute
     every row, bit for bit."""
     field = make_field(family, 16, epsilon=eps, frequency=OFF_AXIS)
     P = _rows_with_repeats(n, 31)
@@ -740,8 +739,6 @@ def test_rho_keyed_rows_match_no_reuse_oracles(family, eps, n):
     stacks = field.point_stacks(P)
     for got, want in zip(stacks, oracles.point_stacks_without_reuse(field, P), strict=True):
         assert got.shape[0] == n and np.array_equal(got, want)
-    R, S = field.rho_and_star(P)
-    assert np.array_equal(R, stacks[0]) and np.array_equal(S, stacks[4])
 
     gamma, g = christoffels(field, P)
     assert np.array_equal(gamma, oracles.christoffels_without_reuse(field, P, field.h))
