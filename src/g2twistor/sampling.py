@@ -85,7 +85,8 @@ def sphere_bundle_samples(n, seed):
     """(base points, raw fiber vectors) for n sphere-bundle samples.
 
     Fiber vectors are standard-normal via inverse CDF of the sequence and
-    are normalized later against the metric at each base point.
+    are normalized later against the metric at each base point.  Both
+    arrays are C-ordered.
     """
-    u = _halton(14, n, seed)
-    return u[:, :7], ndtri(np.clip(u[:, 7:], _EPS, 1.0 - _EPS))
+    u = np.ascontiguousarray(_halton(14, n, seed))
+    return u[:, :7].copy(), ndtri(np.clip(u[:, 7:], _EPS, 1.0 - _EPS))

@@ -117,24 +117,23 @@ def twistor_points(field, M, X):
     """The `TwistorPoints` record at the rows (m, x) of M and X, (N, 7) each, x
     normalized against g(m): one pass of each kind serves all rows, and row i
     equals the one-row call bit for bit."""
-    M = np.asarray(M, dtype=float).reshape(-1, 7)
-    X = np.asarray(X, dtype=float).reshape(-1, 7)
+    # C-ordered rows, so no product below depends on the layout of the input
+    M = np.ascontiguousarray(M, dtype=float).reshape(-1, 7)
+    X = np.ascontiguousarray(X, dtype=float).reshape(-1, 7)
     if not np.isfinite(X).all():
         raise TwistorError("fiber vector must be finite")
     R, G, Ginv, vol, S = field.point_stacks(M)
-    # |x|_g as `MetricTensor.norm` forms it: contiguous x on the left, x as given on the right
-    nrm = np.sqrt(np.maximum((np.ascontiguousarray(X)[:, None] @ G @ X[:, :, None])[:, 0, 0], 0.0))
+    nrm = np.sqrt(np.maximum((X[:, None] @ G @ X[:, :, None])[:, 0, 0], 0.0))
     if (nrm < 1e-12).any():
         raise TwistorError("fiber vector must be nonzero")
-    # the matrix products below see contiguous rows whatever the layout of the input
-    X = np.ascontiguousarray(X / nrm[:, None])
+    X = X / nrm[:, None]
     gamma = christoffels(field, M)[0]
     frames = su3_structures(G, Ginv, R, S, X)
     # x, then w_1..w_6, C-ordered, each lifted on its own row: every vertical part is an exact zero
     V = np.ascontiguousarray(np.concatenate([X[:, None], frames[0].transpose(0, 2, 1)], axis=1))
     rep = np.repeat(np.arange(len(M)), 7)
     lifts = np.stack([V, _hor_fibers(gamma[rep], X[rep], V.reshape(-1, 7)).reshape(V.shape)], 2)
-    return TwistorPoints(np.ascontiguousarray(M), R, G, Ginv, vol, gamma, *frames[1:3], lifts)
+    return TwistorPoints(M, R, G, Ginv, vol, gamma, *frames[1:3], lifts)
 
 
 def twistor_point(field, m, x):

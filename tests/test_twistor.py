@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 
@@ -45,6 +46,7 @@ RNG = np.random.default_rng(23)
 NS = (8, 16, 32)
 HS = [1.0 / n for n in NS]
 MS, XS = sphere_bundle_samples(10, 17)
+RECORD_FIELDS = [f.name for f in dataclasses.fields(twistor.TwistorPoints)]
 
 
 @pytest.fixture(scope="module")
@@ -838,12 +840,30 @@ def test_batch_rows_equal_one_point_calls(family, eps):
 
 
 def test_fiber_vectors_normalized_as_metric_norm():
-    """Each x is divided by |x|_g exactly as `MetricTensor.norm` rounds it,
-    whatever the memory layout of the sample array."""
+    """Each x is divided by |x|_g exactly as `MetricTensor.norm` rounds it
+    for the C-ordered rows of the sampler."""
     ms, xs = sphere_bundle_samples(100, 12)
+    assert ms.flags.c_contiguous and xs.flags.c_contiguous
     field = make_field("closed-perturbed", 32, epsilon=0.05, frequency=(1, 2, 0, 1, 0, 0, -1))
     for m, x, tp in zip(ms, xs, twistor_points(field, ms, xs)):
         assert np.array_equal(tp.x, x / field.point_data(m).metric.norm(x))
+
+
+def test_twistor_records_do_not_depend_on_the_input_layout():
+    """Fortran-ordered M and X give the record of their C copies bit for bit,
+    and a strided x gives the one-point record of its contiguous copy (the
+    BLAS products round a non-unit stride differently, so the layout is
+    fixed on entry)."""
+    ms, xs = sphere_bundle_samples(100, 12)
+    field = make_field("closed-perturbed", 32, epsilon=0.05, frequency=(1, 2, 0, 1, 0, 0, -1))
+    M, X = np.asfortranarray(ms), np.asfortranarray(xs)
+    pairs = [(twistor_points(field, M, X), twistor_points(field, ms, xs))]
+    for m, x in zip(M, X):
+        assert not x.flags.c_contiguous
+        pairs.append((twistor_point(field, m, x), twistor_point(field, m, x.copy())))
+    for got, want in pairs:
+        for name in RECORD_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_noise_floor_is_max_of_one_point_residuals():
