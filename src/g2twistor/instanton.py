@@ -162,15 +162,16 @@ def cr_dolbeault_on_functions(field, tp, f):
     return np.array([central_difference(f, (tp.m, tp.x), t, field.h) for t in tp.tangents_01])
 
 
-def _dbar_squared(field, tp, sections, potential):
-    """Per section s, (d-bar^2 s)(b_i, b_j) for the (0,1) pairs i < j, by the
-    Cartan pattern on 1-covectors (d-bar a)(b1, b2) = -b1 a(b2) + b2 a(b1) +
-    a([b1, b2]) applied to a = d-bar s: -nabla_i nabla_j s + nabla_j nabla_i s
-    + nabla_[b_i, b_j] s.  Each s(m, x) is a section of the pulled-back bundle
-    with connection potential(p) -> (7, r, r); potential None is the trivial
-    bundle (a function s, no connection term).  The inner derivatives run
-    along the cr01 extensions of the b_j; the three brackets come from one
-    kernel pass that every section shares."""
+def _dbar_squared(field, tp, section, potential):
+    """(d-bar^2 s)(b_i, b_j) for the (0,1) pairs i < j, by the Cartan pattern
+    on 1-covectors (d-bar a)(b1, b2) = -b1 a(b2) + b2 a(b1) + a([b1, b2])
+    applied to a = d-bar s: -nabla_i nabla_j s + nabla_j nabla_i s +
+    nabla_[b_i, b_j] s.  s(m, x) is a section of the pulled-back bundle with
+    connection potential(p) -> (7, r, r), its value (..., r) stacking
+    sections on its leading axes; potential None is the trivial bundle (a
+    function s, no connection term).  The inner derivatives run along the
+    cr01 extensions of the b_j, each extension evaluated once for all the
+    stacked sections; the three brackets come from one kernel pass."""
     tangents = tp.tangents_01
     at = (tp.m, tp.x)
     brackets = _brackets(field, tp.rows, tangents[None], "transport", "cr01")[0]
@@ -179,24 +180,21 @@ def _dbar_squared(field, tp, sections, potential):
         der = central_difference(s, (m, x), vec, field.h)
         if potential is None:
             return der
-        return der + np.einsum("iab,i,b->a", np.asarray(potential(m)), vec[0], s(m, x))
+        return der + np.einsum("iab,i,...b->...a", np.asarray(potential(m)), vec[0], s(m, x))
 
-    def eta(section, j):
+    def eta(j):
         return lambda m, x: nabla(section, _ext_tangent(field, tp, tangents[j], m, x), m, x)
 
     return [
-        [
-            -nabla(eta(s, j), tangents[i], *at) + nabla(eta(s, i), tangents[j], *at) + nabla(s, br, *at)
-            for i, j, br in zip(_PAIR_I, _PAIR_J, brackets)
-        ]
-        for s in sections
+        -nabla(eta(j), tangents[i], *at) + nabla(eta(i), tangents[j], *at) + nabla(section, br, *at)
+        for i, j, br in zip(_PAIR_I, _PAIR_J, brackets)
     ]
 
 
 def dolbeault_square_function_residual(field, tp, f):
     """Max over (0,1) pairs of the degree-2 operator applied twice to f:
     `_dbar_squared` on the trivial bundle, identically zero in the continuum."""
-    return max(0.0, *(abs(v) for v in _dbar_squared(field, tp, [f], None)[0]))
+    return max(0.0, *(abs(v) for v in _dbar_squared(field, tp, f, None)))
 
 
 def _ext_tangent(field, tp, vec, m, x):
@@ -251,15 +249,14 @@ def hodge_type_cr_residual(field, conn, tp):
 def dolbeault_square_section_residual(field, conn, tp):
     """Operator-level d-bar^2 on constant sections of the pulled-back
     bundle, compared against the curvature route: the residual of
-    (d-bar^2 xi)(b_i, b_j) + F(b_i, b_j) xi.
+    (d-bar^2 xi)(b_i, b_j) + F(b_i, b_j) xi, the r sections xi of the
+    standard basis stacked in one `_dbar_squared` pass.
     """
     wbar = tp.wbar
     F = dense_curvature(conn.curvature(tp.m, field.h))
     xis = np.eye(conn.rank, dtype=complex)
-    sections = [lambda m, x, xi0=xi0: xi0 for xi0 in xis]
     worst = 0.0
-    for xi0, dbar2 in zip(xis, _dbar_squared(field, tp, sections, conn.potential)):
-        for i, j, val in zip(_PAIR_I, _PAIR_J, dbar2):
-            fval = np.einsum("ijab,i,j,b->a", F, wbar[i], wbar[j], xi0)
-            worst = max(worst, float(np.abs(val + fval).max()))
+    for i, j, val in zip(_PAIR_I, _PAIR_J, _dbar_squared(field, tp, lambda m, x: xis, conn.potential)):
+        fval = np.einsum("ijab,i,j,kb->ka", F, wbar[i], wbar[j], xis)
+        worst = max(worst, float(np.abs(val + fval).max()))
     return worst

@@ -160,6 +160,15 @@ def test_differenced_curvature_matches_axis_loop(std):
                 assert np.array_equal(conn.curvature_differenced(p, h), want)
 
 
+def _rank3_potential(p):
+    """A non-abelian rank-3 potential (7, 3, 3) of period 1."""
+    phase = np.sin(2 * np.pi * np.asarray(p))
+    A = np.zeros((7, 3, 3), dtype=complex)
+    A[:, 0, 1], A[:, 1, 0] = 0.3 * phase, -0.3 * phase
+    A[:, 2, 2] = 0.5j * np.cos(2 * np.pi * np.asarray(p))
+    return A
+
+
 def test_section_residual_brackets_once_per_point(flat, monkeypatch):
     """The sections of a rank-3 residual share the three (0,1) brackets of
     one bracket-kernel pass over the point's tangent set, instead of one pass
@@ -174,18 +183,31 @@ def test_section_residual_brackets_once_per_point(flat, monkeypatch):
     monkeypatch.setattr(twistor, "_brackets", counting)
     monkeypatch.setattr(instanton, "_brackets", counting, raising=False)
 
-    def potential(p):
-        phase = np.sin(2 * np.pi * np.asarray(p))
-        A = np.zeros((7, 3, 3), dtype=complex)
-        A[:, 0, 1], A[:, 1, 0] = 0.3 * phase, -0.3 * phase
-        A[:, 2, 2] = 0.5j * np.cos(2 * np.pi * np.asarray(p))
-        return A
-
-    conn = ConnectionData(rank=3, potential=potential, label="rank-3")
+    conn = ConnectionData(rank=3, potential=_rank3_potential, label="rank-3")
     tp = twistor_point(flat, MS[2], XS[2])
     # the operator route meets the differenced non-abelian curvature to O(h^2)
     assert dolbeault_square_section_residual(flat, conn, tp) < 10.0 * flat.h**2
     assert passes == [(1, 3, 2, 7)]  # one pass over the three (0,1) tangents
+
+
+def test_section_residual_extends_once_for_all_sections(monkeypatch):
+    """The three constant sections of a rank-3 residual go through d-bar^2 as
+    one (3, 3) stack, so each cr01 extension is evaluated once for all of
+    them: 30 one-row extension passes at a generic-perturbed point, where one
+    pass per section made 90."""
+    field = make_field("generic-perturbed", 16, epsilon=0.1, frequency=(1, 2, 0, 1, 0, 0, -1))
+    tp = twistor_point(field, MS[1], XS[1])
+    conn = ConnectionData(rank=3, potential=_rank3_potential, label="rank-3")
+    rows = []
+    extension = instanton._extension_values
+
+    def counting(field, rows_, *args):
+        rows.append(len(rows_))
+        return extension(field, rows_, *args)
+
+    monkeypatch.setattr(instanton, "_extension_values", counting)
+    dolbeault_square_section_residual(field, conn, tp)
+    assert rows == [1] * 30
 
 
 def test_nonabelian_differenced_curvature_oracle():
