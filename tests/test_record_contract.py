@@ -1,7 +1,7 @@
-"""One contract for the kernels over a `TwistorPoints` record: row i of
-every plural kernel equals the one-point call on row i bit for bit, however
-the rows are ordered and split into blocks, and an empty record gives no
-rows."""
+"""One contract for the kernels over a `TwistorPoints` record, and for the
+field kernels over stacked points: row i of every plural kernel equals the
+one-point call on row i bit for bit, however the rows are ordered and split
+into blocks, and an empty record gives no rows."""
 
 import dataclasses
 import itertools
@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2twistor.fields import make_field
+from g2twistor.fields import (
+    christoffel,
+    christoffels,
+    levi_civita,
+    make_field,
+    riemanns,
+    torsion_residual,
+    torsion_residuals,
+)
 from g2twistor.instanton import (
     cr_holomorphicity_residual,
     cr_holomorphicity_residuals,
@@ -19,7 +27,7 @@ from g2twistor.instanton import (
     make_connection,
 )
 from g2twistor.pointwise import standard_g2_point
-from g2twistor.sampling import sphere_bundle_samples
+from g2twistor.sampling import sphere_bundle_samples, torus_points
 from g2twistor.twistor import (
     BLOCK,
     CARRIERS,
@@ -94,6 +102,38 @@ def test_record_kernels_match_one_point_calls(family, epsilon, n, data):
             assert blocks[k][name][j] == want, name
     empty = kernel_rows(field, conn, records[0][:0], [])
     assert all(rows == [] for rows in empty.values())
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    epsilon=st.floats(0.0, 0.3),
+    n=st.integers(0, 2 * BLOCK + 1),
+    layout=st.sampled_from("CF"),
+    data=st.data(),
+)
+def test_field_kernels_match_one_point_calls(family, epsilon, n, layout, data):
+    """`christoffels` (gamma and g), `riemanns` and `torsion_residuals` on
+    stacked points: row i of each block equals `christoffel`, the metric and
+    curvature of `levi_civita` and `torsion_residual` at the point it holds,
+    bit for bit, whatever the order, the block split and the memory layout
+    (C or Fortran) of the rows."""
+    field = make_field(family, 16, epsilon, (1, 2, 0, 1, 0, 0, -1))
+    points = torus_points(n, data.draw(st.integers(0, 99), label="seed"))
+    order = data.draw(st.permutations(range(n)), label="order")
+    split = data.draw(st.integers(0, n), label="split")
+    P = np.asarray(points[order], order=layout)
+    for rows in (P[:split], P[split:]):
+        gamma, g = christoffels(field, rows)
+        curvature = riemanns(field, rows, gamma, g)
+        torsion = torsion_residuals(field, rows)
+        assert len(gamma) == len(g) == len(curvature) == len(torsion) == len(rows)
+        for i, p in enumerate(rows):
+            conn = levi_civita(field, p)
+            assert np.array_equal(gamma[i], christoffel(field, p))
+            assert np.array_equal(g[i], conn.metric.entries)
+            assert np.array_equal(curvature[i], conn.riemann)
+            assert torsion[i] == torsion_residual(field, p)
 
 
 #: every kernel that takes a record, as (field, conn, record) -> its value
