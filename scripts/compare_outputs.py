@@ -10,11 +10,13 @@ to the generic-perturbed field at epsilon 0.1: only there do per-row
 metrics reach its residuals.  twistor-perturbed also runs the conformal
 field at epsilon 0.05, which no shipped config runs, so every generator
 family reaches a compared output.  Of each run it compares the body of
-samples.csv (all but its timestamp line) and the [results] section of
-summary.txt byte for byte, prints one line per run, and names every file
-that differs.  Under the line of a run whose reports differ it says how far
-they moved: each moved column of samples.csv with its largest relative
-change, and each changed line of summary.txt as old -> new.
+samples.csv (all but its timestamp line), the [results] section of
+summary.txt and, for a pointwise run, the whole of g2point.txt byte for
+byte, prints one line per run, and names every file that differs; a report
+that neither run wrote is not counted.  Under the line of a run whose
+reports differ it says how far they moved: each moved column of
+samples.csv with its largest relative change, and each changed line of
+summary.txt or g2point.txt as old -> new.
 
     python3 scripts/compare_outputs.py --parent HEAD~1 --change HEAD
 
@@ -45,7 +47,7 @@ VARIANTS = (
     ("generic-f1234567", "instanton", {"generator": "generic-perturbed", "epsilon": "0.1", **OFF_AXIS}),
     ("conformal", "twistor-perturbed", {"generator": "conformal", "epsilon": "0.05"}),
 )
-REPORTS = ("samples.csv", "summary.txt")
+REPORTS = ("samples.csv", "summary.txt", "g2point.txt")
 
 
 def runs(configs):
@@ -94,20 +96,31 @@ def failed(returncode, stderr):
 
 def compared_part(path):
     """The bytes of a report that must not change: samples.csv without its
-    timestamp line, summary.txt from its [results] line on; None when the
-    file is missing."""
+    timestamp line, summary.txt from its [results] line on, g2point.txt
+    whole; None when the file is missing."""
     if not path.is_file():
         return None
     data = path.read_bytes()
     if path.name == "samples.csv":
         return data.split(b"\n", 1)[-1]
-    start = data.find(b"[results]")
-    return data[start:] if start >= 0 else data
+    if path.name == "summary.txt":
+        start = data.find(b"[results]")
+        return data[start:] if start >= 0 else data
+    return data
+
+
+def written_reports(parent_run, change_run):
+    """Names of the reports that at least one of two run directories holds."""
+    return [name for name in REPORTS if (parent_run / name).is_file() or (change_run / name).is_file()]
 
 
 def differing_files(parent_run, change_run):
     """Names of the reports of two run directories whose compared parts differ."""
-    return [name for name in REPORTS if compared_part(parent_run / name) != compared_part(change_run / name)]
+    return [
+        name
+        for name in written_reports(parent_run, change_run)
+        if compared_part(parent_run / name) != compared_part(change_run / name)
+    ]
 
 
 def relative_change(old, new):
@@ -170,13 +183,14 @@ def main(argv=None):
         for label, stem, settings, seed in runs(configs):
             for side in SIDES:
                 run(trees[side], stem, settings, seed, root / "out" / side / label)
-            names = differing_files(root / "out" / "parent" / label, root / "out" / "change" / label)
+            parent_run, change_run = root / "out" / "parent" / label, root / "out" / "change" / label
+            names = differing_files(parent_run, change_run)
             print(f"{label}: " + (" and ".join(names) + " differ" if names else "identical"), flush=True)
             for name in names:
-                for line in movements(root / "out" / "parent" / label, root / "out" / "change" / label, name):
+                for line in movements(parent_run, change_run, name):
                     print(f"  {name} {line}", flush=True)
             differing += [f"{label}/{name}" for name in names]
-            total += len(REPORTS)
+            total += len(written_reports(parent_run, change_run))
     if differing:
         print(f"{len(differing)} of {total} files differ: " + ", ".join(differing))
         return 1

@@ -46,6 +46,21 @@ def test_a_missing_report_differs(tmp_path):
     assert compare_outputs.differing_files(tmp_path / "parent", tmp_path / "change") == ["summary.txt"]
 
 
+def test_a_changed_g2point_is_reported(tmp_path):
+    """The pointwise campaign's g2point.txt is compared whole, and a report
+    that neither run wrote is not counted."""
+    write_run(tmp_path / "parent", "2026-01-01T00:00:00")
+    write_run(tmp_path / "change", "2026-01-01T00:00:00")
+    assert compare_outputs.written_reports(tmp_path / "parent", tmp_path / "change") == ["samples.csv", "summary.txt"]
+    point = "g2point\norientation 1\nrho\n1 2 3 1.0\nend\n"
+    (tmp_path / "parent" / "g2point.txt").write_text(point)
+    (tmp_path / "change" / "g2point.txt").write_text(point.replace("1.0", "1.0000000000000002"))
+    assert compare_outputs.differing_files(tmp_path / "parent", tmp_path / "change") == ["g2point.txt"]
+    assert compare_outputs.movements(tmp_path / "parent", tmp_path / "change", "g2point.txt") == [
+        "1 2 3 1.0 -> 1 2 3 1.0000000000000002"
+    ]
+
+
 def test_frequency_line_is_replaced_once():
     text = "campaign = twistor\nfrequency = 1 0 0 0 0 0 0\nseed = 0\n"
     assert compare_outputs.with_settings(text, {"frequency": "1 2 3 4 5 6 7"}) == (
