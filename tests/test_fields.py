@@ -727,8 +727,8 @@ def _rows_with_repeats(n, seed):
 @pytest.mark.parametrize("n", [0, 1, BLOCK + 1])
 @pytest.mark.parametrize("family, eps", REUSE_FAMILIES)
 def test_rho_keyed_rows_match_no_reuse_oracles(family, eps, n):
-    """Metrics, point stacks, Christoffel symbols and torsion residuals equal references that compute
-    every row, bit for bit."""
+    """Metrics, point stacks, Christoffel symbols and torsion residuals equal
+    references that compute every row, bit for bit."""
     field = make_field(family, 16, epsilon=eps, frequency=OFF_AXIS)
     P = _rows_with_repeats(n, 31)
     g, orientation = field.metrics(P)
