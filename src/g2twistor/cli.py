@@ -421,7 +421,6 @@ def main(argv=None):
             val = getattr(args, key)
             if val is not None:
                 cfg = replace(cfg, **{key: val})
-        cfg.validate()
         return run_campaign(cfg)
     except (ConfigError, G2StructureError, NotPositiveDefinite) as exc:
         # a generator that leaves the G2 stratum is a bad config, not a verdict

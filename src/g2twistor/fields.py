@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .forms import KForm, MetricTensor, _sum_terms, _wedge1_groups, wedge
+from .forms import KForm, _sum_terms, _wedge1_groups, wedge
 from .pointwise import G2Point, RHO_STD_TERMS, induced_metrics, structure_stacks
 
 AXES = np.eye(7)
@@ -313,12 +313,6 @@ def torsion_residual(field, p):
     return torsion_residuals(field, np.asarray(p, dtype=float)[None])[0]
 
 
-def fernandez_gray_residual(field, sample_points):
-    """(max |d rho|, max |d *rho|) over the sample set, coefficient norms; zeros for none."""
-    residuals = torsion_residuals(field, sample_points)
-    return tuple(max(column) for column in zip((0.0, 0.0), *residuals))
-
-
 @lru_cache(maxsize=None)
 def calibrate_integrability(resolution):
     """Threshold tau(N) from the measured truncation error on the conformal
@@ -350,26 +344,6 @@ def integrability_verdict(field, sample_points):
 
 # ---------------------------------------------------------------------------
 # Levi-Civita connection and curvature
-
-
-@dataclass(eq=False)
-class ConnectionSample:
-    """Christoffel symbols and lowered curvature at one point.
-
-    gamma[k, i, j] = Gamma^k_ij, symmetric in (i, j) by construction.
-    riemann[i, j, k, l] = g(e_k, R(e_i, e_j) e_l), antisymmetric in both
-    pairs by construction.
-    """
-
-    point: np.ndarray
-    metric: MetricTensor
-    gamma: np.ndarray
-    riemann: np.ndarray
-
-    def curvature_vector(self, x, y, z):
-        """R(x, y) z with the index raised through the metric."""
-        low = np.einsum("ijkl,i,j,l->k", self.riemann, x, y, z)
-        return self.metric.inverse @ low
 
 
 def christoffels(field, P):
@@ -415,11 +389,12 @@ def riemanns(field, P, gamma, g):
 
 
 def levi_civita(field, p):
-    """Connection sample at p: gamma and the metric from one `christoffels` pass
-    (stencil and centre metrics together), the curvature from `riemanns` on them."""
+    """(gamma, g, riemann) at p: gamma[k, i, j] = Gamma^k_ij and the metric
+    from one `christoffels` pass (stencil and centre metrics together), and
+    riemann[i, j, k, l] = g(e_k, R(e_i, e_j) e_l) from `riemanns` on them."""
     P = np.asarray(p, dtype=float)[None]
     gamma, g = christoffels(field, P)
-    return ConnectionSample(P[0], MetricTensor.trusted(g[0]), gamma[0], riemanns(field, P, gamma, g)[0])
+    return gamma[0], g[0], riemanns(field, P, gamma, g)[0]
 
 
 def curvature_g2_check(field, p):
@@ -429,10 +404,10 @@ def curvature_g2_check(field, p):
     both factors are projected with the point's 2-form projectors and the
     norm uses the metric-induced inner product on each factor.
     """
-    conn = levi_civita(field, p)
-    point = field.point_data(conn.point)
+    riemann = levi_civita(field, p)[2]
+    point = field.point_data(p)
     i, j = np.triu_indices(7, 1)  # the increasing pairs, lexicographic
-    M = conn.riemann[i[:, None], j[:, None], i, j]
+    M = riemann[i[:, None], j[:, None], i, j]
     _, P14 = point.lambda2_projectors
     D = M - P14 @ M @ P14.T
     G2 = point.metric.gram(2)

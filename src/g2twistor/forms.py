@@ -259,10 +259,6 @@ class MetricTensor:
         metric.entries = M
         return metric
 
-    @classmethod
-    def identity(cls, dim):
-        return cls(np.eye(dim))
-
     @property
     def dim(self):
         return self.entries.shape[0]
@@ -394,13 +390,6 @@ def _complement_table(dim, degree):
     return dst, sg
 
 
-def volume_form(g, orientation=1):
-    """g-unit positively oriented top form."""
-    top = KForm.zero(g.dim, g.dim)
-    top.coeffs[0] = orientation * g.sqrt_det
-    return top
-
-
 @lru_cache(maxsize=None)
 def _extend_table(dim, r):
     """For each increasing (r+1)-index I: (position of I[:-1] among r-indices, I[-1])."""
@@ -445,26 +434,6 @@ def hodge_star(a, g, orientation=1):
     vol = np.array([g.sqrt_det * orientation])
     out = hodge_star_coeffs(a.coeffs[None], g.inverse[None], vol, a.degree)
     return KForm(a.dim, a.dim - a.degree, out[0])
-
-
-def sharp(g, covector):
-    """Raise an index: 1-form (KForm or coefficient array) to vector."""
-    xi = covector.coeffs if isinstance(covector, KForm) else np.asarray(covector)
-    return g.inverse @ xi
-
-
-def flat(g, vector):
-    """Lower an index: vector to 1-form coefficient array."""
-    return g.entries @ np.asarray(vector)
-
-
-def inner_product(a, b, g):
-    a._check_same_space(b)
-    return float(a.coeffs @ g.gram(a.degree) @ b.coeffs)
-
-
-def form_norm(a, g):
-    return float(np.sqrt(max(inner_product(a, a, g), 0.0)))
 
 
 # ---------------------------------------------------------------------------

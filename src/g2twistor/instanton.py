@@ -242,7 +242,7 @@ def hodge_type_cr_residual(field, conn, tp):
     beta = KForm(7, 2, F.imag) if np.abs(F.real).max() < 1e-12 else None
     if beta is None:
         raise ConnectionDataError("rank-1 curvature must be purely imaginary")
-    p2002, _, _ = hodge_type_on_complement(tp.point, beta, tp.x, frame=tp.su3)
+    p2002, _, _ = hodge_type_on_complement(field.point_data(tp.m), beta, tp.x)
     return p2002 / np.sqrt(2.0)
 
 

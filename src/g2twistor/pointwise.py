@@ -220,13 +220,9 @@ class G2Point:
         return self.metric.inverse
 
     @cached_property
-    def rho_dense(self):
-        return self.rho.dense()
-
-    @cached_property
     def cross_tensor(self):
         """T[i, j, k] = k-th component of e_i x e_j."""
-        return np.einsum("ijm,km->ijk", self.rho_dense, self.ginv)
+        return np.einsum("ijm,km->ijk", self.rho.dense(), self.ginv)
 
     @cached_property
     def stabilizer_algebra(self):
@@ -261,9 +257,6 @@ class G2Point:
     def cross(self, x, y):
         """Vector product  x * y = (rho(x, y, .)) raised through g."""
         return np.einsum("ijk,i,j->k", self.cross_tensor, x, y)
-
-    def norm(self, x):
-        return self.metric.norm(x)
 
 
 def lambda2_projectors(R, g, vol):
@@ -311,7 +304,7 @@ def is_associative_subspace(point, basis):
     for i in range(3):
         for j in range(i + 1, 3):
             w = point.cross(Q[:, i], Q[:, j])
-            if point.norm(w - proj @ w) > UNIT_TOL:
+            if point.metric.norm(w - proj @ w) > UNIT_TOL:
                 return False
     return True
 
@@ -327,7 +320,7 @@ class Su3Frame:
     ``basis`` holds six g-orthonormal columns spanning v-perp; all member
     forms and maps are written in that basis.  The rows of ``b10`` are a
     Hermitian-orthonormal basis of the i-eigenspace of I, and their
-    conjugates ``b01`` one of the (0,1) vectors.  ``Omega = Omega_re + i
+    conjugates one of the (0,1) vectors.  ``Omega = Omega_re + i
     Omega_im`` is of type (3,0) for I: contracting with any (0,1)-vector
     gives zero.
     """
@@ -338,10 +331,6 @@ class Su3Frame:
     b10: np.ndarray  # (3, 6) complex rows
     Omega_re: KForm
     Omega_im: KForm
-
-    @property
-    def b01(self):
-        return np.conj(self.b10)
 
 
 def su3_structures(G, Ginv, R, S, V):

@@ -25,7 +25,8 @@ A g2point record nests three kform/matrix blocks:
     <kform block>
     end
 
-A validated load checks rho_star against the Hodge dual of rho and metric.
+A load validates the point and checks rho_star against the Hodge dual of
+rho and metric.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def g2point_to_text(point):
     return "\n".join(out) + "\n"
 
 
-def g2point_from_text(text, validate=True):
+def g2point_from_text(text):
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if lines[0].strip() != "g2point":
         raise FormatError("expected 'g2point' header")
@@ -122,7 +123,7 @@ def g2point_from_text(text, validate=True):
     if lines[i].strip() != "rho_star":
         raise FormatError("expected 'rho_star' block")
     rho_star, i = _parse_kform(lines, i + 1)
-    point = G2Point(rho, MetricTensor(entries), orientation, validate=validate)
-    if validate and np.abs(point.rho_star.coeffs - rho_star.coeffs).max() > 1e-9:
+    point = G2Point(rho, MetricTensor(entries), orientation)
+    if np.abs(point.rho_star.coeffs - rho_star.coeffs).max() > 1e-9:
         raise G2StructureError("stored 4-form is not the Hodge dual")
     return point

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields as dc_fields
-from functools import cached_property
 
 import numpy as np
 
 from .fields import BLOCK, blocks, central_difference, christoffel, christoffels, make_field, riemanns
 from .forms import KForm, contract, contract_stack, dense_stack, derivation_apply, minors
-from .pointwise import G2Point, su3_structure, su3_structures
+from .pointwise import su3_structures
 from .sampling import sphere_bundle_samples
 
 WHICH = ("01", "10")
@@ -61,8 +60,8 @@ class TwistorPoints:
     array per field (docs/CONVENTIONS.md): ``lifts`` holds theta, the lift of
     x, then the b_lifts of a g-orthonormal basis W of x-perp.  A slice or row
     array selects those rows; an integer i gives the one-point record of row i
-    (no row axis; ``point``, ``su3``, ``vert_basis`` and ``vertical_part`` are
-    read on it, and ``rows`` is it as a one-row record)."""
+    (no row axis; ``vert_basis`` and ``vertical_part`` are read on it, and
+    ``rows`` is it as a one-row record)."""
 
     m: np.ndarray
     rho: np.ndarray
@@ -97,16 +96,6 @@ class TwistorPoints:
     def wbar(self):
         """The (0,1) basis of each frame in torus coordinates: (..., 3, 7) complex rows."""
         return np.einsum("...ra,...ia->...ri", np.conj(self.b10), self.W)
-
-    @cached_property
-    def point(self):
-        """The G2 point at m."""
-        return G2Point.from_rho(KForm(7, 3, self.rho), validate=False)
-
-    @cached_property
-    def su3(self):
-        """The SU(3) frame on x-perp."""
-        return su3_structure(self.point, self.x)
 
     def vertical_part(self, vec):
         """Fiber component minus the horizontal-lift fiber of the base part."""
@@ -329,11 +318,6 @@ def xi_value(lam, tangents):
     return total
 
 
-def tautological_forms(lam, tangents):
-    """(Theta on the first k tangents, Xi on all k+1)."""
-    return theta_value(lam, tangents[: lam.degree]), xi_value(lam, tangents)
-
-
 def form_bundle_lift(gamma, lam, b):
     """Horizontal lift of base vector b at a point lam of Tot(Lambda^k):
     the fiber velocity of parallel transport."""
@@ -428,11 +412,11 @@ def omega_closure_residual(field, tps, max_combos=None, seed=0):
     return max(0.0, *omega_closure_residuals(field, tps, seeds, max_combos)) if tps else 0.0
 
 
-def _pushforward_to_form_bundle(field, tp, vec):
-    """Tangent map of (p, y) -> (*rho(p) . y, p) into Tot(Lambda^3) at tp."""
+def _pushforward_to_form_bundle(field, tp, rho_star, vec):
+    """Tangent map of (p, y) -> (*rho(p) . y, p) into Tot(Lambda^3) at tp, rho_star the 4-form at tp.m."""
     b, w = np.asarray(vec[0], dtype=float), np.asarray(vec[1], dtype=float)
     dstar = central_difference(lambda q: field.point_data(q).rho_star.coeffs, (tp.m,), (b,), field.h)
-    lam_dot = contract(tp.point.rho_star, w).coeffs + contract(KForm(7, 4, dstar), tp.x).coeffs
+    lam_dot = contract(rho_star, w).coeffs + contract(KForm(7, 4, dstar), tp.x).coeffs
     return b, lam_dot
 
 
@@ -445,8 +429,9 @@ def xi_factorization_residual(field, tps, max_combos=10, seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for tp, frame in zip(tps, tps.lifts):
-        lam = contract(tp.point.rho_star, tp.x)
-        pushed = [_pushforward_to_form_bundle(field, tp, v) for v in frame]
+        rho_star = field.point_data(tp.m).rho_star
+        lam = contract(rho_star, tp.x)
+        pushed = [_pushforward_to_form_bundle(field, tp, rho_star, v) for v in frame]
         combos = _draw_combos(rng, max_combos)
         m, x = np.tile(tp.m, (len(combos), 1)), np.tile(tp.x, (len(combos), 1))
         direct = -_d_omegas(field, m, x, frame[np.array(combos)]).imag

@@ -22,7 +22,6 @@ from g2twistor.fields import (
     christoffels,
     curvature_g2_check,
     exterior_derivative,
-    fernandez_gray_residual,
     fit_convergence_order,
     integrability_verdict,
     levi_civita,
@@ -150,7 +149,7 @@ def test_closed_multi_frequency_keeps_d_rho_zero(points):
     """Nonzero frequency entries of equal size: every axis stencil damps the
     sine by the same factor, so the discrete d(rho) cancels to rounding."""
     field = make_field("closed-perturbed", 16, epsilon=0.05, frequency=(1, 0, 0, 1, 0, 0, 1))
-    d, ds = fernandez_gray_residual(field, points)
+    d, ds = integrability_verdict(field, points)[1:3]
     assert d < 1e-13
     assert ds > 0.05
 
@@ -370,7 +369,7 @@ def test_field_rejects_bad_resolution(build, resolution):
 
 
 def test_flat_field_torsion_free_exactly(flat, points):
-    d, ds = fernandez_gray_residual(flat, points)
+    d, ds = integrability_verdict(flat, points)[1:3]
     assert d < 1e-13 and ds < 1e-13
 
 
@@ -403,7 +402,7 @@ def test_torsion_residuals_rows_match_one_point_calls(family, n):
     rows = torsion_residuals(field, P)
     assert rows == [torsion_residual(field, p) for p in P]
     assert rows == [_per_point_torsion(field, p) for p in P]
-    assert fernandez_gray_residual(field, P) == tuple(max(0.0, *col) for col in zip(*rows))
+    assert integrability_verdict(field, P)[1:3] == tuple(max(0.0, *col) for col in zip(*rows))
 
 
 @pytest.mark.parametrize("resolution", [8, 16, 32, 64])
@@ -450,7 +449,7 @@ def test_batches_accept_no_rows(flat, op, want):
         "vertical_curvature_obstructions": lambda: vertical_curvature_obstructions(flat, no_tps),
         "omega_closure_residuals": lambda: omega_closure_residuals(flat, no_tps, []),
         "torsion_residuals": lambda: torsion_residuals(flat, []),
-        "fernandez_gray_residual": lambda: fernandez_gray_residual(flat, []),
+        "fernandez_gray_residual": lambda: integrability_verdict(flat, [])[1:3],
         "riemanns": lambda: riemanns(flat, none, np.zeros((0, 7, 7, 7)), np.zeros((0, 7, 7))).shape,
         "christoffels": lambda: [a.shape for a in christoffels(flat, none)],
         "su3_structures": lambda: [s.shape for s in su3_structures(*no_points, none)],
@@ -464,7 +463,7 @@ def test_batches_accept_no_rows(flat, op, want):
 
 def test_closed_perturbation_keeps_d_rho_zero(points):
     field = make_field("closed-perturbed", 16, epsilon=0.05)
-    d, ds = fernandez_gray_residual(field, points)
+    d, ds = integrability_verdict(field, points)[1:3]
     assert d < calibrate_integrability(16)
     assert ds > 0.05
 
@@ -472,7 +471,7 @@ def test_closed_perturbation_keeps_d_rho_zero(points):
 def test_generic_perturbation_breaks_both(points):
     eps = 0.05
     field = make_field("generic-perturbed", 16, epsilon=eps)
-    d, ds = fernandez_gray_residual(field, points)
+    d, ds = integrability_verdict(field, points)[1:3]
     assert d >= 0.1 * eps and ds >= 0.1 * eps
 
 
@@ -491,9 +490,9 @@ def test_integrability_verdicts(points):
 
 
 def test_flat_connection_exact(flat, points):
-    conn = levi_civita(flat, points[0])
-    assert np.abs(conn.gamma).max() == 0.0
-    assert np.abs(conn.riemann).max() == 0.0
+    gamma, _, riemann = levi_civita(flat, points[0])
+    assert np.abs(gamma).max() == 0.0
+    assert np.abs(riemann).max() == 0.0
 
 
 def test_christoffel_matches_conformal_closed_form(points):
@@ -530,7 +529,7 @@ def test_christoffel_equals_loop_reference(points):
 
 
 def test_curvature_antisymmetries_exact(conformal, points):
-    R = levi_civita(conformal, points[0]).riemann
+    R = levi_civita(conformal, points[0])[2]
     assert np.array_equal(R, -np.transpose(R, (1, 0, 2, 3)))
     assert np.array_equal(R, -np.transpose(R, (0, 1, 3, 2)))
 
@@ -550,10 +549,10 @@ def test_levi_civita_metric_is_the_centre_metric_of_its_pass(monkeypatch):
 
     monkeypatch.setattr(fields_module, "induced_metrics", counted)
     monkeypatch.setattr(pointwise_module, "induced_metrics", counted)
-    conn = levi_civita(field, p)
+    g = levi_civita(field, p)[1]
     assert len(calls) == 2
     monkeypatch.undo()
-    assert np.array_equal(conn.metric.entries, field.point_data(p).metric.entries)
+    assert np.array_equal(g, field.point_data(p).metric.entries)
 
 
 def test_curvature_matches_exact_christoffel_route(points):
@@ -583,7 +582,7 @@ def test_curvature_matches_exact_christoffel_route(points):
     errs = []
     for n in NS:
         field = StructureField(generator=gen, resolution=n)
-        errs.append(np.abs(levi_civita(field, p).riemann - want).max())
+        errs.append(np.abs(levi_civita(field, p)[2] - want).max())
     assert fit_convergence_order(HS, errs) > 1.8
 
 
@@ -593,7 +592,7 @@ def test_first_bianchi_scaling(points):
     errs = []
     for n in NS:
         field = make_field("generic-perturbed", n, epsilon=0.1)
-        R = levi_civita(field, p).riemann
+        R = levi_civita(field, p)[2]
         b = R + np.einsum("iklj->ijkl", R) + np.einsum("iljk->ijkl", R)
         errs.append(max(np.abs(b).max(), 1e-16))
     assert errs[-1] <= errs[0]
@@ -663,7 +662,7 @@ def test_curvature_block_equals_loop_reference(points):
     """The pair gather in curvature_g2_check equals the double loop bit for bit."""
     field = make_field("generic-perturbed", 16, epsilon=0.1)
     p = points[2]
-    R = levi_civita(field, p).riemann
+    R = levi_civita(field, p)[2]
     pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
     M = np.array([[R[i, j, k, l] for k, l in pairs] for i, j in pairs])
     point = field.point_data(p)

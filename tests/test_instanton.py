@@ -74,7 +74,7 @@ def test_f7_residual_of_twistor_points_matches_instanton_scan(std):
     ms, xs = sphere_bundle_samples(16, 5)
     singles = []
     for m, tp in zip(ms, twistor_points(field, ms, xs)):
-        res = f7_residual(tp.point, conn.curvature(tp.m, field.h))
+        res = f7_residual(field.point_data(tp.m), conn.curvature(tp.m, field.h))
         assert res == is_g2_instanton(field, conn, [m])[1]
         singles.append(res)
     assert is_g2_instanton(field, conn, ms)[1] == max(singles)
@@ -108,21 +108,22 @@ def test_batched_frames_and_residuals_match_one_row_calls(family, epsilon, n, da
     f7s = [r for b in parts for r in f7_residuals(tps.rho[b], tps.g[b], tps.ginv[b], tps.vol[b], F[b])]
     names = ("basis", "I", "b10", "omega", "Omega_re", "Omega_im")
     for tp, frame, cr, f7, f in zip(tps, frames, crs, f7s, F, strict=True):
-        want = oracles.su3_frame_by_rows(tp.point, tp.x)
+        point = field.point_data(tp.m)
+        want = oracles.su3_frame_by_rows(point, tp.x)
+        fr = su3_structure(point, tp.x)
         for name, row, w in zip(names, frame, want, strict=True):
             assert np.array_equal(row, w), name
-            for fr in (tp.su3, su3_structure(tp.point, tp.x)):
-                got = getattr(fr, name)
-                assert np.array_equal(getattr(got, "coeffs", got), w), name
+            got = getattr(fr, name)
+            assert np.array_equal(getattr(got, "coeffs", got), w), name
         assert cr == cr_holomorphicity_residual(field, conn, tp)
         assert cr == oracles.cr_residual_by_pairs(conn, tp, field.h)
-        assert f7 == f7_residual(tp.point, f) == oracles.f7_residual_by_point(tp.point, f)
+        assert f7 == f7_residual(point, f) == oracles.f7_residual_by_point(point, f)
     if n:
         row = data.draw(st.integers(0, n - 1), label="bad row")
         bad = V.copy()
         bad[row] *= data.draw(st.sampled_from([1.01, np.nan]), label="factor")
         with pytest.raises(NonUnitVectorError):
-            su3_structure(tps[row].point, bad[row])
+            su3_structure(field.point_data(tps.m[row]), bad[row])
         with pytest.raises(NonUnitVectorError):
             su3_structures(tps.g, tps.ginv, tps.rho, S, bad)
 

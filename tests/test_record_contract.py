@@ -67,7 +67,7 @@ def one_point_rows(field, conn, tp, seed):
     rows["vertical"] = vertical_curvature_obstruction(field, tp)
     rows["omega"] = omega_closure_residual(field, tp.rows, max_combos=COMBOS, seed=seed)
     rows["cr"] = cr_holomorphicity_residual(field, conn, tp)
-    rows["f7"] = f7_residual(tp.point, conn.curvature(tp.m, field.h))
+    rows["f7"] = f7_residual(field.point_data(tp.m), conn.curvature(tp.m, field.h))
     return rows
 
 
@@ -129,10 +129,10 @@ def test_field_kernels_match_one_point_calls(family, epsilon, n, layout, data):
         torsion = torsion_residuals(field, rows)
         assert len(gamma) == len(g) == len(curvature) == len(torsion) == len(rows)
         for i, p in enumerate(rows):
-            conn = levi_civita(field, p)
+            _, g_p, riemann = levi_civita(field, p)
             assert np.array_equal(gamma[i], christoffel(field, p))
-            assert np.array_equal(g[i], conn.metric.entries)
-            assert np.array_equal(curvature[i], conn.riemann)
+            assert np.array_equal(g[i], g_p)
+            assert np.array_equal(curvature[i], riemann)
             assert torsion[i] == torsion_residual(field, p)
 
 

@@ -15,7 +15,7 @@ from g2twistor.fields import (
 )
 from g2twistor import fields, forms, pointwise, twistor
 from g2twistor.forms import KForm, contract
-from g2twistor.pointwise import structure_stacks
+from g2twistor.pointwise import structure_stacks, su3_structure
 from g2twistor.sampling import sphere_bundle_samples
 from g2twistor.twistor import (
     BLOCK,
@@ -30,7 +30,6 @@ from g2twistor.twistor import (
     involutivity_residuals,
     omega_closure_residual,
     omega_closure_residuals,
-    tautological_forms,
     theta_value,
     twistor_point,
     twistor_points,
@@ -79,7 +78,7 @@ def test_flat_frame_is_constant(flat):
 
 def test_frame_orthonormal(generic):
     tp = twistor_point(generic, MS[1], XS[1])
-    g = tp.point.g
+    g = tp.g
     vecs = [tp.theta] + list(tp.b_lifts)
     for i, u in enumerate(vecs):
         for j, v in enumerate(vecs):
@@ -168,21 +167,19 @@ def test_lift_beats_naive_transport(conformal):
 
 def test_splitting_eigen_equations(generic):
     tp = twistor_point(generic, MS[3], XS[3])
-    cs = tp.su3
-    I6 = tp.su3.I
+    I6, b10 = tp.I, tp.b10
     assert np.abs(I6 @ I6 + np.eye(6)).max() < 1e-10
-    for r in cs.b10:
+    for r in b10:
         assert np.abs(I6 @ r - 1j * r).max() < 1e-10
-    for r in cs.b01:
+    for r in np.conj(b10):
         assert np.abs(I6 @ r + 1j * r).max() < 1e-10
-    assert np.array_equal(cs.b01, np.conj(cs.b10))
-    gram = np.conj(cs.b10) @ cs.b10.T
+    gram = np.conj(b10) @ b10.T
     assert np.abs(gram - np.eye(3)).max() < 1e-10
 
 
 def test_splitting_standard_direction_span(flat):
     tp = twistor_point(flat, MS[0], np.eye(7)[0])
-    amb = np.einsum("ra,ia->ri", tp.su3.b10, tp.W)
+    amb = np.einsum("ra,ia->ri", tp.b10, tp.W)
     want = np.array(
         [
             [0, 1, -1j, 0, 0, 0, 0],
@@ -221,12 +218,12 @@ def test_vertical_bracket_equals_curvature(conformal):
         worst = 0.0
         for k in range(4):
             tp = twistor_point(field, MS[k], XS[k])
-            conn = levi_civita(field, tp.m)
+            _, g, riemann = levi_civita(field, tp.m)
             for i, j in [(0, 1), (2, 4)]:
                 X, Y = tp.b_lifts[i], tp.b_lifts[j]
                 br = frobenius_bracket(field, tp, X, Y)
                 vert = tp.vertical_part(br)
-                want = -conn.curvature_vector(X[0], Y[0], tp.x)
+                want = -np.linalg.inv(g) @ np.einsum("ijkl,i,j,l->k", riemann, X[0], Y[0], tp.x)
                 worst = max(worst, np.abs(vert - want).max())
         errs.append(worst)
     assert fit_convergence_order(HS, errs) > 1.5
@@ -239,7 +236,7 @@ def test_b_section_brackets_stay_orthogonal_to_theta(conformal):
     tp = twistor_point(conformal, MS[0], XS[0])
     for i, j in [(0, 1), (2, 3), (4, 5)]:
         br = frobenius_bracket(conformal, tp, tp.b_lifts[i], tp.b_lifts[j], projection="b")
-        assert abs(tp.x @ tp.point.g @ br[0]) < 1e-12
+        assert abs(tp.x @ tp.g @ br[0]) < 1e-12
 
 
 @pytest.mark.parametrize("carrier", twistor.CARRIERS)
@@ -367,7 +364,7 @@ def test_vertical_obstructions_reuse_the_record_centres(generic, monkeypatch):
     monkeypatch.undo()
     riemann = riemanns(generic, tps.m, tps.gamma, tps.g)
     for i, m in enumerate(tps.m):
-        assert np.array_equal(riemann[i], levi_civita(generic, m).riemann)
+        assert np.array_equal(riemann[i], levi_civita(generic, m)[2])
 
 
 def test_one_twistor_block_makes_six_metric_passes(monkeypatch):
@@ -415,7 +412,7 @@ def test_vertical_obstruction_matches_bracket_route(conformal):
         worst = 0.0
         for i, j in itertools.combinations(range(3), 2):
             br = frobenius_bracket(field, tp, t01[i], t01[j], projection="cr01")
-            worst = max(worst, tp.point.metric.norm(tp.vertical_part(br)))
+            worst = max(worst, field.point_data(tp.m).metric.norm(tp.vertical_part(br)))
         diffs.append(abs(oracle - worst))
     assert fit_convergence_order(HS, diffs) > 1.0
     assert diffs[-1] < 0.01
@@ -598,14 +595,6 @@ def test_xi_is_derivative_of_theta():
     assert total == pytest.approx(want, abs=1e-9)
 
 
-def test_tautological_forms_wrapper():
-    lam = KForm(7, 3, RNG.standard_normal(35))
-    tangents = [random_tangent(3) for _ in range(4)]
-    th, xi = tautological_forms(lam, tangents)
-    assert th == pytest.approx(theta_value(lam, tangents[:3]))
-    assert xi == pytest.approx(xi_value(lam, tangents))
-
-
 def test_canonical_form_horizontal_flat_exact(flat):
     for k in (1, 3):
         assert canonical_form_horizontal_residual(flat, k, n_samples=10, seed=0) < 1e-12
@@ -656,7 +645,7 @@ def test_omega_matches_frame_volume(flat, generic):
 
     for field in (flat, generic):
         tp = twistor_point(field, MS[1], XS[1])
-        fr = tp.su3
+        fr = su3_structure(field.point_data(tp.m), tp.x)
         for (a, b, c) in [(0, 1, 2), (1, 3, 5), (0, 2, 4)]:
             B = tp.b_lifts[[a, b, c], 0]
             val = _omega_values(field, tp.m[None], tp.x[None], B[None])[0]
