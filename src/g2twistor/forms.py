@@ -271,12 +271,13 @@ class MetricTensor:
     def sqrt_det(self):
         return float(np.sqrt(np.linalg.det(self.entries)))
 
+    # contiguous operands: a strided row rounds as its C copy does
     def inner(self, x, y):
         """Real bilinear pairing; use `norm` for complex vectors."""
-        return float(np.asarray(x) @ self.entries @ np.asarray(y))
+        return float(np.ascontiguousarray(x) @ self.entries @ np.ascontiguousarray(y))
 
     def norm(self, x):
-        x = np.asarray(x)
+        x = np.ascontiguousarray(x)
         val = np.real(np.conj(x) @ self.entries @ x)
         return float(np.sqrt(max(val, 0.0)))
 

@@ -28,7 +28,9 @@ from g2twistor.forms import (
     transform,
     wedge,
 )
+from g2twistor.fields import make_field
 from g2twistor.pointwise import RHO_STD_TERMS
+from g2twistor.sampling import sphere_bundle_samples
 
 import oracles
 
@@ -309,6 +311,23 @@ def test_hodge_orientation_flips_sign():
     plus = hodge_star(a, g, 1)
     minus = hodge_star(a, g, -1)
     assert np.allclose(plus.coeffs, -minus.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# metric
+
+
+def test_metric_pairings_do_not_depend_on_the_operand_layout():
+    """A strided row pairs and norms as its contiguous copy does, bit for
+    bit: BLAS rounds a product with a non-unit stride differently, so the
+    operands are made contiguous on entry."""
+    ms, xs = sphere_bundle_samples(100, 12)
+    field = make_field("closed-perturbed", 32, epsilon=0.05, frequency=(1, 2, 0, 1, 0, 0, -1))
+    for m, x in zip(ms, np.asfortranarray(xs)):
+        assert not x.flags.c_contiguous
+        g, y = field.point_data(m).metric, x.copy()
+        assert g.inner(x, x) == g.inner(y, y)
+        assert g.norm(x) == g.norm(y)
 
 
 def test_metric_requires_exact_symmetry_and_positivity():
