@@ -26,7 +26,7 @@ A g2point record nests three kform/matrix blocks:
     end
 
 A load validates the point and checks rho_star against the Hodge dual of
-rho and metric.
+rho and metric.  Malformed text raises FormatError with its line number.
 """
 
 from __future__ import annotations
@@ -53,76 +53,76 @@ def kform_to_text(form):
     return "\n".join(lines) + "\n"
 
 
-def _parse_kform(lines, start):
-    if lines[start].strip() != "kform":
-        raise FormatError(f"expected 'kform' at line {start + 1}")
-    dim = int(lines[start + 1].split()[1])
-    degree = int(lines[start + 2].split()[1])
+def _parsed(parse, text):
+    """parse(line) over the data lines of text (blank lines and '#' comments
+    skipped), line(want) reading the next one, which must equal `want` when
+    given; whatever is malformed raises FormatError naming its line number."""
+    data = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip() and not ln.startswith("#")]
+    lines, at = iter(data), [0]
+
+    def line(want=None):
+        at[0], got = next(lines, (at[0], None))
+        if got is None or want not in (None, got):
+            raise FormatError(f"expected {want!r}, got {got!r}" if got else "text ends early")
+        return got
+
+    try:
+        return parse(line)
+    except ValueError as exc:
+        raise FormatError(f"line {at[0]}: {exc}") from None
+
+
+def _parse_kform(line):
+    line("kform")
+    dim, degree = int(line().removeprefix("dim ")), int(line().removeprefix("degree "))
     coeffs = np.zeros(comb(dim, degree))
     pos = index_position(dim, degree)
-    i = start + 3
-    while lines[i].strip() != "end":
-        parts = lines[i].split()
-        idx = tuple(int(t) - 1 for t in parts[:-1])
+    while (row := line()) != "end":
+        *idx, c = row.split()
+        idx = tuple(int(t) - 1 for t in idx)
         if len(idx) != degree or idx not in pos:
-            raise FormatError(f"bad index tuple on line {i + 1}: {lines[i]!r}")
-        coeffs[pos[idx]] = float(parts[-1])
-        i += 1
-    return KForm(dim, degree, coeffs), i + 1
+            raise FormatError(f"bad index tuple {row!r}")
+        coeffs[pos[idx]] = float(c)
+    return KForm(dim, degree, coeffs)
 
 
 def kform_from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    form, _ = _parse_kform(lines, 0)
-    return form
+    return _parsed(_parse_kform, text)
 
 
-def _matrix_to_lines(M):
-    lines = [f"dim {M.shape[0]}"]
-    for row in M:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append("end")
-    return lines
-
-
-def _parse_matrix(lines, start):
-    dim = int(lines[start].split()[1])
+def _parse_matrix(line):
+    dim = int(line().removeprefix("dim "))
     rows = []
-    i = start + 1
-    while lines[i].strip() != "end":
-        rows.append([float(t) for t in lines[i].split()])
-        i += 1
-    M = np.array(rows)
+    while (row := line()) != "end":
+        rows.append([float(t) for t in row.split()])
+    M = np.array(rows)  # ragged rows raise ValueError
     if M.shape != (dim, dim):
         raise FormatError("matrix block has wrong shape")
-    return M, i + 1
+    return M
 
 
 def g2point_to_text(point):
-    out = ["g2point", f"orientation {point.orientation}", "rho"]
-    out.append(kform_to_text(point.rho).rstrip("\n"))
-    out.append("metric")
-    out.extend(_matrix_to_lines(point.metric.entries))
-    out.append("rho_star")
-    out.append(kform_to_text(point.rho_star).rstrip("\n"))
-    out.append("end")
-    return "\n".join(out) + "\n"
+    out = ["g2point", f"orientation {point.orientation}", "rho", kform_to_text(point.rho), "metric"]
+    out += [f"dim {point.metric.dim}", *(" ".join(repr(float(v)) for v in row) for row in point.metric.entries)]
+    out += ["end", "rho_star", kform_to_text(point.rho_star), "end"]
+    return "\n".join(ln.rstrip("\n") for ln in out) + "\n"
+
+
+def _parse_g2point(line):
+    line("g2point")
+    orientation = int(line().removeprefix("orientation "))
+    line("rho")
+    rho = _parse_kform(line)
+    line("metric")
+    entries = _parse_matrix(line)
+    line("rho_star")
+    rho_star = _parse_kform(line)
+    line("end")
+    return rho, entries, orientation, rho_star
 
 
 def g2point_from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if lines[0].strip() != "g2point":
-        raise FormatError("expected 'g2point' header")
-    orientation = int(lines[1].split()[1])
-    if lines[2].strip() != "rho":
-        raise FormatError("expected 'rho' block")
-    rho, i = _parse_kform(lines, 3)
-    if lines[i].strip() != "metric":
-        raise FormatError("expected 'metric' block")
-    entries, i = _parse_matrix(lines, i + 1)
-    if lines[i].strip() != "rho_star":
-        raise FormatError("expected 'rho_star' block")
-    rho_star, i = _parse_kform(lines, i + 1)
+    rho, entries, orientation, rho_star = _parsed(_parse_g2point, text)
     point = G2Point(rho, MetricTensor(entries), orientation)
     if np.abs(point.rho_star.coeffs - rho_star.coeffs).max() > 1e-9:
         raise G2StructureError("stored 4-form is not the Hodge dual")

@@ -79,6 +79,33 @@ def test_malformed_inputs_rejected():
         g2point_from_text(good.replace("metric", "meh", 1))
 
 
+#: the std point's text cut after its 20th line, inside the metric block
+_TRUNCATED = "\n".join(g2point_to_text(standard_g2_point()).splitlines()[:20])
+
+
+@pytest.mark.parametrize(
+    "load, text, line",
+    [
+        (kform_from_text, "", 0),
+        (g2point_from_text, "", 0),
+        (g2point_from_text, _TRUNCATED, 20),
+        (kform_from_text, "kform\ndim 7\ndegree 1\n1 2.0\n", 4),
+        (kform_from_text, "kform\ndim\ndegree 1\nend\n", 2),
+        (kform_from_text, "# a comment\n\nkform\ndim x\ndegree 1\nend\n", 4),
+        (kform_from_text, "kform\ndim 7\ndegree 1\n1 2.0\n3 two\nend\n", 5),
+        (g2point_from_text, g2point_to_text(standard_g2_point()).replace("metric\ndim 7", "metric\ndim x"), 16),
+    ],
+    ids=["empty-kform", "empty-g2point", "truncated-g2point", "kform-without-end", "dim-without-value",
+         "dim-x", "non-numeric-coefficient", "metric-dim-x"],
+)
+def test_malformed_text_is_a_format_error_at_its_line(load, text, line):
+    """Text that ends early or holds a malformed line raises FormatError with
+    the number of the line (blank and comment lines counted), never an
+    IndexError or a bare ValueError."""
+    with pytest.raises(FormatError, match=f"^line {line}: "):
+        load(text)
+
+
 def test_stored_4form_checked_on_load():
     """A load rejects a rho_star block that is not the Hodge dual of the
     stored rho and metric."""
