@@ -220,12 +220,6 @@ class KForm:
         """Fully antisymmetric dense array of shape (dim,)*degree."""
         return dense_stack(self.coeffs, self.dim, self.degree)
 
-    def as_matrix(self):
-        """Antisymmetric matrix representation of a 2-form."""
-        if self.degree != 2:
-            raise DegreeError("matrix representation needs degree 2")
-        return self.dense()
-
     @property
     def coefficient_norm(self):
         return float(np.linalg.norm(self.coeffs))

@@ -78,7 +78,7 @@ def dense_curvature(F):
 def _abelian_from_2form(coeffs, label):
     """Rank-1 connection with constant curvature i * (the given 2-form),
     realized by the chart-local linear potential A_j = i/2 sum_i f_ij p_i."""
-    dense = KForm(7, 2, coeffs).as_matrix()
+    dense = KForm(7, 2, coeffs).dense()
 
     def potential(p):
         vals = 0.5j * (np.asarray(p) @ dense)

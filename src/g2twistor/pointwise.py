@@ -461,11 +461,11 @@ def hodge_type_on_complement(point, a, v, frame=None):
     if frame is None:
         frame = su3_structure(point, v)
     W = frame.basis
-    A = W.T @ a.as_matrix() @ W
+    A = W.T @ a.dense() @ W
     I6 = frame.I
     A11 = (A + I6.T @ A @ I6) / 2.0
     A2002 = A - A11
-    om = frame.omega.as_matrix()
+    om = frame.omega.dense()
     om_norm2 = np.sum(om * om) / 2.0
     coef = np.sum(A11 * om) / 2.0
     A11_prim = A11 - (coef / om_norm2) * om

@@ -288,7 +288,7 @@ def test_fourteen_part_vanishes_at_kernel_directions(flat, std):
     curvature's endomorphism the (0,2) residual vanishes."""
     conn = make_connection("const-14", std, index=3)
     beta = KForm(7, 2, conn.curvature(np.zeros(7), 1e-4)[:, 0, 0].imag)
-    A = -beta.as_matrix()
+    A = -beta.dense()
     w, V = np.linalg.eigh(A @ A.T)
     kernel_dirs = [V[:, i] for i in range(7) if w[i] < 1e-12]
     assert kernel_dirs

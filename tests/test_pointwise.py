@@ -554,7 +554,7 @@ def test_fourteen_part_primitive_oneone_at_annihilator_vectors(std):
     generic-direction claim reduces to)."""
     for c in range(14):
         b = KForm(7, 2, std.lambda2_basis_14[:, c])
-        A = -b.as_matrix()
+        A = -b.dense()
         w, V = np.linalg.eigh(A @ A.T)
         v = unit(V[:, 0])
         assert np.abs(A @ v).max() < 1e-8
@@ -570,7 +570,7 @@ def test_fourteen_part_not_oneone_at_generic_complement(std):
     from g2twistor.forms import derivation_apply
 
     alpha = KForm.from_terms(7, {(1, 2): 1.0, (3, 4): -1.0})
-    assert np.abs(derivation_apply(std.rho, -alpha.as_matrix()).coeffs).max() == 0.0
+    assert np.abs(derivation_apply(std.rho, -alpha.dense()).coeffs).max() == 0.0
     a7, _ = project_lambda2(std, alpha)
     assert a7.coefficient_norm < 1e-12
     p2002, _, _ = hodge_type_on_complement(std, alpha, E[1])

@@ -422,7 +422,7 @@ def test_vertical_obstruction_synthetic_seven_block(flat):
     """Curvature forced into the 7 x so(7) block obstructs at every
     sampled point."""
     std = flat.point_data(np.zeros(7))
-    omega1 = contract(std.rho, np.eye(7)[0]).as_matrix()
+    omega1 = contract(std.rho, np.eye(7)[0]).dense()
     S = RNG.standard_normal((7, 7))
     S = (S - S.T) / 2
     R = np.einsum("ij,kl->ijkl", omega1, S)
