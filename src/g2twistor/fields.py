@@ -189,10 +189,16 @@ class StructureField:
         """3-form coefficients (N, 35) at stacked points P (N, 7): the generator's stacked formula."""
         return self.generator.coeffs(np.asarray(P, dtype=float))
 
+    def _keyed(self, P, compute):
+        """compute on the distinct 3-forms at the rows of P (N, 7), gathered to the rows: the
+        profile once per distinct phase (`np.unique`), the byte key on those 3-forms only."""
+        theta, at = np.unique(_phase(self.generator.frequency, P), return_inverse=True)
+        return _distinct_rows(self.generator.profile(theta), compute, at)
+
     def metrics(self, P):
         """Induced metrics (N, 7, 7) and orientations (N,) at stacked points,
         from one induced-metric pass over the distinct 3-forms."""
-        return _distinct_rows(self.rho_coeffs(P), induced_metrics)
+        return self._keyed(P, induced_metrics)
 
     def point_data(self, p):
         """Unvalidated G2 point at p; `G2Point.from_rho(field.rho(p))` runs the checks."""
@@ -201,8 +207,11 @@ class StructureField:
     def point_stacks(self, P):
         """Stacks (rho, g, g^-1, orientation * sqrt(det g), *rho) at the rows of P
         (N, 7): one `structure_stacks` pass over the distinct 3-forms."""
-        R = self.rho_coeffs(P)
-        return (R, *_distinct_rows(R, structure_stacks))
+        return self._keyed(P, lambda R: (R, *structure_stacks(R)))
+
+    def rho_and_star(self, P):
+        """rho and *rho side by side (N, 70): `point_stacks`' first and last stacks, one gather."""
+        return self._keyed(P, lambda R: np.concatenate([R, structure_stacks(R)[3]], axis=1))
 
 
 #: samples per batch pass of a campaign scan (bounds the stacks of a pass)
@@ -214,22 +223,17 @@ def blocks(n):
     return [slice(start, start + BLOCK) for start in range(0, n, BLOCK)]
 
 
-def _distinct_rows(X, compute):
-    """compute(X) from one call of compute on the distinct rows of X only
-    (rows compare by their bytes), in order of first appearance.  compute
-    maps a stack of rows to a stack, or a tuple of stacks, with one entry per
-    row; each row of the result is gathered from its first copy."""
-    slot, first, inverse = {}, [], []
-    for i, x in enumerate(X):
-        j = slot.setdefault(x.tobytes(), len(first))
-        if j == len(first):
-            first.append(i)
-        inverse.append(j)
-    first, inverse = np.array(first, dtype=np.intp), np.array(inverse, dtype=np.intp)
-    out = compute(X[first])
+def _distinct_rows(X, compute, at=slice(None)):
+    """compute(X)[at] from one call of compute on the distinct rows of X only:
+    rows compare by their bytes and reach compute rebuilt from them, read-only,
+    in order of first appearance.  compute maps a stack of rows to a stack, or
+    a tuple of stacks, one entry per row; each row of the result is gathered once."""
+    slot = {}  # the bytes of each distinct row -> its place among them
+    rows = np.array([slot.setdefault(x.tobytes(), len(slot)) for x in X], dtype=np.intp)[at]
+    out = compute(np.frombuffer(b"".join(slot), dtype=X.dtype).reshape(-1, *X.shape[1:]))
     if isinstance(out, tuple):
-        return tuple(stack[inverse] for stack in out)
-    return out[inverse]
+        return tuple(stack[rows] for stack in out)
+    return out[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +294,10 @@ def exterior_derivative(form_at, p, h):
 def _torsion_forms(field, P):
     """(d rho, d *rho) coefficients (N, 35) each at the rows of P (N, 7): the
     stencils of all rows in one `central_difference` along (AXES,), both
-    sides in one `point_stacks` call."""
+    sides in one `rho_and_star` call."""
 
     def both(Q):
-        R, *_, S = field.point_stacks(Q.reshape(-1, 7))
-        return np.concatenate([R, S], axis=1).reshape(Q.shape[:-1] + (70,))
+        return field.rho_and_star(Q.reshape(-1, 7)).reshape(Q.shape[:-1] + (70,))
 
     partials = central_difference(both, (P[:, None],), (AXES,), field.h)
     return _d_from_partials(partials[..., :35], 3), _d_from_partials(partials[..., 35:], 4)

@@ -1,6 +1,6 @@
 """Plain-text tabular serialization of forms and structure points.
 
-Format (one record per file or stream section):
+Format (one record per text):
 
     kform
     dim 7
@@ -9,8 +9,8 @@ Format (one record per file or stream section):
     ...
     end
 
-Each data line is a strictly increasing 1-based index tuple followed by
-the coefficient (repr round-trip exact); zero coefficients are omitted.
+Each data line is a strictly increasing 1-based index tuple, given once,
+then the coefficient (repr round-trip exact); zero coefficients are omitted.
 A g2point record nests three kform/matrix blocks:
 
     g2point
@@ -54,9 +54,9 @@ def kform_to_text(form):
 
 
 def _parsed(parse, text):
-    """parse(line) over the data lines of text (blank lines and '#' comments
-    skipped), line(want) reading the next one, which must equal `want` when
-    given; whatever is malformed raises FormatError naming its line number."""
+    """parse(line) over the data lines of text (blank and '#' lines skipped),
+    line(want) reading the next one, which must equal `want` when given; what
+    is malformed or follows the record raises FormatError naming its line."""
     data = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip() and not ln.startswith("#")]
     lines, at = iter(data), [0]
 
@@ -67,21 +67,25 @@ def _parsed(parse, text):
         return got
 
     try:
-        return parse(line)
+        record = parse(line)
     except ValueError as exc:
         raise FormatError(f"line {at[0]}: {exc}") from None
+    if rest := next(lines, None):
+        raise FormatError(f"line {rest[0]}: text after the record: {rest[1]!r}")
+    return record
 
 
 def _parse_kform(line):
     line("kform")
     dim, degree = int(line().removeprefix("dim ")), int(line().removeprefix("degree "))
     coeffs = np.zeros(comb(dim, degree))
-    pos = index_position(dim, degree)
+    pos, seen = index_position(dim, degree), set()
     while (row := line()) != "end":
         *idx, c = row.split()
         idx = tuple(int(t) - 1 for t in idx)
-        if len(idx) != degree or idx not in pos:
-            raise FormatError(f"bad index tuple {row!r}")
+        if len(idx) != degree or idx not in pos or idx in seen:
+            raise FormatError(f"{'repeated' if idx in seen else 'bad'} index tuple {row!r}")
+        seen.add(idx)
         coeffs[pos[idx]] = float(c)
     return KForm(dim, degree, coeffs)
 

@@ -350,10 +350,10 @@ def _omega_values(field, P, Y, B):
     """Omega = pullback(rho) - i (pullback(*rho) . theta) at the ambient points
     (P, Y), (R, 7) each, on the base parts B (R, 3, 7) of three tangents, row
     by row: the complex 3-form coefficients rho - i (Y . *rho), rho and *rho
-    from one `point_stacks` pass, applied through the 3x3 minors of the base
+    from one `rho_and_star` pass, applied through the 3x3 minors of the base
     parts as `KForm.evaluate` does, all rows in one pass."""
-    R, *_, S = field.point_stacks(P)
-    C = R - 1j * contract_stack(S, Y, 7, 4)
+    RS = field.rho_and_star(P)
+    C = RS[:, :35] - 1j * contract_stack(RS[:, 35:], Y, 7, 4)
     return np.sum(C * minors(B.transpose(0, 2, 1), 3)[..., 0], axis=-1)
 
 

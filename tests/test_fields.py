@@ -36,6 +36,7 @@ from g2twistor.pointwise import (
     RHO_STD_TERMS,
     DegenerateFormError,
     G2Point,
+    G2StructureError,
     SplitFormError,
     su3_structures,
 )
@@ -685,14 +686,13 @@ def test_curvature_block_frame_invariant(points):
     if np.linalg.det(A) < 0:
         A[:, 0] = -A[:, 0]
 
-    class Rotated:
-        """The pullback of the field's 3-form by p -> A p, at stacked points."""
+    class Rotated(fields_module._Generator):
+        """The pullback of the field's 3-form by p -> A p: the wave of frequency A^T f."""
 
-        def __call__(self, p):
-            return KForm(7, 3, self.coeffs(p))
+        frequency = tuple(A.T @ field.generator.frequency)
 
-        def coeffs(self, P):
-            return field.generator.coeffs(P @ A.T) @ minors(A, 3)
+        def profile(self, theta):
+            return field.generator.profile(theta) @ minors(A, 3)
 
     rot = StructureField(generator=Rotated(), resolution=16)
     p = points[1]
@@ -810,14 +810,131 @@ def test_one_block_never_passes_a_3form_twice(monkeypatch):
     assert len({r.tobytes() for r in star}) == len(star)
 
 
-class PickedRows:
-    """A generator whose stacked `coeffs` picks each row's 3-form from P[:, 0]."""
+# the work of each keyed pass of one 16-sample generic-perturbed twistor
+# block: ("profile", distinct phases), then ("bytes", rows of the byte key),
+# one pair per keyed pass (the point stacks; the centres, the two extension
+# passes and the curvature stencil of `christoffels`; the Omega pass), and a
+# lone ("profile", 96) for each unkeyed `rho_coeffs` call of the CR
+# projections.  The keyed passes take 16, 240, 1440, 1440, 3360 and 640 rows.
+KEYED_TWISTOR_WORK = {
+    (1, 0, 0, 0, 0, 0, 0): [16, 18, 249, 210, 21, 150],
+    (1, 2, 3, 4, 5, 6, 7): [16, 240, 1440, 1440, 478, 220],
+}
+
+
+class RecordedProfile(fields_module._Generator):
+    """A generator that logs how many phases each call of its profile takes."""
+
+    def __init__(self, inner, log):
+        self.inner, self.frequency, self.log = inner, inner.frequency, log
+
+    def profile(self, theta):
+        self.log.append(("profile", len(theta)))
+        return self.inner.profile(theta)
+
+
+def _recorded_field(monkeypatch, family, **kwargs):
+    """The field of make_field(family, 16, ...) with a `RecordedProfile`
+    generator, and the log that it and `_distinct_rows` write."""
+    log = []
+    distinct_rows = fields_module._distinct_rows
+
+    def recorded(X, *args):
+        log.append(("bytes", len(X)))
+        return distinct_rows(X, *args)
+
+    monkeypatch.setattr(fields_module, "_distinct_rows", recorded)
+    generator = RecordedProfile(make_field(family, 16, **kwargs).generator, log)
+    return StructureField(generator=generator, resolution=16), log
+
+
+@pytest.mark.parametrize("frequency", sorted(KEYED_TWISTOR_WORK))
+def test_keyed_twistor_passes_profile_each_phase_once(monkeypatch, frequency):
+    """Each keyed pass of one twistor block hands `profile` its distinct
+    phases only, and the byte loop the 3-forms of those phases only: at e_1
+    664 of the 7136 rows, at (1, ..., 7) 3834."""
+    field, log = _recorded_field(monkeypatch, "generic-perturbed", epsilon=0.1, frequency=frequency)
+    ms, xs = sphere_bundle_samples(BLOCK, 5)
+    tps = twistor_points(field, ms, xs)
+    involutivity_residuals(field, tps)
+    vertical_curvature_obstructions(field, tps)
+    omega_closure_residuals(field, tps, range(BLOCK), max_combos=5)
+    want = []
+    for k, n in enumerate(KEYED_TWISTOR_WORK[frequency]):
+        want += [("profile", n), ("bytes", n)] + ([("profile", 96)] if k in (2, 3) else [])
+    assert log == want
+
+
+def test_keyed_integrability_pass_profiles_each_phase_once(monkeypatch):
+    """One integrability block hands `profile` and the byte loop 18 of its
+    224 stencil rows, in its one keyed pass."""
+    field, log = _recorded_field(monkeypatch, "closed-perturbed", epsilon=0.05)
+    torsion_residuals(field, torus_points(BLOCK, 0))
+    assert log == [("profile", 18), ("bytes", 18)]
+
+
+@pytest.mark.parametrize("family, eps", REUSE_FAMILIES)
+def test_signed_zero_phases_give_one_3form(monkeypatch, family, eps):
+    """The phases -0.0 and +0.0, which `np.unique` merges, give byte-equal
+    3-forms in every shipped family, so a keyed pass over rows at either
+    phase gives each row the 3-form and stacks of its own phase.  `_phase`
+    sums from +0.0 and never returns -0.0, so the test hands every other
+    zero phase over as -0.0."""
+    field = make_field(family, 16, epsilon=eps)
+    zeros = field.generator.profile(np.array([-0.0, 0.0]))
+    assert zeros[0].tobytes() == zeros[1].tobytes()
+    phase = fields_module._phase
+
+    def signed(frequency, P):
+        theta = phase(frequency, P)
+        odd = np.arange(theta.size).reshape(theta.shape) % 2 == 1
+        return np.where(theta == 0.0, np.where(odd, -0.0, 0.0), theta)
+
+    monkeypatch.setattr(fields_module, "_phase", signed)
+    P = torus_points(6, 2)
+    P[:4, 0] = 0.0
+    theta = signed(field.generator.frequency, P)
+    assert not theta[:4].any() and list(np.signbit(theta[:4])) == [False, True, False, True]
+    for got, want in zip(field.point_stacks(P), oracles.point_stacks_without_reuse(field, P), strict=True):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(field.metrics(P), oracles.metrics_without_reuse(field, P), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("axis", [0, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("family, eps", REUSE_FAMILIES[1:])
+def test_non_finite_point_raises_like_one_row(family, eps, bad, axis):
+    """A point with a NaN or infinite coordinate, on the frequency axis or
+    off it, among finite rows: every keyed pass raises the one-row call's
+    error with its message, although the key is now its phase."""
+    field = make_field(family, 16, epsilon=eps)
+    P = torus_points(5, 4)
+    P[2, axis] = bad
+    for op in (
+        field.metrics,
+        field.point_stacks,
+        partial(christoffels, field),
+        partial(torsion_residuals, field),
+    ):
+        with pytest.raises((G2StructureError, RuntimeWarning)) as one:
+            op(P[2:3])
+        with pytest.raises(type(one.value)) as batch:
+            op(P)
+        assert type(batch.value) is type(one.value) and str(batch.value) == str(one.value)
+
+
+class PickedRows(fields_module._Generator):
+    """A wave of frequency e_1 whose profile picks each row's 3-form from its
+    phase theta = 2 pi p_1."""
+
+    frequency = (1, 0, 0, 0, 0, 0, 0)
 
     def __init__(self, pick):
         self.pick = pick
 
-    def coeffs(self, P):
-        return self.pick(np.asarray(P).reshape(-1, 7)).reshape(np.shape(P)[:-1] + (35,))
+    def profile(self, theta):
+        return self.pick(theta[..., None])
 
 
 @pytest.mark.parametrize(
@@ -832,7 +949,7 @@ def test_repeated_bad_row_raises_like_one_row(row, error):
     """A batch holding a bad 3-form and its duplicates, after good rows,
     raises the one-row call's error with its message."""
     std = KForm.from_terms(7, RHO_STD_TERMS).coeffs
-    field = StructureField(generator=PickedRows(lambda P: np.where(P[:, :1] >= 0.5, row, std)), resolution=16)
+    field = StructureField(generator=PickedRows(lambda theta: np.where(theta >= np.pi, row, std)), resolution=16)
     P = torus_points(12, 3)
     P[P[:, 0] >= 0.5, 1] = 0.25  # the bad rows repeat one 3-form at distinct points
     bad = P[P[:, 0] >= 0.5][:1]
@@ -857,8 +974,8 @@ def test_two_kinds_of_bad_row_raise_like_one_pass():
     std = KForm.from_terms(7, RHO_STD_TERMS).coeffs
     split = KForm.from_terms(7, {**RHO_STD_TERMS, (2, 4, 5): 1.0}).coeffs
 
-    def rho(P):
-        x = P[:, :1]
+    def rho(theta):
+        x = theta / (2.0 * np.pi)
         return np.where(x < 0.05, split, np.where(x > 0.95, np.nan, (1.0 + x) * std))
 
     field = StructureField(generator=PickedRows(rho), resolution=16)

@@ -81,6 +81,7 @@ def test_malformed_inputs_rejected():
 
 #: the std point's text cut after its 20th line, inside the metric block
 _TRUNCATED = "\n".join(g2point_to_text(standard_g2_point()).splitlines()[:20])
+_STD = g2point_to_text(standard_g2_point())
 
 
 @pytest.mark.parametrize(
@@ -94,14 +95,20 @@ _TRUNCATED = "\n".join(g2point_to_text(standard_g2_point()).splitlines()[:20])
         (kform_from_text, "# a comment\n\nkform\ndim x\ndegree 1\nend\n", 4),
         (kform_from_text, "kform\ndim 7\ndegree 1\n1 2.0\n3 two\nend\n", 5),
         (g2point_from_text, g2point_to_text(standard_g2_point()).replace("metric\ndim 7", "metric\ndim x"), 16),
+        (kform_from_text, "kform\ndim 7\ndegree 1\n1 2.0\nend\n\n# a comment\ngarbage here\n", 8),
+        (g2point_from_text, _STD + "end\n", len(_STD.splitlines()) + 1),
+        (kform_from_text, "kform\ndim 7\ndegree 3\n1 2 3 1.0\n1 2 3 5.0\nend\n", 5),
+        (g2point_from_text, _STD.replace("rho\nkform\ndim 7\ndegree 3\n", "rho\nkform\ndim 7\ndegree 3\n1 2 3 5.0\n"), 8),
     ],
     ids=["empty-kform", "empty-g2point", "truncated-g2point", "kform-without-end", "dim-without-value",
-         "dim-x", "non-numeric-coefficient", "metric-dim-x"],
+         "dim-x", "non-numeric-coefficient", "metric-dim-x", "kform-trailing-text", "g2point-trailing-text",
+         "kform-repeated-index", "g2point-repeated-index"],
 )
 def test_malformed_text_is_a_format_error_at_its_line(load, text, line):
-    """Text that ends early or holds a malformed line raises FormatError with
-    the number of the line (blank and comment lines counted), never an
-    IndexError or a bare ValueError."""
+    """Text that ends early, holds a malformed line, repeats an index tuple or
+    goes on after the record's closing `end` raises FormatError with the
+    number of the line (blank and comment lines counted), never an
+    IndexError or a bare ValueError, and never loads."""
     with pytest.raises(FormatError, match=f"^line {line}: "):
         load(text)
 

@@ -112,18 +112,15 @@ def test_zero_fiber_vector_rejected(flat):
     np.testing.assert_allclose(tps.x[1], x, rtol=0.0, atol=1e-12)
 
 
-class CountingGenerator:
-    """A field's generator that counts the calls of its stacked formula."""
+class CountingGenerator(fields._Generator):
+    """A field's generator that counts the calls of its profile."""
 
     def __init__(self, inner):
-        self.inner, self.calls = inner, 0
+        self.inner, self.frequency, self.calls = inner, inner.frequency, 0
 
-    def __call__(self, p):
-        return self.inner(p)
-
-    def coeffs(self, P):
+    def profile(self, theta):
         self.calls += 1
-        return self.inner.coeffs(P)
+        return self.inner.profile(theta)
 
 
 def counting_field(family, resolution, **kwargs):
