@@ -907,7 +907,8 @@ def test_signed_zero_phases_give_one_3form(monkeypatch, family, eps):
 def test_non_finite_point_raises_like_one_row(family, eps, bad, axis):
     """A point with a NaN or infinite coordinate, on the frequency axis or
     off it, among finite rows: every keyed pass raises the one-row call's
-    error with its message, although the key is now its phase."""
+    error with its message, although the key is now its phase.  The flat
+    field is left out: its profile ignores the phase, so no call raises."""
     field = make_field(family, 16, epsilon=eps)
     P = torus_points(5, 4)
     P[2, axis] = bad
