@@ -273,6 +273,17 @@ def central_difference(f, at, direction, h):
     return out
 
 
+def _axis_partials(field, f, P):
+    """Partials (N, 7, ...) of f at the rows of P (N, 7): one `central_difference`
+    along the axes the field's phase reads, and +0.0 along the others, where
+    both stencil sides have the phase of the centre (docs/CONVENTIONS.md)."""
+    read = np.flatnonzero(field.generator.frequency)
+    partials = central_difference(f, (P[:, None],), (AXES[read],), field.h)
+    out = np.zeros(partials.shape[:1] + (7,) + partials.shape[2:])
+    out[:, read] = partials
+    return out
+
+
 def _d_from_partials(partials, degree):
     """Coefficients (N, C(7, k+1)) of d(a) = sum_i e^i ^ d_i a from partials (N, 7, C(7, k))."""
     ia, ib, sg = _wedge1_groups(7, degree)
@@ -293,13 +304,13 @@ def exterior_derivative(form_at, p, h):
 
 def _torsion_forms(field, P):
     """(d rho, d *rho) coefficients (N, 35) each at the rows of P (N, 7): the
-    stencils of all rows in one `central_difference` along (AXES,), both
-    sides in one `rho_and_star` call."""
+    stencils of all rows in one `_axis_partials` pass, both sides in one
+    `rho_and_star` call."""
 
     def both(Q):
         return field.rho_and_star(Q.reshape(-1, 7)).reshape(Q.shape[:-1] + (70,))
 
-    partials = central_difference(both, (P[:, None],), (AXES,), field.h)
+    partials = _axis_partials(field, both, P)
     return _d_from_partials(partials[..., :35], 3), _d_from_partials(partials[..., 35:], 4)
 
 
@@ -350,8 +361,8 @@ def integrability_verdict(field, sample_points):
 
 
 def christoffels(field, P):
-    """Christoffel symbols (N, 7, 7, 7) and metrics (N, 7, 7) at the rows of P
-    (N, 7), from one `metrics` call on both stencil sides and the centres."""
+    """Christoffel symbols (N, 7, 7, 7), metrics (N, 7, 7) and their inverses at
+    the rows of P (N, 7), from one `metrics` call on both stencil sides and the centres."""
     P = np.asarray(P, dtype=float)
     centre = []
 
@@ -360,11 +371,12 @@ def christoffels(field, P):
         centre.append(g[len(g) - len(P) :])
         return g[: len(g) - len(P)].reshape(Q.shape + (7,))
 
-    dg = central_difference(metrics, (P[:, None],), (AXES,), field.h)  # dg[n, k] = d_k g
+    dg = _axis_partials(field, metrics, P)  # dg[n, k] = d_k g
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij): g^-1 times the (l, ij) view, halved in place
     terms = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-    gamma = 0.5 * (np.linalg.inv(centre[0]) @ terms.reshape(-1, 49, 7).transpose(0, 2, 1))
-    return gamma.reshape(-1, 7, 7, 7), centre[0]
+    ginv = np.linalg.inv(centre[0])
+    gamma = 0.5 * (ginv @ terms.reshape(-1, 49, 7).transpose(0, 2, 1))
+    return gamma.reshape(-1, 7, 7, 7), centre[0], ginv
 
 
 def christoffel(field, p):
@@ -379,7 +391,7 @@ def riemanns(field, P, gamma, g):
     def gammas(Q):
         return christoffels(field, Q.reshape(-1, 7))[0].reshape(Q.shape[:-1] + (7, 7, 7))
 
-    dgamma = central_difference(gammas, (P[:, None],), (AXES,), field.h)  # dgamma[n, i] = d_i Gamma
+    dgamma = _axis_partials(field, gammas, P)  # dgamma[n, i] = d_i Gamma
     # R^k_{l i j} = d_i G^k_jl - d_j G^k_il + G^k_im G^m_jl - G^k_jm G^m_il
     mixed = (
         np.einsum("nikjl->nklij", dgamma)
@@ -396,7 +408,7 @@ def levi_civita(field, p):
     from one `christoffels` pass (stencil and centre metrics together), and
     riemann[i, j, k, l] = g(e_k, R(e_i, e_j) e_l) from `riemanns` on them."""
     P = np.asarray(p, dtype=float)[None]
-    gamma, g = christoffels(field, P)
+    gamma, g, _ = christoffels(field, P)
     return gamma[0], g[0], riemanns(field, P, gamma, g)[0]
 
 

@@ -137,7 +137,7 @@ def twistor_point(field, m, x):
 def _extension_values(field, rows, tps, base0, vert0, P, Y, carrier, projection):
     """Values (R, k, 2, 7) at ambient points (P, Y), (R, 7) each, of the local
     fields extending the k vectors (base0, vert0), (R, k, 7) each, from the
-    twistor points tps[rows]: the geometry of a row (metric and Christoffel symbols
+    twistor points tps[rows]: the geometry of a row (metric, inverse and Christoffel symbols
     from one `christoffels` pass over the stencil and centre metrics; the matrix of
     xhat x . from rho(xhat, ., .) and g^-1) is computed once for its k vectors.
 
@@ -149,14 +149,14 @@ def _extension_values(field, rows, tps, base0, vert0, P, Y, carrier, projection)
                 (pointwise projection onto an eigenspace of the CR structure),
                 which turn the carrier into a section of the distribution.
     """
-    gamma, g = christoffels(field, P)
+    gamma, g, ginv = christoffels(field, P)
     yg = Y[:, None] @ g  # (R, 1, 7)
     yy = yg @ Y[:, :, None]  # (R, 1, 1)
     if projection in ("cr01", "cr10"):
         xhat = Y / np.sqrt(yy[:, 0])
         # cross[n, k, j] = k-th component of xhat x e_j at P[n]: rho(xhat, e_j, .) raised with g^-1
         omega = dense_stack(contract_stack(field.rho_coeffs(P), xhat, 7, 3), 7, 2)
-        cross = np.linalg.inv(g) @ omega.transpose(0, 2, 1)
+        cross = ginv @ omega.transpose(0, 2, 1)
     values = []
     for b, vert in zip(base0.swapaxes(0, 1), vert0.swapaxes(0, 1)):
         # one contiguous (R, 7) stack per vector, as a one-vector call holds it

@@ -215,6 +215,13 @@ def point_stacks_without_reuse(field, P):
     return (R, *structure_stacks(R))
 
 
+def all_axis_partials(field, f, P):
+    """Partials (N, 7, ...) of f at the rows of P from one `central_difference`
+    along all seven axes, read by the phase or not: the stencil that
+    `fields._axis_partials` restricts to the axes the phase reads."""
+    return central_difference(f, (P[:, None],), (AXES,), field.h)
+
+
 def christoffel_terms_without_reuse(field, P, h):
     """(g^-1, terms) at the rows of P, terms[n, i, j, l] = d_i g_jl + d_j g_il
     - d_l g_ij, every stencil row through its own induced-metric row."""
@@ -329,7 +336,7 @@ def curvature_vectors_einsum(riemann, wi, wj, x):
 def extension_values_einsum(field, rows, tps, base0, vert0, P, Y, carrier, projection):
     """`twistor._extension_values` with its Gamma(b, y) and cross-product
     contractions taken by the einsums above."""
-    gamma, g = christoffels(field, P)
+    gamma, g = christoffels(field, P)[:2]
     yg = Y[:, None] @ g
     yy = yg @ Y[:, :, None]
     xhat = Y / np.sqrt(yy[:, 0])

@@ -194,17 +194,19 @@ def test_structure_field_holds_no_state():
 
 @pytest.mark.parametrize("n", [1, 12, 15, 196])
 def test_christoffels_rows_match_cold_christoffel(n):
-    """Every batch row, repeated rows included, equals a cold one-point call bit for bit."""
+    """Every batch row, repeated rows included, equals a cold one-point call bit
+    for bit, and the returned inverse metrics are `np.linalg.inv` of the metrics."""
     P = torus_points(n, 5)
     P[n - n // 4 :] = P[: n // 4]  # the last quarter repeats the first
     field = make_field("generic-perturbed", 16, epsilon=0.1)
-    G, g = christoffels(field, P)
-    assert G.shape == (n, 7, 7, 7) and g.shape == (n, 7, 7)
+    G, g, ginv = christoffels(field, P)
+    assert G.shape == (n, 7, 7, 7) and g.shape == ginv.shape == (n, 7, 7)
+    assert np.array_equal(ginv, np.linalg.inv(g))
     for p, gamma in zip(P, G):
         cold = make_field("generic-perturbed", 16, epsilon=0.1)
         assert np.array_equal(gamma, christoffel(cold, p))
-    G_rev, g_rev = christoffels(field, P[::-1])
-    assert np.array_equal(G_rev, G[::-1]) and np.array_equal(g_rev, g[::-1])
+    for got, want in zip(christoffels(field, P[::-1]), (G, g, ginv), strict=True):
+        assert np.array_equal(got, want[::-1])
 
 
 def test_conformal_metric_closed_form(points):
@@ -431,7 +433,7 @@ def test_calibration_matches_per_point_loop(resolution):
         ("torsion_residuals", []),
         ("fernandez_gray_residual", (0.0, 0.0)),
         ("riemanns", (0, 7, 7, 7, 7)),
-        ("christoffels", [(0, 7, 7, 7), (0, 7, 7)]),
+        ("christoffels", [(0, 7, 7, 7), (0, 7, 7), (0, 7, 7)]),
         ("su3_structures", [(0, 7, 6), (0, 6, 6), (0, 3, 6), (0, 15), (0, 20), (0, 20)]),
         ("f7_residuals", []),
         ("cr_holomorphicity_residuals", []),
@@ -439,7 +441,7 @@ def test_calibration_matches_per_point_loop(resolution):
 )
 def test_batches_accept_no_rows(flat, op, want):
     """A batch of no rows gives no rows (stacks of no rows: Christoffel
-    symbols of shape (0, 7, 7, 7) with metrics of shape (0, 7, 7), the
+    symbols of shape (0, 7, 7, 7) with metrics and inverses of shape (0, 7, 7), the
     curvature and SU(3) stacks), and the Fernandez-Gray maxima start at zero."""
     none = np.zeros((0, 7))
     no_tps = twistor_points(flat, none, none)
@@ -739,9 +741,9 @@ def test_rho_keyed_rows_match_no_reuse_oracles(family, eps, n):
     for got, want in zip(stacks, oracles.point_stacks_without_reuse(field, P), strict=True):
         assert got.shape[0] == n and np.array_equal(got, want)
 
-    gamma, g = christoffels(field, P)
+    gamma, g, ginv = christoffels(field, P)
     assert np.array_equal(gamma, oracles.christoffels_without_reuse(field, P, field.h))
-    assert np.array_equal(g, want_g)
+    assert np.array_equal(g, want_g) and np.array_equal(ginv, stacks[2])
     assert torsion_residuals(field, P) == oracles.torsion_residuals_without_reuse(field, P, field.h)
 
 
@@ -811,14 +813,18 @@ def test_one_block_never_passes_a_3form_twice(monkeypatch):
 
 
 # the work of each keyed pass of one 16-sample generic-perturbed twistor
-# block: ("profile", distinct phases), then ("bytes", rows of the byte key),
-# one pair per keyed pass (the point stacks; the centres, the two extension
-# passes and the curvature stencil of `christoffels`; the Omega pass), and a
-# lone ("profile", 96) for each unkeyed `rho_coeffs` call of the CR
-# projections.  The keyed passes take 16, 240, 1440, 1440, 3360 and 640 rows.
+# block: ("rows", rows the pass receives), ("profile", distinct phases), then
+# ("bytes", rows of the byte key), one triple per keyed pass (the point
+# stacks; the centres, the two extension passes and the curvature stencil of
+# `christoffels`; the Omega pass), and a lone ("profile", 96) for each unkeyed
+# `rho_coeffs` call of the CR projections.  At e_1 the Christoffel and
+# curvature stencils difference along e_1 only, so their passes take 48, 288,
+# 288 and 96 rows where (1, ..., 7) takes 240, 1440, 1440 and 3360; the
+# distinct phases are the same as with all seven axes, whose extra stencil
+# rows have the centre's phase.
 KEYED_TWISTOR_WORK = {
-    (1, 0, 0, 0, 0, 0, 0): [16, 18, 249, 210, 21, 150],
-    (1, 2, 3, 4, 5, 6, 7): [16, 240, 1440, 1440, 478, 220],
+    (1, 0, 0, 0, 0, 0, 0): [(16, 16), (48, 18), (288, 249), (288, 210), (96, 21), (640, 150)],
+    (1, 2, 3, 4, 5, 6, 7): [(16, 16), (240, 240), (1440, 1440), (1440, 1440), (3360, 478), (640, 220)],
 }
 
 
@@ -835,14 +841,20 @@ class RecordedProfile(fields_module._Generator):
 
 def _recorded_field(monkeypatch, family, **kwargs):
     """The field of make_field(family, 16, ...) with a `RecordedProfile`
-    generator, and the log that it and `_distinct_rows` write."""
+    generator, and the log that it, `StructureField._keyed` (the rows each
+    keyed pass receives) and `_distinct_rows` write."""
     log = []
-    distinct_rows = fields_module._distinct_rows
+    keyed, distinct_rows = StructureField._keyed, fields_module._distinct_rows
+
+    def recorded_pass(self, P, compute):
+        log.append(("rows", len(P)))
+        return keyed(self, P, compute)
 
     def recorded(X, *args):
         log.append(("bytes", len(X)))
         return distinct_rows(X, *args)
 
+    monkeypatch.setattr(StructureField, "_keyed", recorded_pass)
     monkeypatch.setattr(fields_module, "_distinct_rows", recorded)
     generator = RecordedProfile(make_field(family, 16, **kwargs).generator, log)
     return StructureField(generator=generator, resolution=16), log
@@ -852,7 +864,7 @@ def _recorded_field(monkeypatch, family, **kwargs):
 def test_keyed_twistor_passes_profile_each_phase_once(monkeypatch, frequency):
     """Each keyed pass of one twistor block hands `profile` its distinct
     phases only, and the byte loop the 3-forms of those phases only: at e_1
-    664 of the 7136 rows, at (1, ..., 7) 3834."""
+    664 of the 1376 rows the passes receive, at (1, ..., 7) 3834 of 7136."""
     field, log = _recorded_field(monkeypatch, "generic-perturbed", epsilon=0.1, frequency=frequency)
     ms, xs = sphere_bundle_samples(BLOCK, 5)
     tps = twistor_points(field, ms, xs)
@@ -860,17 +872,27 @@ def test_keyed_twistor_passes_profile_each_phase_once(monkeypatch, frequency):
     vertical_curvature_obstructions(field, tps)
     omega_closure_residuals(field, tps, range(BLOCK), max_combos=5)
     want = []
-    for k, n in enumerate(KEYED_TWISTOR_WORK[frequency]):
-        want += [("profile", n), ("bytes", n)] + ([("profile", 96)] if k in (2, 3) else [])
+    for k, (rows, n) in enumerate(KEYED_TWISTOR_WORK[frequency]):
+        want += [("rows", rows), ("profile", n), ("bytes", n)] + ([("profile", 96)] if k in (2, 3) else [])
     assert log == want
 
 
 def test_keyed_integrability_pass_profiles_each_phase_once(monkeypatch):
-    """One integrability block hands `profile` and the byte loop 18 of its
-    224 stencil rows, in its one keyed pass."""
+    """One integrability block at e_1 differences along e_1 only, so its one
+    keyed pass receives 32 stencil rows, and hands `profile` and the byte
+    loop 18 of them."""
     field, log = _recorded_field(monkeypatch, "closed-perturbed", epsilon=0.05)
     torsion_residuals(field, torus_points(BLOCK, 0))
-    assert log == [("profile", 18), ("bytes", 18)]
+    assert log == [("rows", 32), ("profile", 18), ("bytes", 18)]
+
+
+def test_keyed_flat_twistor_points_pass_the_centres_only(monkeypatch):
+    """On the flat field, whose phase reads no axis, `twistor_points` makes two
+    keyed passes of the 16 centres each (the point stacks, and the Christoffel
+    metrics with no stencil row), one phase each."""
+    field, log = _recorded_field(monkeypatch, "flat")
+    twistor_points(field, *sphere_bundle_samples(BLOCK, 5))
+    assert log == [("rows", 16), ("profile", 1), ("bytes", 1)] * 2
 
 
 @pytest.mark.parametrize("family, eps", REUSE_FAMILIES)
@@ -901,25 +923,61 @@ def test_signed_zero_phases_give_one_3form(monkeypatch, family, eps):
         assert got.tobytes() == want.tobytes()
 
 
+#: frequencies whose phase reads no axis, one axis, three axes and all seven
+PREMISE_FREQUENCIES = [(0,) * 7, (1, 0, 0, 0, 0, 0, 0), (1, 0, 2, 0, 0, 3, 0), (1, 2, 3, 4, 5, 6, 7)]
+
+
+@pytest.mark.parametrize("frequency", PREMISE_FREQUENCIES)
+@pytest.mark.parametrize("family, eps", REUSE_FAMILIES)
+def test_stencil_passes_equal_the_all_axis_stencil(monkeypatch, family, eps, frequency):
+    """`_torsion_forms`, `christoffels` and `riemanns`, which difference only
+    along the axes the phase reads, equal the same kernels differencing along
+    all seven axes byte for byte, on rows with repeats, negative coordinates
+    and -0.0 on the axes the phase does not read: along those axes both
+    stencil sides have the centre's phase, so the partials are +0.0."""
+    field = make_field(family, 16, epsilon=eps, frequency=frequency)
+    P = _rows_with_repeats(BLOCK + 1, 17)
+    P[::2] -= 1.0
+    P[1::3, np.flatnonzero(np.asarray(frequency) == 0)] = -0.0
+    assert (P < 0).any() and (np.signbit(P) & (P == 0)).any() == (0 in frequency)
+
+    def kernels():
+        gamma, g, ginv = christoffels(field, P)
+        return (*fields_module._torsion_forms(field, P), gamma, g, ginv, riemanns(field, P, gamma, g))
+
+    got = kernels()
+    monkeypatch.setattr(fields_module, "_axis_partials", oracles.all_axis_partials)
+    for a, b in zip(got, kernels(), strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("axis", [0, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("family, eps", REUSE_FAMILIES[1:])
 def test_non_finite_point_raises_like_one_row(family, eps, bad, axis):
     """A point with a NaN or infinite coordinate, on the frequency axis or
-    off it, among finite rows: every keyed pass raises the one-row call's
-    error with its message, although the key is now its phase.  The flat
-    field is left out: its profile ignores the phase, so no call raises."""
+    off it, among finite rows and after a finite twin that equals it off the
+    bad axis (at axis 3, which e_1 does not read, the two share every
+    coordinate the phase reads): every keyed pass, and the Christoffel,
+    curvature and torsion stencils, raise the one-row call's error with its
+    message, although the key is now its phase and the stencils skip the
+    unread axes.  The flat field is left out: its profile ignores the
+    phase, so no call raises."""
     field = make_field(family, 16, epsilon=eps)
     P = torus_points(5, 4)
     P[2, axis] = bad
-    for op in (
-        field.metrics,
-        field.point_stacks,
-        partial(christoffels, field),
-        partial(torsion_residuals, field),
+    P = np.insert(P, 2, np.where(np.isfinite(P[2]), P[2], 0.25), axis=0)  # the twin, then the bad row
+    # the centre gamma and g reach riemanns' arithmetic only after its stencil pass, which raises
+    curvature = lambda Q: riemanns(field, Q, np.zeros((len(Q), 7, 7, 7)), np.zeros((len(Q), 7, 7)))  # noqa: E731
+    for one_row, op in (
+        (field.metrics, field.metrics),
+        (field.point_stacks, field.point_stacks),
+        (partial(christoffels, field), partial(christoffels, field)),
+        (lambda Q: levi_civita(field, Q[0]), curvature),
+        (partial(torsion_residuals, field), partial(torsion_residuals, field)),
     ):
         with pytest.raises((G2StructureError, RuntimeWarning)) as one:
-            op(P[2:3])
+            one_row(P[3:4])
         with pytest.raises(type(one.value)) as batch:
             op(P)
         assert type(batch.value) is type(one.value) and str(batch.value) == str(one.value)

@@ -113,9 +113,9 @@ def test_record_kernels_match_one_point_calls(family, epsilon, n, data):
     data=st.data(),
 )
 def test_field_kernels_match_one_point_calls(family, epsilon, n, layout, data):
-    """`christoffels` (gamma and g), `riemanns` and `torsion_residuals` on
-    stacked points: row i of each block equals `christoffel`, the metric and
-    curvature of `levi_civita` and `torsion_residual` at the point it holds,
+    """`christoffels` (gamma, g and g^-1), `riemanns` and `torsion_residuals` on
+    stacked points: row i of each block equals `christoffel`, the metric (and
+    its inverse) and curvature of `levi_civita` and `torsion_residual` at the point it holds,
     bit for bit, whatever the order, the block split and the memory layout
     (C or Fortran) of the rows."""
     field = make_field(family, 16, epsilon, (1, 2, 0, 1, 0, 0, -1))
@@ -124,14 +124,14 @@ def test_field_kernels_match_one_point_calls(family, epsilon, n, layout, data):
     split = data.draw(st.integers(0, n), label="split")
     P = np.asarray(points[order], order=layout)
     for rows in (P[:split], P[split:]):
-        gamma, g = christoffels(field, rows)
+        gamma, g, ginv = christoffels(field, rows)
         curvature = riemanns(field, rows, gamma, g)
         torsion = torsion_residuals(field, rows)
         assert len(gamma) == len(g) == len(curvature) == len(torsion) == len(rows)
         for i, p in enumerate(rows):
             _, g_p, riemann = levi_civita(field, p)
             assert np.array_equal(gamma[i], christoffel(field, p))
-            assert np.array_equal(g[i], g_p)
+            assert np.array_equal(g[i], g_p) and np.array_equal(ginv[i], np.linalg.inv(g_p))
             assert np.array_equal(curvature[i], riemann)
             assert torsion[i] == torsion_residual(field, p)
 

@@ -517,8 +517,7 @@ def test_stacked_products_match_their_einsums(family, eps, n, monkeypatch):
     for args in seen["_extension_values"]:
         _, rows, record, base0, vert0, P, Y, _, _ = args
         got, want = twistor._extension_values(*args), oracles.extension_values_einsum(*args)
-        gamma, g = christoffels(field, P)
-        ginv = np.linalg.inv(g)
+        gamma, g, ginv = christoffels(field, P)
         xhat = Y / np.sqrt((Y[:, None] @ g @ Y[:, :, None])[:, 0, 0])[:, None]
         rho = np.sqrt(6.0) * _norm(field.rho_coeffs(P), 1)  # the norm of the dense 3-form
         carried = 1.0 + _norm(record.gamma[rows], (1, 2, 3)) * _norm(P - record.m[rows], 1)
