@@ -11,11 +11,14 @@ pass differences the Christoffel symbols of the axis neighbours, whose
 stencils share points (469 of 3360 rows distinct), and the Omega pass
 steps along a frame vector once per 4-frame that holds it (220 of 640).
 The shipped instanton config runs the flat field, whose rows all share one
-3-form, so its frequency runs also switch
-to the generic-perturbed field at epsilon 0.1: only there do per-row
-metrics reach its residuals.  twistor-perturbed also runs the conformal
-field at epsilon 0.05, which no shipped config runs, so every generator
-family reaches a compared output.  Of each run it compares the body of
+3-form, so its frequency runs also switch to the generic-perturbed field at
+epsilon 0.1: only there do per-row metrics reach its residuals.
+twistor-perturbed and integrability also run at frequency
+(1, 0, 2, 0, 0, 3, 0), where the torsion, Christoffel and curvature stencils
+difference along e_1, e_3 and e_6 and skip the four axes the phase does not
+read (at the shipped e_1 they skip six, at (1, ..., 7) none).
+twistor-perturbed also runs the conformal field at epsilon 0.05, which no
+shipped config runs, so every generator family reaches a compared output.  Of each run it compares the body of
 samples.csv (all but its timestamp line), the [results] section of
 summary.txt and, for a pointwise run, the whole of g2point.txt byte for
 byte, prints one line per run, and names every file that differs; a report
@@ -46,10 +49,13 @@ from bench_pairs import SIDES, export  # noqa: E402
 
 SEEDS = (0, 5, 7)
 OFF_AXIS = {"frequency": "1 2 3 4 5 6 7"}
+MIXED = {"frequency": "1 0 2 0 0 3 0"}
 #: (label part, config stem, settings replaced or added) of the runs beside the shipped configs
 VARIANTS = (
     ("f1234567", "twistor-perturbed", OFF_AXIS),
     ("f1234567", "integrability", OFF_AXIS),
+    ("f1020030", "twistor-perturbed", MIXED),
+    ("f1020030", "integrability", MIXED),
     ("generic-f1234567", "instanton", {"generator": "generic-perturbed", "epsilon": "0.1", **OFF_AXIS}),
     ("conformal", "twistor-perturbed", {"generator": "conformal", "epsilon": "0.05"}),
 )

@@ -82,12 +82,19 @@ def test_missing_settings_are_appended():
 
 
 def test_every_config_runs_at_three_seeds_and_two_off_axis():
-    labels = [label for label, *_ in compare_outputs.runs(["instanton", "twistor-perturbed"])]
+    """Each config at three seeds, then the six variants at three seeds each:
+    (1, ..., 7) for three configs, (1, 0, 2, 0, 0, 3, 0) for two, the conformal field."""
+    runs = compare_outputs.runs(["instanton", "twistor-perturbed"])
+    labels = [label for label, *_ in runs]
     assert labels[:3] == ["instanton-seed0", "instanton-seed5", "instanton-seed7"]
-    assert len(labels) == 2 * 3 + 4 * 3
+    assert len(labels) == len(set(labels)) == 2 * 3 + 6 * 3
     assert "twistor-perturbed-conformal-seed0" in labels
     assert "integrability-f1234567-seed5" in labels
     assert "instanton-generic-f1234567-seed7" in labels
+    mixed = {label: kv for label, _, kv, _ in runs if "f1020030" in label}
+    stems = ("integrability", "twistor-perturbed")
+    assert sorted(mixed) == [f"{stem}-f1020030-seed{seed}" for stem in stems for seed in (0, 5, 7)]
+    assert all(kv == {"frequency": "1 0 2 0 0 3 0"} for kv in mixed.values())
 
 
 @pytest.mark.parametrize(
