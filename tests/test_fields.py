@@ -934,16 +934,21 @@ def test_stencil_passes_equal_the_all_axis_stencil(monkeypatch, family, eps, fre
     along the axes the phase reads, equal the same kernels differencing along
     all seven axes byte for byte, on rows with repeats, negative coordinates
     and -0.0 on the axes the phase does not read: along those axes both
-    stencil sides have the centre's phase, so the partials are +0.0."""
+    stencil sides have the centre's phase, so the partials of the metrics
+    are +0.0, as `_axis_partials` writes them."""
     field = make_field(family, 16, epsilon=eps, frequency=frequency)
     P = _rows_with_repeats(BLOCK + 1, 17)
     P[::2] -= 1.0
     P[1::3, np.flatnonzero(np.asarray(frequency) == 0)] = -0.0
     assert (P < 0).any() and (np.signbit(P) & (P == 0)).any() == (0 in frequency)
 
+    def metrics(Q):
+        return field.metrics(Q.reshape(-1, 7))[0].reshape(Q.shape + (7,))
+
     def kernels():
         gamma, g, ginv = christoffels(field, P)
-        return (*fields_module._torsion_forms(field, P), gamma, g, ginv, riemanns(field, P, gamma, g))
+        dg = fields_module._axis_partials(field, metrics, P)
+        return (dg, *fields_module._torsion_forms(field, P), gamma, g, ginv, riemanns(field, P, gamma, g))
 
     got = kernels()
     monkeypatch.setattr(fields_module, "_axis_partials", oracles.all_axis_partials)
