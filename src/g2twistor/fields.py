@@ -279,7 +279,7 @@ def _axis_partials(field, f, P):
     both stencil sides have the phase of the centre (docs/CONVENTIONS.md)."""
     read = np.flatnonzero(field.generator.frequency)
     partials = central_difference(f, (P[:, None],), (AXES[read],), field.h)
-    out = np.zeros(partials.shape[:1] + (7,) + partials.shape[2:])
+    out = np.zeros((len(P), 7) + partials.shape[2:])
     out[:, read] = partials
     return out
 

@@ -972,8 +972,10 @@ def test_non_finite_point_raises_like_one_row(family, eps, bad, axis):
     P = torus_points(5, 4)
     P[2, axis] = bad
     P = np.insert(P, 2, np.where(np.isfinite(P[2]), P[2], 0.25), axis=0)  # the twin, then the bad row
-    # the centre gamma and g reach riemanns' arithmetic only after its stencil pass, which raises
-    curvature = lambda Q: riemanns(field, Q, np.zeros((len(Q), 7, 7, 7)), np.zeros((len(Q), 7, 7)))  # noqa: E731
+
+    def curvature(Q):  # the centre gamma and g enter only after the stencil pass, which raises
+        return riemanns(field, Q, np.zeros((len(Q), 7, 7, 7)), np.zeros((len(Q), 7, 7)))
+
     for one_row, op in (
         (field.metrics, field.metrics),
         (field.point_stacks, field.point_stacks),
